@@ -1,5 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the golden gamma reports used by the regression tests.
+"""Regenerate the golden reports used by the regression tests.
+
+Writes the gamma reports on the origin point set (seeds 11-13) and the
+Cantor-set runs of `analyze`, `plotdata` and `gamma`, whose argument lists,
+exit codes and output files are listed in `cantor_runs.json`.  The Cantor
+runs use paths relative to their working directory, so their reports carry
+no machine-specific path and compare byte-for-byte.
 
 Usage: python scripts/regen_goldens.py
 """
@@ -16,22 +22,66 @@ from cubeporos.cli import main  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
 
+CANTOR = {"kind": "ifs",
+          "maps": [{"ratio": "1/3", "shift": ["0/1"]},
+                   {"ratio": "1/3", "shift": ["2/3"]}],
+          "hull": {"lo": ["0/1"], "hi": ["1/1"]}}
+
+# name -> (arguments after `--set cantor.json`, files the run writes)
+CANTOR_RUNS = {
+    "analyze": (["analyze", "--depth", "5", "--split-budget", "4",
+                 "--out", "cantor_analyze.json"],
+                ["cantor_analyze.json", "cantor_analyze.csv"]),
+    "plotdata": (["plotdata", "--depth", "10", "--out", "cantor_plotdata.csv"],
+                 ["cantor_plotdata.csv", "cantor_plotdata_families.csv"]),
+    "gamma": (["gamma", "--gamma", "2/1", "--depth", "5",
+               "--out", "cantor_gamma.json"],
+              ["cantor_gamma.json"]),
+}
+
+
+def regen_gamma(tmp: Path):
+    set_path = tmp / "origin.json"
+    set_path.write_text(json.dumps({"kind": "points", "points": [["0/1"]]}))
+    for seed in (11, 12, 13):
+        out = tmp / f"gamma_seed{seed}.json"
+        code = main(["gamma", "--set", str(set_path), "--gamma", "3/2",
+                     "--depth", "5", "--seed", str(seed), "--out", str(out)])
+        if code != 0:
+            raise SystemExit(f"gamma run for seed {seed} exited with {code}")
+        target = GOLDEN_DIR / f"gamma_seed{seed}.json"
+        target.write_text(out.read_text())
+        print(f"wrote {target}")
+
+
+def regen_cantor(tmp: Path):
+    (tmp / "cantor.json").write_text(json.dumps(CANTOR))
+    manifest = {}
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for name, (args, files) in CANTOR_RUNS.items():
+            argv = [args[0], "--set", "cantor.json"] + args[1:]
+            code = main(argv)
+            manifest[name] = {"argv": argv, "exit": code, "files": files}
+            for f in files:
+                target = GOLDEN_DIR / f
+                target.write_bytes((tmp / f).read_bytes())
+                print(f"wrote {target}")
+    finally:
+        os.chdir(cwd)
+    target = GOLDEN_DIR / "cantor_runs.json"
+    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {target}")
+
 
 def regen():
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     os.environ["CUBEPOROS_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
-        set_path = Path(tmp) / "origin.json"
-        set_path.write_text(json.dumps({"kind": "points", "points": [["0/1"]]}))
-        for seed in (11, 12, 13):
-            out = Path(tmp) / f"gamma_seed{seed}.json"
-            code = main(["gamma", "--set", str(set_path), "--gamma", "3/2",
-                         "--depth", "5", "--seed", str(seed), "--out", str(out)])
-            if code != 0:
-                raise SystemExit(f"gamma run for seed {seed} exited with {code}")
-            target = GOLDEN_DIR / f"gamma_seed{seed}.json"
-            target.write_text(out.read_text())
-            print(f"wrote {target}")
+        regen_gamma(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        regen_cantor(Path(tmp))
 
 
 if __name__ == "__main__":

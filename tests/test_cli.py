@@ -177,3 +177,18 @@ def test_golden_gamma_runs(tmp_path, name, monkeypatch):
         payload["config"].pop("set")
         payload["config"].pop("out")
     assert json.dumps(produced, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+
+CANTOR_RUNS = json.loads((GOLDEN / "cantor_runs.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CANTOR_RUNS))
+def test_golden_cantor_runs(tmp_path, name, monkeypatch):
+    # relative paths keep the reports free of run-specific paths
+    monkeypatch.setenv("CUBEPOROS_THREADS", "1")
+    monkeypatch.chdir(tmp_path)
+    write_set(tmp_path, name="cantor.json", kind="cantor")
+    run = CANTOR_RUNS[name]
+    assert main(run["argv"]) == run["exit"]
+    for f in run["files"]:
+        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
