@@ -4,6 +4,9 @@ A model answers `Free` or `Intersects` only when the answer is exact; refinement
 budgets turn hard cases into `Undetermined`, never into a wrong exact answer.
 Callers that must commit treat `Undetermined` as `Intersects`, which only
 enlarges enumerated families and inflates measured constants monotonically.
+The IFS oracles share one exact integer kernel: composed hull images are
+integer numerators over a per-node denominator, compared with the query box
+by cross-multiplication, and a `Fraction` is built only for a returned value.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .enclosure import frac_parse, frac_str
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import (Box, DyadicCube, closed_disjoint, inside_closed,
-                      inside_open, linf_dist, meets_open)
+from .lattice import Box, DyadicCube, linf_dist
 
 DEFAULT_BUDGET = 36
 _MAX_NODES = 200_000  # hard cap on hull expansions per oracle call
@@ -157,6 +161,52 @@ class PointsModel(SetModel):
                 "points": [[frac_str(x) for x in p] for p in self.points]}
 
 
+def _relate(node, BL, BH):
+    """Compare an IFS node's hull with the query box in integers.
+
+    `node` is (P, D, LO, HI): ratio numerator, denominator, and hull corner
+    numerators over D*bd; BL, BH are the box corners over bd.  Returns
+    (gap, inside_closed, inside_open, meets_open): `gap` is the numerator
+    over D*bd of the l-inf distance between the closures (0 exactly when
+    they meet); the flags say whether the hull lies in the closed box, lies
+    in its open interior, and meets its open interior.
+    """
+    D, LO, HI = node[1], node[2], node[3]
+    gap = 0
+    closed = opened = meets = True
+    for lo, hi, bl, bh in zip(LO, HI, BL, BH):
+        bl *= D
+        bh *= D
+        g = lo - bh if lo - bh > bl - hi else bl - hi
+        if g > gap:
+            gap = g
+        if not (bl <= lo and hi <= bh):
+            closed = opened = False
+        elif not (bl < lo and hi < bh):
+            opened = False
+        if hi <= bl or lo >= bh:
+            meets = False
+    return gap, closed, opened, meets
+
+
+def _children(node, maps):
+    """The nodes of `node` composed with every map, in map order."""
+    P, D, LO, HI = node
+    return [(P * p, D * q,
+             tuple(lo * q + P * o for lo, o in zip(LO, olo)),
+             tuple(hi * q + P * o for hi, o in zip(HI, ohi)))
+            for p, q, olo, ohi in maps]
+
+
+def _least(scored):
+    """Smallest gap/den over (gap, den, node) entries, as a (num, den) pair."""
+    lo_n, lo_d = scored[0][0], scored[0][1]
+    for gap, den, _node in scored:
+        if gap * lo_d < lo_n * den:
+            lo_n, lo_d = gap, den
+    return lo_n, lo_d
+
+
 @dataclass(frozen=True)
 class IFSModel(SetModel):
     """Attractor of contracting similarities x -> r*x + t with rational data.
@@ -193,114 +243,140 @@ class IFSModel(SetModel):
     def dim(self) -> int:
         return self.hull.dim
 
-    def _image(self, ratio: Fraction, shift) -> Box:
-        return Box(tuple(ratio * a + t for a, t in zip(self.hull.lo, shift)),
-                   tuple(ratio * b + t for b, t in zip(self.hull.hi, shift)))
+    @cached_property
+    def _kernel(self):
+        """The model in integers, computed once.
 
-    def _compose(self, ratio, shift):
-        # (ratio, shift) o (r, t) applied as outer(inner(x))
-        for r, t in self.maps:
-            yield ratio * r, tuple(ratio * ti + s for ti, s in zip(t, shift))
+        Hull corners are numerators A, B over one denominator M (the lcm of
+        the hull and shift denominators) and W is the largest hull side over
+        M.  Map x -> (p/q)x + t sends a node's hull corners lo, hi over D to
+        lo*q + P*off_lo and hi*q + P*off_hi over D*q, where P is the node's
+        ratio numerator and off_lo, off_hi are the map's corner offsets over
+        q*M, listed here per map as (p, q, off_lo, off_hi).
+        """
+        coords = self.hull.lo + self.hull.hi + tuple(t for _r, ts in self.maps for t in ts)
+        M = lcm(*(x.denominator for x in coords))
+        A = tuple(int(a * M) for a in self.hull.lo)
+        B = tuple(int(b * M) for b in self.hull.hi)
+        W = max(b - a for a, b in zip(A, B))
+        maps = []
+        for r, ts in self.maps:
+            p, q = r.numerator, r.denominator
+            T = tuple(int(t * M) for t in ts)
+            maps.append((p, q,
+                         tuple(p * a + q * (t - a) for a, t in zip(A, T)),
+                         tuple(p * b + q * (t - b) for b, t in zip(B, T))))
+        return M, A, B, W, tuple(maps)
+
+    def _query(self, box):
+        """Read the box once: its corners as numerators BL, BH over one
+        denominator bd.  Node hull numerators are kept multiplied by bd, so a
+        node with denominator D compares lo*bd/(D*bd) against BL*D/(D*bd).
+
+        Returns (bd, BL, BH, W*bd, root node, maps with offsets times bd).
+        """
+        bd = lcm(*(x.denominator for x in box.lo + box.hi))
+        BL = tuple(x.numerator * (bd // x.denominator) for x in box.lo)
+        BH = tuple(x.numerator * (bd // x.denominator) for x in box.hi)
+        M, A, B, W, maps = self._kernel
+        root = (1, M, tuple(a * bd for a in A), tuple(b * bd for b in B))
+        maps = tuple((p, q, tuple(o * bd for o in olo), tuple(o * bd for o in ohi))
+                     for p, q, olo, ohi in maps)
+        return bd, BL, BH, W * bd, root, maps
 
     def intersect_status(self, box, budget=DEFAULT_BUDGET):
         self._check_dim(box)
-        identity = (Fraction(1), (Fraction(0),) * self.dim)
-        stack = [(identity[0], identity[1], 0)]
+        _bd, BL, BH, _Wb, root, maps = self._query(box)
+        stack = [(root, 0)]
         undetermined = False
         nodes = 0
         while stack:
-            ratio, shift, level = stack.pop()
+            node, level = stack.pop()
             nodes += 1
-            hull = self._image(ratio, shift)
-            if closed_disjoint(hull, box):
+            gap, _closed, inside, _meets = _relate(node, BL, BH)
+            if gap > 0:  # closures disjoint
                 continue
-            if inside_open(box, hull):
+            if inside:
                 return Status.INTERSECTS
             if level >= budget or nodes > _MAX_NODES:
                 undetermined = True
                 continue
-            for r2, s2 in self._compose(ratio, shift):
-                stack.append((r2, s2, level + 1))
+            stack.extend((c, level + 1) for c in _children(node, maps))
         return Status.UNDETERMINED if undetermined else Status.FREE
 
     def dist_interval(self, box, budget=DEFAULT_BUDGET):
+        # distances are numerators over D*bd; (n, d) pairs compare crosswise
         self._check_dim(box)
-        zero = Fraction(0)
-        frontier = [(Fraction(1), (Fraction(0),) * self.dim)]
-        diam0 = self.hull.max_side
-        best_hi = linf_dist(box, self.hull) + diam0
-        lo = zero
+        bd, BL, BH, Wb, root, maps = self._query(box)
+        hi_n, hi_d = _relate(root, BL, BH)[0] + Wb, root[1] * bd
+        lo_n, lo_d = 0, 1
+        frontier = [root]
         for _ in range(budget):
             scored = []
-            for ratio, shift in frontier:
-                hull = self._image(ratio, shift)
-                if inside_closed(box, hull):
+            for node in frontier:
+                gap, closed, _inside, _meets = _relate(node, BL, BH)
+                if closed:
                     # the hull carries an attractor point inside the closure
-                    return (zero, zero)
-                d = linf_dist(box, hull)
-                reach = d + ratio * diam0
-                if reach < best_hi:
-                    best_hi = reach
-                scored.append((d, ratio, shift))
-            lo = min(d for d, _r, _s in scored)
-            survivors = [(r, s) for d, r, s in scored if d <= best_hi]
-            if len(survivors) * len(self.maps) > _MAX_NODES:
-                return (lo, best_hi)
-            nxt = []
-            for ratio, shift in survivors:
-                nxt.extend(self._compose(ratio, shift))
-            frontier = nxt
-        scored = [(linf_dist(box, self._image(r, s)), r, s) for r, s in frontier]
+                    return (Fraction(0), Fraction(0))
+                den = node[1] * bd
+                reach = gap + node[0] * Wb
+                if reach * hi_d < hi_n * den:
+                    hi_n, hi_d = reach, den
+                scored.append((gap, den, node))
+            lo_n, lo_d = _least(scored)
+            survivors = [node for gap, den, node in scored if gap * hi_d <= hi_n * den]
+            if len(survivors) * len(maps) > _MAX_NODES:
+                return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+            frontier = [c for node in survivors for c in _children(node, maps)]
+        scored = [(_relate(node, BL, BH)[0], node[1] * bd, node) for node in frontier]
         if scored:
-            lo = min(d for d, _r, _s in scored)
-            for d, r, _s in scored:
-                reach = d + r * diam0
-                if reach < best_hi:
-                    best_hi = reach
-        return (lo, best_hi)
+            lo_n, lo_d = _least(scored)
+            for gap, den, node in scored:
+                reach = gap + node[0] * Wb
+                if reach * hi_d < hi_n * den:
+                    hi_n, hi_d = reach, den
+        return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
     def dist_below(self, box, threshold, budget=DEFAULT_BUDGET):
         self._check_dim(box)
         threshold = Fraction(threshold)
-        frontier = [(Fraction(1), (Fraction(0),) * self.dim)]
-        diam0 = self.hull.max_side
+        t_n, t_d = threshold.numerator, threshold.denominator
+        bd, BL, BH, Wb, root, maps = self._query(box)
+        frontier = [root]
         for _ in range(budget):
             keep = []
-            for ratio, shift in frontier:
-                hull = self._image(ratio, shift)
-                if inside_closed(box, hull):
+            for node in frontier:
+                gap, closed, _inside, _meets = _relate(node, BL, BH)
+                if closed:
                     return True
-                d = linf_dist(box, hull)
-                if d >= threshold:
+                t_den = t_n * node[1] * bd
+                if gap * t_d >= t_den:
                     continue  # this branch can never come closer
-                if d + ratio * diam0 < threshold:
+                if (gap + node[0] * Wb) * t_d < t_den:
                     return True
-                keep.append((ratio, shift))
+                keep.append(node)
             if not keep:
                 return False
-            if len(keep) * len(self.maps) > _MAX_NODES:
+            if len(keep) * len(maps) > _MAX_NODES:
                 return None
-            frontier = []
-            for ratio, shift in keep:
-                frontier.extend(self._compose(ratio, shift))
+            frontier = [c for node in keep for c in _children(node, maps)]
         return None
 
     def misses_interior(self, box, budget=DEFAULT_BUDGET):
-        identity = (Fraction(1), (Fraction(0),) * self.dim)
-        stack = [(identity[0], identity[1], 0)]
+        _bd, BL, BH, _Wb, root, maps = self._query(box)
+        stack = [(root, 0)]
         nodes = 0
         while stack:
-            ratio, shift, level = stack.pop()
+            node, level = stack.pop()
             nodes += 1
-            hull = self._image(ratio, shift)
-            if not meets_open(hull, box):
+            _gap, _closed, inside, meets = _relate(node, BL, BH)
+            if not meets:
                 continue
-            if inside_open(box, hull):
+            if inside:
                 return False
             if level >= budget or nodes > _MAX_NODES:
                 return False  # cannot certify
-            for r2, s2 in self._compose(ratio, shift):
-                stack.append((r2, s2, level + 1))
+            stack.extend((c, level + 1) for c in _children(node, maps))
         return True
 
     def to_json(self):

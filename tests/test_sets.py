@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ifs_reference
 from cubeporos.errors import EmptyFamilyError, EmptySetError
 from cubeporos.lattice import Box, DyadicCube
-from cubeporos.sets import (EmptyModel, PointsModel, Status, UnionModel,
+from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionModel,
                             cantor_middle_thirds, corner_set, model_from_json)
 from conftest import cantor_meets_interval, dyadic_cubes, point_sets
 
@@ -122,3 +123,55 @@ def test_corners_json_kind():
            "family": [{"depth": 1, "coords": [1]}, {"depth": 0, "coords": [0]}]}
     model = model_from_json(obj)
     assert model.points == ((F(0),), (F(1, 2),))
+
+
+DENOMS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+
+
+def _rational(draw, lo, hi):
+    den = draw(st.sampled_from(DENOMS))
+    return F(draw(st.integers(lo * den, hi * den)), den)
+
+
+@st.composite
+def rational_ifs(draw):
+    """IFS with mixed ratio denominators and hulls off the dyadic grid."""
+    d = draw(st.integers(1, 2))
+    lo = tuple(_rational(draw, -1, 1) for _ in range(d))
+    hi = tuple(a + _rational(draw, 0, 1) + F(1, 3) for a in lo)
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+        r = F(draw(st.integers(1, q - 1)), q)
+        # t in [(1-r)lo, (1-r)hi] keeps the image of the hull inside it
+        maps.append((r, tuple((1 - r) * (a + _rational(draw, 0, 1) * (b - a))
+                              for a, b in zip(lo, hi))))
+    return IFSModel.make(maps, Box(lo, hi))
+
+
+@st.composite
+def query_boxes(draw, dim):
+    if draw(st.booleans()):
+        return draw(dyadic_cubes(dim=dim, max_depth=6)).box
+    lo = tuple(_rational(draw, -1, 2) for _ in range(dim))
+    return Box(lo, tuple(a + _rational(draw, 0, 1) for a in lo))
+
+
+@st.composite
+def ifs_queries(draw):
+    E = draw(st.one_of(st.just(CANTOR), rational_ifs()))
+    return (E, draw(query_boxes(E.dim)), draw(st.sampled_from((0, 1, 2, 3, 4, 36))),
+            _rational(draw, 0, 2))
+
+
+@given(ifs_queries())
+@settings(max_examples=150, deadline=None)
+def test_ifs_kernel_matches_fraction_walk(query):
+    E, box, budget, threshold = query
+    assert E.intersect_status(box, budget) is ifs_reference.intersect_status(E, box, budget)
+    got = E.dist_interval(box, budget)
+    assert got == ifs_reference.dist_interval(E, box, budget)
+    assert all(type(x) is F for x in got)
+    assert E.dist_below(box, threshold, budget) is \
+        ifs_reference.dist_below(E, box, threshold, budget)
+    assert E.misses_interior(box, budget) is ifs_reference.misses_interior(E, box, budget)
