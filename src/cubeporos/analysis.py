@@ -16,7 +16,7 @@ from fractions import Fraction
 from .enclosure import RatInterval, pow2_enclosure, pow_enclosure, sum_intervals
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
 from .families import CubeFamily, enumerate_DE, enumerate_FE
-from .lattice import Box, DyadicCube, children, contains, cube_order_key
+from .lattice import Box, DyadicCube, children, contains, cube_order_key, parent
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, Status
 
 DEFAULT_SPLIT_BUDGET = 20
@@ -293,9 +293,12 @@ def _mu_cell(E, local, cube, alpha, levels_left, parent_meets, budget, notes):
         notes.refined_cells += 1
         lower = _ZERO
         upper = _ZERO
+        # an undetermined cell may miss E: only a certified meet caps the
+        # children's distances at 2*side
+        meets = st is Status.INTERSECTS
         for c in children(cube):
             sub = local.restricted(c.box)
-            l, u = _mu_cell(E, sub, c, alpha, levels_left - 1, True, budget, notes)
+            l, u = _mu_cell(E, sub, c, alpha, levels_left - 1, meets, budget, notes)
             lower += l
             upper = None if (upper is None or u is None) else upper + u
         return lower, upper
@@ -399,12 +402,18 @@ def _mu_decomposition_terms(E, R, alpha, J, budget, split_budget):
     fe = enumerate_FE(E, R, J, budget)
     entries = []
     notes = MuNotes()
+    parent_meets = {}  # parent cube -> E certified to meet it
     for q, (lo_d, hi_d) in fe.free:
-        lower, upper = _free_cell_bounds(E, q, alpha, True, budget, notes)
+        p = parent(q)
+        if p not in parent_meets:
+            parent_meets[p] = E.intersect_status(p.box, budget) is Status.INTERSECTS
+        lower, upper = _free_cell_bounds(E, q, alpha, parent_meets[p], budget, notes)
         entries.append((q, lower, upper, True))
     for q in fe.residual:
+        # a residual cell meets E or is undetermined, so it is never bounded
+        # as a free cell and needs no parent flag
         local = E.restricted(q.box)
-        lower, upper = _mu_cell(E, local, q, alpha, split_budget, True, budget, notes)
+        lower, upper = _mu_cell(E, local, q, alpha, split_budget, False, budget, notes)
         entries.append((q, lower, upper, False))
     return fe, entries
 

@@ -14,7 +14,7 @@ from cubeporos.enclosure import pow2_enclosure
 from cubeporos.errors import AlphaOutOfRange, RootIsFree
 from cubeporos.families import enumerate_DE
 from cubeporos.lattice import Box, DyadicCube
-from cubeporos.sets import PointsModel, Status, cantor_middle_thirds
+from cubeporos.sets import IFSModel, PointsModel, Status, cantor_middle_thirds
 from conftest import point_sets
 
 F = Fraction
@@ -109,6 +109,19 @@ def test_mu_enclosure_single_point():
     assert enc.contains(2)  # exact integral of x^(-1/2) over [0,1)
     assert enc.lower >= F(170710, 10 ** 5)
     assert enc.upper <= F(241422, 10 ** 5)
+
+
+def test_mu_lower_bound_sound_when_parent_undetermined():
+    # x -> x/2 on [0,1] has attractor {0}; at budget 1 the cell [1/2, 1) is
+    # undetermined, which must not cap its children's distances at 2*side
+    E = IFSModel.make([(F(1, 2), (F(0),))], Box.make([0], [1]))
+    enc = mu_enclosure(E, DyadicCube(1, (1,)), F(1, 2), 3, budget=1, split_budget=2)
+    # the mass of [1/2, 1) is 2 - sqrt(2), compared in exact rationals
+    a = 2 - enc.lower
+    assert a >= 0 and a * a >= 2
+    assert enc.upper is not None
+    b = 2 - enc.upper
+    assert b <= 0 or b * b <= 2
 
 
 def test_mu_alpha_zero_degenerates_to_volume():
