@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
+# --depth default of every command but invert, whose default (None) lets
+# invert() take the deepest family member + 8
+DEFAULT_DEPTH = 8
+
 
 class ValidationError(Exception):
     pass
@@ -42,7 +46,7 @@ class RunConfig:
     set_path: str | None = None
     family_path: str | None = None
     dim: int | None = None
-    depth: int = 8
+    depth: int | None = DEFAULT_DEPTH
     budget: int = 36
     split_budget: int = 20
     search_depth: int = 6
@@ -54,7 +58,7 @@ class RunConfig:
     seed: int = 0
     out: str = "report.json"
     format: str = "json"
-    threads: int = 1  # parallelism cap from CUBEPOROS_THREADS; not in reports
+    threads: int = 1  # CUBEPOROS_THREADS, validated but unused; not in reports
 
     def to_json(self):
         return {
@@ -235,8 +239,7 @@ def cmd_witness(config: RunConfig) -> int:
 def cmd_invert(config: RunConfig) -> int:
     family = _load_family(config)
     try:
-        _E, report = invert(family, config.depth if config.depth else None,
-                            config.budget)
+        _E, report = invert(family, config.depth, config.budget)
     except NotParentClosed as exc:
         _dump_json(config.out, {
             "config": config.to_json(),
@@ -334,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="set_path")
         p.add_argument("--family", dest="family_path")
         p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--depth", type=int, default=8)
+        p.add_argument("--depth", type=int, default=None)
         p.add_argument("--budget", type=int, default=36)
         p.add_argument("--split-budget", type=int, default=20)
         p.add_argument("--search-depth", type=int, default=6)
@@ -364,13 +367,16 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
+    depth = ns.depth
+    if depth is None and ns.command != "invert":
+        depth = DEFAULT_DEPTH
     try:
         config = RunConfig(
             command=ns.command,
             set_path=ns.set_path,
             family_path=ns.family_path,
             dim=ns.dim,
-            depth=ns.depth,
+            depth=depth,
             budget=ns.budget,
             split_budget=ns.split_budget,
             search_depth=ns.search_depth,

@@ -91,6 +91,21 @@ def test_invert_chain(tmp_path):
     assert payload["chain_coverage_ok"] is True
 
 
+def test_invert_depth_defaults_to_deepest_member_plus_8(tmp_path):
+    # two chains to depth 16: towards 0 and towards 1/3
+    members = [{"depth": j, "coords": [k]}
+               for j in range(17) for k in sorted({0, (1 << j) // 3})]
+    family = write_family(tmp_path, members)
+    out = tmp_path / "inv.json"
+    assert main(["invert", "--family", family, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["J"] == 24
+    roots = {(r["root"]["depth"], tuple(r["root"]["coords"])) for r in payload["roots"]}
+    assert {(m["depth"], tuple(m["coords"])) for m in members} <= roots
+    assert main(["invert", "--family", family, "--depth", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["J"] == 0
+
+
 def test_invert_non_parent_closed_exits_2(tmp_path):
     members = [{"depth": 0, "coords": [0]}, {"depth": 2, "coords": [1]}]
     out = tmp_path / "inv.json"
