@@ -497,12 +497,6 @@ class CodimEstimate:
         }
 
 
-def _prefix_ratio(counts, root, d, alpha, J) -> RatInterval:
-    sub = {lvl: n for lvl, n in counts.items() if lvl <= root.depth + J}
-    value = _sum_from_level_counts(sub, d, alpha)
-    return value / _level_term(root.depth, d, alpha)
-
-
 def _total_ratio(counts, residual_counts, root, d, alpha, J) -> RatInterval:
     """Prefix ratio plus the residual bound: resolved mass + unresolved mass.
 

@@ -126,9 +126,6 @@ class RatInterval:
     def to_json(self):
         return [frac_str(self.lo), frac_str(self.hi)]
 
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
 
 def _rational_root_enclosure(y: Fraction, q: int, rel_bits: int) -> RatInterval:
     """Enclosure of y**(1/q) for y > 0 with relative width <= 2^-rel_bits."""

@@ -59,11 +59,6 @@ def random_porous_model(rng: random.Random, d: int) -> SetModel:
     return random_points_model(rng, d)
 
 
-def random_cube(rng: random.Random, d: int, max_depth: int) -> DyadicCube:
-    depth = rng.randrange(max_depth + 1)
-    return DyadicCube(depth, tuple(rng.randrange(1 << depth) for _ in range(d)))
-
-
 def random_parent_closed_family(rng: random.Random, d: int, max_depth: int,
                                 keep_num: int = 1, keep_den: int = 3) -> CubeFamily:
     """Downward percolation from the root: a child joins with probability

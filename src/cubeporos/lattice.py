@@ -136,9 +136,6 @@ class DyadicCube:
         return Box(tuple(k * s for k in self.coords),
                    tuple((k + 1) * s for k in self.coords))
 
-    def order_key(self):
-        return (self.depth, self.coords)
-
     def ancestor_at(self, depth: int) -> "DyadicCube":
         if depth > self.depth or depth < 0:
             raise ValueError("ancestor depth out of range")
