@@ -212,30 +212,6 @@ def linf_dist(a, b) -> Fraction:
     return gap
 
 
-def closed_disjoint(a: Box, b: Box) -> bool:
-    """True when the closures of the two boxes do not meet."""
-    return any(blo > ahi or alo > bhi
-               for alo, ahi, blo, bhi in zip(a.lo, a.hi, b.lo, b.hi))
-
-
-def inside_open(outer: Box, inner: Box) -> bool:
-    """True when the closed `inner` box lies in the open interior of `outer`."""
-    return all(olo < ilo and ihi < ohi
-               for olo, ohi, ilo, ihi in zip(outer.lo, outer.hi, inner.lo, inner.hi))
-
-
-def inside_closed(outer: Box, inner: Box) -> bool:
-    """True when the closed `inner` box lies in the closure of `outer`."""
-    return all(olo <= ilo and ihi <= ohi
-               for olo, ohi, ilo, ihi in zip(outer.lo, outer.hi, inner.lo, inner.hi))
-
-
-def meets_open(a: Box, open_box: Box) -> bool:
-    """True when closed box `a` meets the open interior of `open_box`."""
-    return all(ahi > olo and alo < ohi
-               for alo, ahi, olo, ohi in zip(a.lo, a.hi, open_box.lo, open_box.hi))
-
-
 def dilate(q: DyadicCube, n: int) -> Box:
     """Concentric dilation (2n+1)Q; may extend outside the unit root."""
     if n < 1:

@@ -349,10 +349,10 @@ class IFSModel(SetModel):
                 gap, closed, _inside, _meets = _relate(node, BL, BH)
                 if closed:
                     return True
-                t_den = t_n * node[1] * bd
-                if gap * t_d >= t_den:
+                limit = t_n * node[1] * bd  # threshold over D*bd, times t_d
+                if gap * t_d >= limit:
                     continue  # this branch can never come closer
-                if (gap + node[0] * Wb) * t_d < t_den:
+                if (gap + node[0] * Wb) * t_d < limit:
                     return True
                 keep.append(node)
             if not keep:

@@ -3,15 +3,38 @@
 These are the oracles `IFSModel` answered with before its integer kernel.
 They walk the same tree in the same order with the same level, budget and
 node-cap rules, building every hull image as a `Box` of Fractions and
-deciding it with the `lattice` predicates.  The property tests require the
+deciding it with the box predicates below.  The property tests require the
 kernel to return exactly the same values.
 """
 
 from fractions import Fraction
 
-from cubeporos.lattice import (Box, closed_disjoint, inside_closed, inside_open,
-                               linf_dist, meets_open)
+from cubeporos.lattice import Box, linf_dist
 from cubeporos.sets import _MAX_NODES, Status
+
+
+def closed_disjoint(a: Box, b: Box) -> bool:
+    """True when the closures of the two boxes do not meet."""
+    return any(blo > ahi or alo > bhi
+               for alo, ahi, blo, bhi in zip(a.lo, a.hi, b.lo, b.hi))
+
+
+def inside_open(outer: Box, inner: Box) -> bool:
+    """True when the closed `inner` box lies in the open interior of `outer`."""
+    return all(olo < ilo and ihi < ohi
+               for olo, ohi, ilo, ihi in zip(outer.lo, outer.hi, inner.lo, inner.hi))
+
+
+def inside_closed(outer: Box, inner: Box) -> bool:
+    """True when the closed `inner` box lies in the closure of `outer`."""
+    return all(olo <= ilo and ihi <= ohi
+               for olo, ohi, ilo, ihi in zip(outer.lo, outer.hi, inner.lo, inner.hi))
+
+
+def meets_open(a: Box, open_box: Box) -> bool:
+    """True when closed box `a` meets the open interior of `open_box`."""
+    return all(ahi > olo and alo < ohi
+               for alo, ahi, olo, ohi in zip(a.lo, a.hi, open_box.lo, open_box.hi))
 
 
 def _image(E, ratio, shift):
