@@ -2,15 +2,17 @@
 
 These are the oracles `IFSModel` answered with before its integer kernel.
 They walk the same tree in the same order with the same level, budget and
-node-cap rules, building every hull image as a `Box` of Fractions and
+node-cap rules (the cap is read from `sets._MAX_NODES` at call time, as the
+kernel reads it), building every hull image as a `Box` of Fractions and
 deciding it with the box predicates below.  The property tests require the
 kernel to return exactly the same values.
 """
 
 from fractions import Fraction
 
+from cubeporos import sets
 from cubeporos.lattice import Box, linf_dist
-from cubeporos.sets import _MAX_NODES, Status
+from cubeporos.sets import Status
 
 
 def closed_disjoint(a: Box, b: Box) -> bool:
@@ -65,7 +67,7 @@ def intersect_status(E, box, budget):
             continue
         if inside_open(box, hull):
             return Status.INTERSECTS
-        if level >= budget or nodes > _MAX_NODES:
+        if level >= budget or nodes > sets._MAX_NODES:
             undetermined = True
             continue
         for r2, s2 in _compose(E, ratio, shift):
@@ -92,7 +94,7 @@ def dist_interval(E, box, budget):
             scored.append((d, ratio, shift))
         lo = min(d for d, _r, _s in scored)
         survivors = [(r, s) for d, r, s in scored if d <= best_hi]
-        if len(survivors) * len(E.maps) > _MAX_NODES:
+        if len(survivors) * len(E.maps) > sets._MAX_NODES:
             return (lo, best_hi)
         nxt = []
         for ratio, shift in survivors:
@@ -126,7 +128,7 @@ def dist_below(E, box, threshold, budget):
             keep.append((ratio, shift))
         if not keep:
             return False
-        if len(keep) * len(E.maps) > _MAX_NODES:
+        if len(keep) * len(E.maps) > sets._MAX_NODES:
             return None
         frontier = []
         for ratio, shift in keep:
@@ -146,7 +148,7 @@ def misses_interior(E, box, budget):
             continue
         if inside_open(box, hull):
             return False
-        if level >= budget or nodes > _MAX_NODES:
+        if level >= budget or nodes > sets._MAX_NODES:
             return False
         for r2, s2 in _compose(E, ratio, shift):
             stack.append((r2, s2, level + 1))
