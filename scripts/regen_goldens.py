@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate the golden reports used by the regression tests.
 
-Writes the gamma reports on the origin point set (seeds 11-13) and the
+Writes the gamma reports on the origin point set (seeds 11-13), the
 Cantor-set runs of `analyze`, `plotdata` and `gamma`, whose argument lists,
-exit codes and output files are listed in `cantor_runs.json`.  The Cantor
-runs use paths relative to their working directory, so their reports carry
-no machine-specific path and compare byte-for-byte.
+exit codes and output files are listed in `cantor_runs.json`, and the
+`invert` run on a seeded 2-d parent-closed family, listed with its input
+file in `invert_runs.json`.  These runs use paths relative to their working
+directory, so their reports carry no machine-specific path and compare
+byte-for-byte.
 
 Usage: python scripts/regen_goldens.py
 """
@@ -19,6 +21,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cubeporos.cli import main  # noqa: E402
+from cubeporos.generators import (random_parent_closed_family,  # noqa: E402
+                                  rng_from_seed)
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
 
@@ -38,6 +42,12 @@ CANTOR_RUNS = {
                "--out", "cantor_gamma.json"],
               ["cantor_gamma.json"]),
 }
+
+# seeded 2-d parent-closed family: 249 cubes, deepest at depth 10
+FAMILY_FILE = "invert_family_2d.json"
+FAMILY_ARGS = {"seed": 1, "d": 2, "max_depth": 10, "keep_num": 2, "keep_den": 5}
+INVERT_ARGV = ["invert", "--family", FAMILY_FILE, "--depth", "12",
+               "--out", "invert_2d.json"]
 
 
 def regen_gamma(tmp: Path):
@@ -75,6 +85,30 @@ def regen_cantor(tmp: Path):
     print(f"wrote {target}")
 
 
+def regen_invert(tmp: Path):
+    args = dict(FAMILY_ARGS)
+    family = random_parent_closed_family(rng_from_seed(args.pop("seed")), **args)
+    text = json.dumps(family.to_json(), sort_keys=True) + "\n"
+    (tmp / FAMILY_FILE).write_text(text)
+    (GOLDEN_DIR / FAMILY_FILE).write_text(text)
+    print(f"wrote {GOLDEN_DIR / FAMILY_FILE}")
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        code = main(INVERT_ARGV)
+    finally:
+        os.chdir(cwd)
+    out = INVERT_ARGV[-1]
+    target = GOLDEN_DIR / out
+    target.write_bytes((tmp / out).read_bytes())
+    print(f"wrote {target}")
+    manifest = {"invert": {"argv": INVERT_ARGV, "exit": code,
+                           "inputs": [FAMILY_FILE], "files": [out]}}
+    target = GOLDEN_DIR / "invert_runs.json"
+    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {target}")
+
+
 def regen():
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     os.environ["CUBEPOROS_THREADS"] = "1"
@@ -82,6 +116,8 @@ def regen():
         regen_gamma(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
         regen_cantor(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        regen_invert(Path(tmp))
 
 
 if __name__ == "__main__":

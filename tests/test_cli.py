@@ -207,3 +207,18 @@ def test_golden_cantor_runs(tmp_path, name, monkeypatch):
     assert main(run["argv"]) == run["exit"]
     for f in run["files"]:
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
+
+
+INVERT_RUNS = json.loads((GOLDEN / "invert_runs.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(INVERT_RUNS))
+def test_golden_invert_runs(tmp_path, name, monkeypatch):
+    # the input family is checked in next to its report; see regen_goldens.py
+    monkeypatch.chdir(tmp_path)
+    run = INVERT_RUNS[name]
+    for f in run["inputs"]:
+        (tmp_path / f).write_bytes((GOLDEN / f).read_bytes())
+    assert main(run["argv"]) == run["exit"]
+    for f in run["files"]:
+        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
