@@ -43,9 +43,7 @@ CANTOR_RUNS = {
               ["cantor_gamma.json"]),
 }
 
-# seeded 2-d parent-closed family: 249 cubes, deepest at depth 10
 FAMILY_FILE = "invert_family_2d.json"
-FAMILY_ARGS = {"seed": 1, "d": 2, "max_depth": 10, "keep_num": 2, "keep_den": 5}
 INVERT_ARGV = ["invert", "--family", FAMILY_FILE, "--depth", "12",
                "--out", "invert_2d.json"]
 
@@ -86,8 +84,9 @@ def regen_cantor(tmp: Path):
 
 
 def regen_invert(tmp: Path):
-    args = dict(FAMILY_ARGS)
-    family = random_parent_closed_family(rng_from_seed(args.pop("seed")), **args)
+    # seeded 2-d parent-closed family: 249 cubes, deepest at depth 10
+    family = random_parent_closed_family(rng_from_seed(1), 2, max_depth=10,
+                                         keep_num=2, keep_den=5)
     text = json.dumps(family.to_json(), sort_keys=True) + "\n"
     (tmp / FAMILY_FILE).write_text(text)
     (GOLDEN_DIR / FAMILY_FILE).write_text(text)
@@ -111,7 +110,6 @@ def regen_invert(tmp: Path):
 
 def regen():
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    os.environ["CUBEPOROS_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
         regen_gamma(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:

@@ -194,6 +194,7 @@ def dynkin_sweep(E: SetModel, R: DyadicCube, alpha_grid, J_list,
     fe = enumerate_FE(E, R, Jmax, budget, with_distances=False)
     counts = fe.free_level_counts()
     residuals = {Jmax: len(fe.residual)}
+    # meeting-cube counts per level reconstruct shallower residuals exactly
     level = len(fe.residual)
     for J in range(Jmax - 1, -1, -1):
         level = (level + counts.get(R.depth + J + 1, 0)) >> R.dim
@@ -497,18 +498,6 @@ class CodimEstimate:
         }
 
 
-def _total_ratio(counts, residual_counts, root, d, alpha, J) -> RatInterval:
-    """Prefix ratio plus the residual bound: resolved mass + unresolved mass.
-
-    The residual term is a per-level quantity, so its growth rate reflects
-    box-count scaling directly instead of lagging behind a cumulative sum.
-    """
-    sub = {lvl: n for lvl, n in counts.items() if lvl <= root.depth + J}
-    value = _sum_from_level_counts(sub, d, alpha)
-    res = _level_term(root.depth + J, d, alpha) * residual_counts[J]
-    return (value + res) / _level_term(root.depth, d, alpha)
-
-
 def parent_multiplicity_margin(E: SetModel, R: DyadicCube, alpha, J: int,
                       budget: int = DEFAULT_BUDGET):
     """Certified check of: sum over meeting cubes >= 2^-d sum of parent weights
@@ -546,34 +535,24 @@ def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
     if not roots:
         raise ValueError("need at least one root cube")
     d = roots[0].dim
-    for a in alpha_grid:
-        _check_alpha(a, d, allow_d=True)
     Jmax = max(J_list)
     tau = math.log((Jmax + 1) / Jmax) if tau is None else float(tau)
-    per_root_counts = []
+    # resolved plus unresolved mass over the root weight; the residual term is
+    # per-level, so its growth reflects box-count scaling without the lag of
+    # a cumulative sum
+    per_root_totals = []
     for R in roots:
-        fe = enumerate_FE(E, R, Jmax, budget, with_distances=False)
-        counts = fe.free_level_counts()
-        residuals = {Jmax: len(fe.residual)}
-        # meeting-cube counts per level reconstruct shallower residuals exactly
-        level = len(fe.residual)
-        for J in range(Jmax - 1, -1, -1):
-            level = (level + counts.get(R.depth + J + 1, 0)) >> d
-            residuals[J] = level
-        per_root_counts.append((R, counts, residuals))
+        reports = dynkin_sweep(E, R, alpha_grid, J_list, budget)
+        per_root_totals.append({(r.alpha, r.J): (r.value + r.residual_bound) / r.normalizer
+                                for r in reports})
 
     trajectories = {}
     increments = {}
     bounded = {}
     for a in alpha_grid:
-        traj = []
-        for J in J_list:
-            best = None
-            for R, counts, residuals in per_root_counts:
-                r = _total_ratio(counts, residuals, R, d, a, J)
-                if best is None or r.hi > best.hi:
-                    best = r
-            traj.append((J, best))
+        traj = [(J, max((totals[(a, J)] for totals in per_root_totals),
+                        key=lambda r: r.hi))
+                for J in J_list]
         trajectories[a] = tuple(traj)
         (J1, r1), (J2, r2) = traj[-2], traj[-1]
         if r2.hi == 0 or r1.hi == 0:
@@ -593,7 +572,7 @@ def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
     if check_multiplicity:
         probe = max(a for a in alpha_grid if a < d) if any(a < d for a in alpha_grid) \
             else alpha_grid[0]
-        for R, _counts, _residuals in per_root_counts:
+        for R in roots:
             _lhs, _rhs, ok = parent_multiplicity_margin(E, R, probe, Jmax, budget)
             mult_ok = mult_ok and ok
     return CodimEstimate(tuple(alpha_grid), tuple(J_list), tau, estimate,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +57,6 @@ class RunConfig:
     seed: int = 0
     out: str = "report.json"
     format: str = "json"
-    threads: int = 1  # CUBEPOROS_THREADS, validated but unused; not in reports
 
     def to_json(self):
         return {
@@ -73,17 +71,6 @@ class RunConfig:
             "tau": frac_str(self.tau) if self.tau is not None else "adaptive",
             "seed": self.seed, "out": self.out, "format": self.format,
         }
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("CUBEPOROS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"CUBEPOROS_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError("CUBEPOROS_THREADS must be >= 1")
-    return n
 
 
 def _parse_grid(spec: str) -> tuple:
@@ -371,6 +358,9 @@ def main(argv=None) -> int:
     if depth is None and ns.command != "invert":
         depth = DEFAULT_DEPTH
     try:
+        for flag, value in (("--depth", depth), ("--search-depth", ns.search_depth)):
+            if value is not None and value < 0:
+                raise ValidationError(f"{flag} must be >= 0, got {value}")
         config = RunConfig(
             command=ns.command,
             set_path=ns.set_path,
@@ -388,7 +378,6 @@ def main(argv=None) -> int:
             seed=ns.seed,
             out=ns.out,
             format=ns.format,
-            threads=_threads_from_env(),
         )
         return COMMANDS[ns.command](config)
     except ValidationError as exc:

@@ -21,7 +21,7 @@ from .errors import EmptyFamilyError, NotParentClosed
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube
 from .sets import DEFAULT_BUDGET, Status, corner_set
-from .sparse import carleson_constant
+from .sparse import carleson_constant, subtree_sums
 
 _ZERO = Fraction(0)
 
@@ -145,46 +145,28 @@ def invert(S: CubeFamily, J: int | None = None,
     measured_report = carleson_constant(DE)
     measured = measured_report.xi_hat
 
-    # classify every corner-family member: in S, or on the chain of its owner
-    owners = {}
+    # split every corner-family member: in S, or on the chain of its owner
+    members, others, owned = [], [], []
     coverage_ok = True
     for q in DE.members:
         if q in S:
+            members.append((q, q.volume))
             continue
+        others.append((q, q.volume))
         owner = _chain_owner(q, S)
         if owner is None:
             coverage_ok = False
-        owners[q] = owner
+        else:
+            # owner contains q, so it lies inside a root containing q
+            # exactly when it is at least as deep as that root
+            owned.append((owner, q.volume))
+    s1, s2, s3 = subtree_sums(members), subtree_sums(others), subtree_sums(owned)
 
     splits = []
-    index = {}
     for r, _ratio in measured_report.per_root:
-        index[(r.depth, r.coords)] = [_ZERO, _ZERO, _ZERO, _ZERO]  # s1,s2,s3,s4
-
-    # accumulate s1/s2 and the s3/s4 refinement in one ancestor walk per member
-    for q in DE.members:
-        vol = q.volume
-        in_s = q in S
-        owner = owners.get(q)
-        coords = q.coords
-        for depth in range(q.depth, -1, -1):
-            key = (depth, coords)
-            row = index.get(key)
-            if row is not None:
-                if in_s:
-                    row[0] += vol
-                else:
-                    row[1] += vol
-                    # owner contains q; owner inside this root iff depth(owner) >= depth
-                    if owner is not None and owner.depth >= depth:
-                        row[2] += vol
-                    else:
-                        row[3] += vol
-            coords = tuple(k >> 1 for k in coords)
-
-    for r, _ratio in measured_report.per_root:
-        s1, s2, s3, s4 = index[(r.depth, r.coords)]
-        splits.append(RootSplit(r, s1, s2, s3, s4))
+        key = (r.depth, r.coords)
+        in_s2, in_s3 = s2.get(key, _ZERO), s3.get(key, _ZERO)
+        splits.append(RootSplit(r, s1.get(key, _ZERO), in_s2, in_s3, in_s2 - in_s3))
 
     report = InverseReport(xi, carleson_bound(xi, d), measured, J,
                            tuple(splits), coverage_ok, corner_membership_ok)

@@ -16,10 +16,10 @@ from .analysis import (MuNotes, _mu_cell, mu_enclosure, mu_points_exact_1d)
 from .enclosure import RatInterval, frac_parse, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import enumerate_DE, enumerate_Dgamma
-from .lattice import DyadicCube, children, contains, cube_order_key, dilate
+from .lattice import DyadicCube, children, cube_order_key, dilate
 from .sets import (DEFAULT_BUDGET, PointsModel, SetModel, Status, UnionModel,
                    corner_set)
-from .sparse import SparseWitness, build_witness, carleson_constant
+from .sparse import SparseWitness, build_witness, carleson_constant, subtree_sums
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -110,9 +110,7 @@ def gamma_carleson(E: SetModel, R: DyadicCube, gamma, J: int,
     d = R.dim
     root0 = DyadicCube.root(d)
     DE = enumerate_DE(E, root0, R.depth + J, budget)
-    de_counts = {}
-    for q in DE.members:
-        de_counts.setdefault((q.depth, q.coords), q.volume)
+    mass = subtree_sums((q, q.volume) for q in DE.members)
 
     covering_counts = []
     # floor at 1: the comparison constant of a meeting family never drops
@@ -125,11 +123,7 @@ def gamma_carleson(E: SetModel, R: DyadicCube, gamma, J: int,
         clipped_any = clipped_any or clipped
         covering_counts.append(len(cover))
         for ri in cover:
-            mass = _ZERO
-            for q in DE.members:
-                if contains(ri, q):
-                    mass += q.volume
-            ratio = mass / ri.volume
+            ratio = mass.get((ri.depth, ri.coords), _ZERO) / ri.volume
             if ratio > base_constant:
                 base_constant = ratio
     bound = base_constant * (gamma + 1) ** d * Fraction(6) ** d

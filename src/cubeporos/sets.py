@@ -154,6 +154,7 @@ class PointsModel(SetModel):
         return PointsModel(kept)
 
     def misses_interior(self, box, budget=DEFAULT_BUDGET):
+        self._check_dim(box)
         return not any(box.open_interior_contains_point(p) for p in self.points)
 
     def to_json(self):
@@ -363,6 +364,7 @@ class IFSModel(SetModel):
         return None
 
     def misses_interior(self, box, budget=DEFAULT_BUDGET):
+        self._check_dim(box)
         _bd, BL, BH, _Wb, root, maps = self._query(box)
         stack = [(root, 0)]
         nodes = 0

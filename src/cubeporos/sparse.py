@@ -36,41 +36,42 @@ class CarlesonReport:
                              for r, x in self.per_root]}
 
 
-def carleson_constant(S: CubeFamily, test_roots=None) -> CarlesonReport:
+def subtree_sums(weighted) -> dict:
+    """Total weight inside each cube, from (cube, weight) pairs.
+
+    One bottom-up pass, level by level: each node's sum is added into its
+    parent.  Returns (depth, coords) -> total weight for every given cube and
+    all of its ancestors.
+    """
+    levels = {}
+    for q, w in weighted:
+        level = levels.setdefault(q.depth, {})
+        level[q.coords] = level.get(q.coords, _ZERO) + w
+    sums = {}
+    for depth in range(max(levels, default=-1), -1, -1):
+        up = levels.setdefault(depth - 1, {})
+        for coords, w in levels.get(depth, {}).items():
+            sums[(depth, coords)] = w
+            if depth:
+                p = tuple(k >> 1 for k in coords)
+                up[p] = up.get(p, _ZERO) + w
+    return sums
+
+
+def carleson_constant(S: CubeFamily) -> CarlesonReport:
     """Exact packing ratios sum(|Q| : Q in S, Q inside R') / |R'| per test root.
 
-    Defaults to testing every member of S plus the family root.
+    Tests every member of S plus the family root.
     """
     if not S.members:
         raise EmptyFamilyError("Carleson constant of an empty family")
-    if test_roots is None:
-        roots = list(S.members)
-        if S.root not in S:
-            roots.append(S.root)
-    else:
-        roots = list(test_roots)
-        if not roots:
-            raise EmptyFamilyError("no test roots supplied")
-    acc = {(r.depth, r.coords): _ZERO for r in roots}
-    min_depth = min(r.depth for r in roots)
-    for q in S.members:
-        vol = q.volume
-        coords = q.coords
-        for depth in range(q.depth, min_depth - 1, -1):
-            key = (depth, coords)
-            if key in acc:
-                acc[key] += vol
-            coords = tuple(k >> 1 for k in coords)
-    per_root = []
-    seen = set()
-    for r in sorted(roots, key=cube_order_key):
-        key = (r.depth, r.coords)
-        if key in seen:
-            continue
-        seen.add(key)
-        per_root.append((r, acc[key] / r.volume))
+    roots = set(S.members)
+    roots.add(S.root)
+    mass = subtree_sums((q, q.volume) for q in S.members)
+    per_root = tuple((r, mass.get((r.depth, r.coords), _ZERO) / r.volume)
+                     for r in sorted(roots, key=cube_order_key))
     xi_hat = max(x for _, x in per_root)
-    return CarlesonReport(len(S.members), tuple(per_root), xi_hat)
+    return CarlesonReport(len(S.members), per_root, xi_hat)
 
 
 @dataclass(frozen=True)

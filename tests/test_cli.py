@@ -117,6 +117,16 @@ def test_invert_non_parent_closed_exits_2(tmp_path):
     assert payload["cube"] == {"depth": 2, "coords": [1]}
 
 
+@pytest.mark.parametrize("flag", ["--depth", "--search-depth"])
+@pytest.mark.parametrize("command", ["analyze", "witness", "invert", "gamma", "plotdata"])
+def test_negative_depth_exits_2(tmp_path, capsys, command, flag):
+    source = (["--family", write_family(tmp_path, [{"depth": 0, "coords": [0]}])]
+              if command == "invert" else ["--set", write_set(tmp_path)])
+    code = main([command, *source, flag, "-1", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"error: {flag} must be >= 0" in capsys.readouterr().err
+
+
 def test_analyze_cantor_flags_unresolved_mass(tmp_path):
     out = tmp_path / "cantor.json"
     code = main(["analyze", "--set", write_set(tmp_path, kind="cantor"),

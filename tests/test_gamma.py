@@ -4,8 +4,8 @@ import mpmath
 import pytest
 
 from cubeporos.families import enumerate_DE, enumerate_Dgamma
-from cubeporos.lattice import DyadicCube
-from cubeporos.neighborhoods import (EmbeddingQuery, embedding_check,
+from cubeporos.lattice import DyadicCube, contains
+from cubeporos.neighborhoods import (EmbeddingQuery, _covering_cubes, embedding_check,
                                      gamma_carleson, gamma_witness,
                                      minimal_exceeding_integer)
 from cubeporos.sets import PointsModel, Status, cantor_middle_thirds
@@ -47,6 +47,15 @@ def test_gamma_carleson_cantor(gamma):
     rep = gamma_carleson(CANTOR, ROOT1, gamma, 8)
     assert rep.measured <= rep.bound
     assert rep.max_covering <= 3
+
+    # the base constant recomputed by brute force over every covering cube
+    n = minimal_exceeding_integer(gamma)
+    family = enumerate_Dgamma(CANTOR, ROOT1, gamma, 8).members
+    cover = {ri for r in {ROOT1, *family} for ri in _covering_cubes(r, n)[0]}
+    de = enumerate_DE(CANTOR, ROOT1, 8).members
+    base = max(sum((q.volume for q in de if contains(ri, q)), F(0)) / ri.volume
+               for ri in cover)
+    assert rep.base_constant == max(F(1), base)
 
 
 def test_gamma_monotone_and_contains_de():

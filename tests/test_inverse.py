@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from cubeporos.analysis import de_sum
 from cubeporos.errors import NotParentClosed
-from cubeporos.families import CubeFamily
+from cubeporos.families import CubeFamily, enumerate_DE
 from cubeporos.generators import random_parent_closed_family, rng_from_seed
 from cubeporos.inverse import chain, check_parent_closed, invert
-from cubeporos.lattice import DyadicCube, children
+from cubeporos.lattice import DyadicCube, children, contains
 from cubeporos.sparse import build_witness, verify_witness
 
 F = Fraction
@@ -94,7 +94,8 @@ def test_invert_random_families(seed):
                                     keep_num=1, keep_den=3 if d == 1 else 5)
     ok, _ = check_parent_closed(S)
     assert ok
-    _E, rep = invert(S, J=max(q.depth for q in S.members) + 6)
+    J = max(q.depth for q in S.members) + 6
+    E, rep = invert(S, J=J)
     assert rep.measured <= rep.bound
     assert rep.chain_coverage_ok and rep.corner_membership_ok
     for s in rep.splits:
@@ -102,6 +103,23 @@ def test_invert_random_families(seed):
         factor = F(1 << d, (1 << d) - 1)
         assert s.s4 <= factor * s.root.volume
         assert s.s3 <= factor * rep.xi_input * s.root.volume
+
+    # every split recomputed from its definition, one root at a time
+    DE = enumerate_DE(E, DyadicCube.root(d), J).members
+    owner_depth = {}
+    for q in DE:
+        if q not in S:
+            # the chain owner: deepest strict ancestor in S with q's lower corner
+            owner_depth[q] = max((k for k in range(q.depth)
+                                  if q.ancestor_at(k).lower_corner == q.lower_corner
+                                  and q.ancestor_at(k) in S), default=None)
+    for s in rep.splits:
+        inside = [q for q in DE if contains(s.root, q)]
+        assert s.s1 == sum((q.volume for q in inside if q in S), F(0))
+        assert s.s2 == sum((q.volume for q in inside if q not in S), F(0))
+        assert s.s3 == sum((q.volume for q in inside if q not in S
+                            and owner_depth[q] is not None
+                            and owner_depth[q] >= s.root.depth), F(0))
 
 
 def test_well_sparse_follow_through():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeporos import sets
-from cubeporos.errors import EmptyFamilyError, EmptySetError
+from cubeporos.errors import DimensionMismatch, EmptyFamilyError, EmptySetError
 from cubeporos.lattice import Box, DyadicCube
 from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionModel,
                             cantor_middle_thirds, corner_set, model_from_json)
@@ -58,6 +58,17 @@ def test_empty_model():
     assert E.intersect_status(DyadicCube.root(2).box) is Status.FREE
     with pytest.raises(EmptySetError):
         E.dist_interval(DyadicCube.root(2).box)
+
+
+@pytest.mark.parametrize("E", [PointsModel.make([(0,)]), CANTOR,
+                               UnionModel.make([PointsModel.make([(0,)]), CANTOR])],
+                         ids=["points", "ifs", "union"])
+def test_wrong_dimension_box_raises(E):
+    box = Box.make([0, 0], [1, 1])
+    with pytest.raises(DimensionMismatch):
+        E.intersect_status(box)
+    with pytest.raises(DimensionMismatch):
+        E.misses_interior(box)
 
 
 @given(dyadic_cubes(dim=1, max_depth=7))
