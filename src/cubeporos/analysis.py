@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .enclosure import RatInterval, pow2_enclosure, pow_enclosure, sum_intervals
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
-from .families import CubeFamily, enumerate_DE, enumerate_FE
+from .families import CubeFamily, enumerate_DE, free_split
 from .lattice import Box, DyadicCube, children, contains, cube_order_key, parent
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, Status
 
@@ -160,6 +160,29 @@ def _sum_report(alpha, root, J, counts, residual_count) -> SumReport:
                      normalizer, value / normalizer)
 
 
+def _free_counts(DE: CubeFamily, J: int) -> dict:
+    """Free cubes per depth below the root of a meeting family, offsets 1..J.
+
+    Every child of a member above the bottom depth is a member or free, so
+    2^d * n(l-1) - n(l) of the depth-l children are free.
+    """
+    R, n = DE.root, DE.level_counts()
+    if not n:
+        raise RootIsFree(f"{R} does not meet the set; no decomposition")
+    free = {level: (n.get(level - 1, 0) << R.dim) - n.get(level, 0)
+            for level in range(R.depth + 1, R.depth + J + 1)}
+    return {level: c for level, c in free.items() if c}
+
+
+def _sum_reports(DE: CubeFamily, alpha_grid, J_list, counts: dict) -> list:
+    """One SumReport per (alpha, J): the power sum over the per-depth `counts`
+    to depth root + J, with the family's member count there as residual."""
+    R, n = DE.root, DE.level_counts()
+    return [_sum_report(alpha, R, J, {lvl: c for lvl, c in counts.items()
+                                      if lvl <= R.depth + J}, n.get(R.depth + J, 0))
+            for alpha in alpha_grid for J in J_list]
+
+
 def dynkin_sum(E: SetModel, R: DyadicCube, alpha, J: int,
                budget: int = DEFAULT_BUDGET) -> SumReport:
     """Sum of |Q'|^(1-alpha/d) over the maximal free cubes below R, to depth J.
@@ -168,43 +191,29 @@ def dynkin_sum(E: SetModel, R: DyadicCube, alpha, J: int,
     bound records the same power-weight mass of the unresolved depth-J cells.
     """
     alpha = _check_alpha(alpha, R.dim, allow_d=True)
-    fe = enumerate_FE(E, R, J, budget, with_distances=False)
-    return _sum_report(alpha, R, J, fe.free_level_counts(), len(fe.residual))
+    DE = enumerate_DE(E, R, J, budget)
+    return _sum_reports(DE, [alpha], [J], _free_counts(DE, J))[0]
 
 
 def de_sum(E: SetModel, R: DyadicCube, alpha, J: int,
            budget: int = DEFAULT_BUDGET) -> SumReport:
     """Sum of |Q|^(1-alpha/d) over the E-meeting cubes below R, to depth J."""
     alpha = _check_alpha(alpha, R.dim, allow_d=True)
-    family = enumerate_DE(E, R, J, budget)
-    residual = sum(1 for q in family.members if q.depth == R.depth + J)
-    return _sum_report(alpha, R, J, family.level_counts(), residual)
+    DE = enumerate_DE(E, R, J, budget)
+    return _sum_reports(DE, [alpha], [J], DE.level_counts())[0]
 
 
-def dynkin_sweep(E: SetModel, R: DyadicCube, alpha_grid, J_list,
-                 budget: int = DEFAULT_BUDGET) -> list:
-    """Free-cube sum reports for a whole (alpha, J) grid from one enumeration.
+def dynkin_sweep(DE: CubeFamily, alpha_grid, J_list) -> list:
+    """Free-cube sum reports for a whole (alpha, J) grid from a meeting family.
 
-    Equivalent to calling dynkin_sum per pair, but the decomposition is
-    enumerated once at the deepest J and shallower reports are prefix sums.
+    Equivalent to calling dynkin_sum per pair on the family's set and root;
+    every J must be at most the family's truncation depth.
     """
     J_list = sorted(set(int(J) for J in J_list))
-    alpha_grid = [_check_alpha(a, R.dim, allow_d=True) for a in alpha_grid]
-    Jmax = max(J_list)
-    fe = enumerate_FE(E, R, Jmax, budget, with_distances=False)
-    counts = fe.free_level_counts()
-    residuals = {Jmax: len(fe.residual)}
-    # meeting-cube counts per level reconstruct shallower residuals exactly
-    level = len(fe.residual)
-    for J in range(Jmax - 1, -1, -1):
-        level = (level + counts.get(R.depth + J + 1, 0)) >> R.dim
-        residuals[J] = level
-    reports = []
-    for alpha in alpha_grid:
-        for J in J_list:
-            sub = {lvl: n for lvl, n in counts.items() if lvl <= R.depth + J}
-            reports.append(_sum_report(alpha, R, J, sub, residuals[J]))
-    return reports
+    alpha_grid = [_check_alpha(a, DE.root.dim, allow_d=True) for a in alpha_grid]
+    if J_list[-1] > DE.J:
+        raise ValueError(f"depth {J_list[-1]} beyond the family's truncation {DE.J}")
+    return _sum_reports(DE, alpha_grid, J_list, _free_counts(DE, J_list[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,25 +407,25 @@ class WeightedCarlesonReport:
         return self.ratio_lower <= x and (self.ratio_upper is None or x <= self.ratio_upper)
 
 
-def _mu_decomposition_terms(E, R, alpha, J, budget, split_budget):
-    """Per-free-cube mass bounds plus residual-cell bounds of one decomposition."""
-    fe = enumerate_FE(E, R, J, budget)
+def _mu_decomposition_terms(E, DE, alpha, budget, split_budget):
+    """Per-free-cube mass bounds plus residual-cell bounds of a meeting family."""
+    free, residual = free_split(DE)
     entries = []
     notes = MuNotes()
     parent_meets = {}  # parent cube -> E certified to meet it
-    for q, (lo_d, hi_d) in fe.free:
+    for q in free:
         p = parent(q)
         if p not in parent_meets:
             parent_meets[p] = E.intersect_status(p.box, budget) is Status.INTERSECTS
         lower, upper = _free_cell_bounds(E, q, alpha, parent_meets[p], budget, notes)
         entries.append((q, lower, upper, True))
-    for q in fe.residual:
+    for q in residual:
         # a residual cell meets E or is undetermined, so it is never bounded
         # as a free cell and needs no parent flag
         local = E.restricted(q.box)
         lower, upper = _mu_cell(E, local, q, alpha, split_budget, False, budget, notes)
         entries.append((q, lower, upper, False))
-    return fe, entries
+    return entries
 
 
 def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,
@@ -447,12 +456,12 @@ def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,
     ratio_lo = num_lo / den.upper if den.upper is not None else _ZERO
     ratio_hi = None if (num_hi is None or den.lower == 0) else num_hi / den.lower
 
-    de_members = enumerate_DE(E, R, J, budget).members
-    checked = set(family.members) == set(de_members)
+    DE = enumerate_DE(E, R, J, budget)
+    checked = set(family.members) == set(DE.members)
     consistent = None
     lhs = rhs = None
     if checked:
-        _, entries = _mu_decomposition_terms(E, R, alpha, J, budget, split_budget)
+        entries = _mu_decomposition_terms(E, DE, alpha, budget, split_budget)
         rhs_lo = _ZERO
         rhs_hi = _ZERO
         for q, lower, upper, is_free in entries:
@@ -498,18 +507,16 @@ class CodimEstimate:
         }
 
 
-def parent_multiplicity_margin(E: SetModel, R: DyadicCube, alpha, J: int,
-                      budget: int = DEFAULT_BUDGET):
-    """Certified check of: sum over meeting cubes >= 2^-d sum of parent weights
-    over the resolved free cubes.  Returns (lhs, rhs, ok)."""
-    alpha = _check_alpha(alpha, R.dim, allow_d=True)
-    d = R.dim
-    de = de_sum(E, R, alpha, J, budget)
-    fe = enumerate_FE(E, R, J, budget, with_distances=False)
-    parts = [_level_term(level - 1, d, alpha) * n
-             for level, n in sorted(fe.free_level_counts().items())]
-    rhs = sum_intervals(parts) * Fraction(1, 1 << d) if parts else RatInterval.point(0)
-    return de.value, rhs, de.value.lo >= rhs.hi
+def parent_multiplicity_margin(DE: CubeFamily, alpha):
+    """Certified check, over a meeting family to its truncation depth, of:
+    sum over meeting cubes >= 2^-d sum of parent weights over the resolved
+    free cubes.  Returns (lhs, rhs, ok)."""
+    d = DE.root.dim
+    alpha = _check_alpha(alpha, d, allow_d=True)
+    lhs = _sum_from_level_counts(DE.level_counts(), d, alpha)
+    parents = {level - 1: n for level, n in _free_counts(DE, DE.J).items()}
+    rhs = _sum_from_level_counts(parents, d, alpha) * Fraction(1, 1 << d)
+    return lhs, rhs, lhs.lo >= rhs.hi
 
 
 def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
@@ -537,14 +544,20 @@ def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
     d = roots[0].dim
     Jmax = max(J_list)
     tau = math.log((Jmax + 1) / Jmax) if tau is None else float(tau)
+    # the multiplicity check probes the largest grid alpha below d
+    probe = max((a for a in alpha_grid if a < d), default=alpha_grid[0])
+    mult_ok = True
     # resolved plus unresolved mass over the root weight; the residual term is
     # per-level, so its growth reflects box-count scaling without the lag of
     # a cumulative sum
     per_root_totals = []
     for R in roots:
-        reports = dynkin_sweep(E, R, alpha_grid, J_list, budget)
+        DE = enumerate_DE(E, R, Jmax, budget)
+        reports = dynkin_sweep(DE, alpha_grid, J_list)
         per_root_totals.append({(r.alpha, r.J): (r.value + r.residual_bound) / r.normalizer
                                 for r in reports})
+        if check_multiplicity:
+            mult_ok = parent_multiplicity_margin(DE, probe)[2] and mult_ok
 
     trajectories = {}
     increments = {}
@@ -568,12 +581,5 @@ def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
         if bounded[a] and a > estimate:
             estimate = a
 
-    mult_ok = True
-    if check_multiplicity:
-        probe = max(a for a in alpha_grid if a < d) if any(a < d for a in alpha_grid) \
-            else alpha_grid[0]
-        for R in roots:
-            _lhs, _rhs, ok = parent_multiplicity_margin(E, R, probe, Jmax, budget)
-            mult_ok = mult_ok and ok
     return CodimEstimate(tuple(alpha_grid), tuple(J_list), tau, estimate,
                          trajectories, increments, bounded, mult_ok)

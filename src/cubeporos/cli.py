@@ -14,7 +14,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import codim_estimate, dynkin_sweep, mu_enclosure, porosity_scan
+from .analysis import (DEFAULT_SPLIT_BUDGET, codim_estimate, dynkin_sweep,
+                       mu_enclosure, porosity_scan)
 from .enclosure import frac_parse, frac_str
 from .errors import (CubeporosError, EmptyFamilyError, EmptySetError,
                      NotParentClosed, PorosityFailure, UnresolvedMeasure)
@@ -23,7 +24,7 @@ from .generators import random_coefficients, rng_from_seed
 from .inverse import invert
 from .lattice import DyadicCube
 from .neighborhoods import EmbeddingQuery, embedding_check, gamma_carleson, gamma_witness
-from .sets import SetModel, Status, model_from_json
+from .sets import DEFAULT_BUDGET, SetModel, Status, model_from_json
 from .sparse import build_witness, verify_witness
 
 EXIT_OK = 0
@@ -46,8 +47,8 @@ class RunConfig:
     family_path: str | None = None
     dim: int | None = None
     depth: int | None = DEFAULT_DEPTH
-    budget: int = 36
-    split_budget: int = 20
+    budget: int = DEFAULT_BUDGET
+    split_budget: int = DEFAULT_SPLIT_BUDGET
     search_depth: int = 6
     alpha_grid: tuple = ()
     alpha: Fraction | None = None
@@ -134,11 +135,11 @@ def _csv_path(out: str) -> str:
     return (stem if dot else out) + ".csv"
 
 
-def _sweep_rows(E, root, alpha_grid, J_list, budget):
+def _sweep_rows(DE, alpha_grid, J_list):
     rows = []
-    for rep in dynkin_sweep(E, root, alpha_grid, J_list, budget):
-        rows.append([frac_str(rep.alpha), rep.J,
-                     json.dumps(root.to_json(), sort_keys=True),
+    root = json.dumps(DE.root.to_json(), sort_keys=True)
+    for rep in dynkin_sweep(DE, alpha_grid, J_list):
+        rows.append([frac_str(rep.alpha), rep.J, root,
                      frac_str(rep.value.lo), frac_str(rep.value.hi),
                      frac_str(rep.ratio.lo), frac_str(rep.ratio.hi)])
     return rows
@@ -194,7 +195,7 @@ def cmd_analyze(config: RunConfig) -> int:
         "mu": mu_json,
     }
     _dump_json(config.out, report)
-    rows = _sweep_rows(E, root, grid, J_list, config.budget)
+    rows = _sweep_rows(enumerate_DE(E, root, J_list[-1], config.budget), grid, J_list)
     _write_csv(_csv_path(config.out), SWEEP_HEADER, rows)
     return EXIT_BUDGET if failure else EXIT_OK
 
@@ -256,26 +257,25 @@ def cmd_gamma(config: RunConfig) -> int:
         raise ValidationError(f"alpha {alpha} outside (0, {d})")
     payload = {"config": config.to_json()}
     code = EXIT_OK
+    family = enumerate_Dgamma(E, root, config.gamma, config.depth, config.budget)
     try:
-        report = gamma_carleson(E, root, config.gamma, config.depth, config.budget)
+        report = gamma_carleson(E, family, config.gamma, config.budget)
         payload["gamma_report"] = report.to_json()
     except EmptyFamilyError as exc:
         raise ValidationError(str(exc))
     try:
-        witness = gamma_witness(E, root, config.gamma, config.depth,
-                                config.search_depth, config.budget)
+        witness = gamma_witness(E, family, config.search_depth, config.budget)
         payload["witness"] = witness.to_json()
     except (PorosityFailure, UnresolvedMeasure) as exc:
         payload["witness"] = {"error": str(exc)}
         code = EXIT_BUDGET
 
-    family = enumerate_Dgamma(E, root, config.gamma, config.depth, config.budget)
     rng = rng_from_seed(config.seed)
     coeffs = random_coefficients(rng, family)
     query = EmbeddingQuery.make(config.p, alpha, config.gamma, root,
                                 config.depth, coeffs)
     try:
-        emb = embedding_check(E, query, config.budget, config.split_budget)
+        emb = embedding_check(E, query, family, config.budget, config.split_budget)
         payload["embedding"] = {"query": query.to_json(), "report": emb.to_json()}
     except UnresolvedMeasure as exc:
         payload["embedding"] = {"query": query.to_json(), "error": str(exc)}
@@ -293,8 +293,9 @@ def cmd_plotdata(config: RunConfig) -> int:
             root = DyadicCube.root(E.dim)
             grid = config.alpha_grid or _parse_grid("1/10:1:1/10")
             J_list = _analysis_J_list(config.depth)
-            rows = _sweep_rows(E, root, grid, J_list, config.budget)
-            family = enumerate_DE(E, root, config.depth, config.budget)
+            # J_list ends at --depth or above, so one family serves both files
+            family = enumerate_DE(E, root, J_list[-1], config.budget)
+            rows = _sweep_rows(family, grid, J_list)
             counts = family.level_counts()
             family_rows = [[depth, counts.get(depth, 0)]
                            for depth in range(config.depth + 1)]
@@ -325,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", dest="family_path")
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--budget", type=int, default=36)
-        p.add_argument("--split-budget", type=int, default=20)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--split-budget", type=int, default=DEFAULT_SPLIT_BUDGET)
         p.add_argument("--search-depth", type=int, default=6)
         p.add_argument("--alpha-grid", default=None)
         p.add_argument("--alpha", default=None)

@@ -83,12 +83,6 @@ class FreeDecomposition:
     def residual_volume(self) -> Fraction:
         return sum((q.volume for q in self.residual), Fraction(0))
 
-    def free_level_counts(self) -> dict:
-        counts = {}
-        for q, _ in self.free:
-            counts[q.depth] = counts.get(q.depth, 0) + 1
-        return counts
-
     def to_json(self):
         return {"root": self.root.to_json(), "J": self.J, "provenance": PROVENANCE_FE,
                 "free": [{"cube": q.to_json(),
@@ -130,36 +124,29 @@ def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
     return CubeFamily.make(R, members, J, PROVENANCE_DE)
 
 
-def enumerate_FE(E: SetModel, R: DyadicCube, J: int,
-                 budget: int = DEFAULT_BUDGET,
-                 with_distances: bool = True) -> FreeDecomposition:
-    """Maximal free cubes below R (offsets 1..J) plus the meeting residual at J."""
-    if J < 0:
-        raise ValueError("truncation depth must be >= 0")
-    local = E.restricted(R.box)
-    if local.intersect_status(R.box, budget) is Status.FREE:
-        raise RootIsFree(f"{R} does not meet the set; no decomposition")
-    free, residual = [], []
-    stack = [(R, local)]
-    while stack:
-        q, model = stack.pop()
-        if q.depth - R.depth >= J:
-            residual.append(q)
-            continue
-        for c in children(q):
-            sub = model.restricted(c.box)
-            if sub.intersect_status(c.box, budget) is Status.FREE:
-                free.append(c)
-            else:
-                stack.append((c, sub))
+def free_split(family: CubeFamily) -> tuple:
+    """(maximal free cubes, depth-J residual) of a meeting family, both sorted.
+
+    The free cubes are the children of members above depth root + J that are
+    not members themselves; the residual is the members at depth root + J.
+    """
+    bottom = family.root.depth + family.J
+    free = [c for q in family.members if q.depth < bottom
+            for c in children(q) if c not in family]
     free.sort(key=cube_order_key)
-    residual.sort(key=cube_order_key)
-    if with_distances:
-        free_entries = tuple((q, E.dist_interval(q.box, budget)) for q in free)
-    else:
-        zero = Fraction(0)
-        free_entries = tuple((q, (zero, zero)) for q in free)
-    return FreeDecomposition(R, free_entries, tuple(residual), J)
+    return free, [q for q in family.members if q.depth == bottom]
+
+
+def enumerate_FE(E: SetModel, R: DyadicCube, J: int,
+                 budget: int = DEFAULT_BUDGET) -> FreeDecomposition:
+    """Maximal free cubes below R (offsets 1..J) plus the meeting residual at J,
+    read from the meeting family; each free cube gets its distance interval."""
+    family = enumerate_DE(E, R, J, budget)
+    if not family.members:
+        raise RootIsFree(f"{R} does not meet the set; no decomposition")
+    free, residual = free_split(family)
+    return FreeDecomposition(R, tuple((q, E.dist_interval(q.box, budget)) for q in free),
+                             tuple(residual), J)
 
 
 def enumerate_Dgamma(E: SetModel, R: DyadicCube, gamma, J: int,

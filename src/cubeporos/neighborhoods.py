@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import (MuNotes, _mu_cell, mu_enclosure, mu_points_exact_1d)
+from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _mu_cell, mu_enclosure,
+                       mu_points_exact_1d)
 from .enclosure import RatInterval, frac_parse, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
-from .families import enumerate_DE, enumerate_Dgamma
+from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children, cube_order_key, dilate
 from .sets import (DEFAULT_BUDGET, PointsModel, SetModel, Status, UnionModel,
                    corner_set)
@@ -89,18 +90,19 @@ def _covering_cubes(R: DyadicCube, n: int):
     return cubes, clipped
 
 
-def gamma_carleson(E: SetModel, R: DyadicCube, gamma, J: int,
+def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
                    budget: int = DEFAULT_BUDGET) -> GammaReport:
-    """Measure the gamma family's packing constant and certify the covering bound.
+    """Measure the packing constant of E's gamma family and certify the covering bound.
 
-    The comparison constant is the measured packing constant of the plain
-    meeting family over covering cubes of the dilated root, scaled by
-    (gamma+1)^d * 6^d.
+    `family` is the gamma family of E below its root to its depth J, as
+    enumerate_Dgamma gives it.  The comparison constant is the measured
+    packing constant of the plain meeting family over covering cubes of the
+    dilated root, scaled by (gamma+1)^d * 6^d.
     """
     gamma = Fraction(gamma)
     if E.is_empty:
         raise EmptySetError("gamma family of an empty set")
-    family = enumerate_Dgamma(E, R, gamma, J, budget)
+    R, J = family.root, family.J
     if not family.members:
         raise EmptyFamilyError(f"{R} is not within reach of the set at gamma={gamma}")
     measured_report = carleson_constant(family)
@@ -132,10 +134,11 @@ def gamma_carleson(E: SetModel, R: DyadicCube, gamma, J: int,
                        clipped_any)
 
 
-def gamma_witness(E: SetModel, R: DyadicCube, gamma, J: int,
+def gamma_witness(E: SetModel, family: CubeFamily,
                   search_depth: int = 6,
                   budget: int = DEFAULT_BUDGET) -> SparseWitness:
-    """Disjoint free cubes for the gamma family, free for the set itself too.
+    """Disjoint free cubes for E's gamma family (from enumerate_Dgamma), free
+    for the set itself too.
 
     Route: the corner set of the family stands in for the infinite corner
     construction, whose untruncated version would contain the closure of E.
@@ -143,8 +146,7 @@ def gamma_witness(E: SetModel, R: DyadicCube, gamma, J: int,
     against the union of corner set and underlying set, then restricted to
     the family members; freeness for both models is certified afterwards.
     """
-    gamma = Fraction(gamma)
-    family = enumerate_Dgamma(E, R, gamma, J, budget)
+    R, J = family.root, family.J
     if not family.members:
         raise EmptyFamilyError("gamma family is empty")
     for q in family.members:
@@ -244,18 +246,22 @@ def _interval_pow(iv: RatInterval, e: Fraction) -> RatInterval:
     return RatInterval(lo, hi)
 
 
-def embedding_check(E: SetModel, query: EmbeddingQuery,
+def embedding_check(E: SetModel, query: EmbeddingQuery, family: CubeFamily,
                     budget: int = DEFAULT_BUDGET,
-                    split_budget: int = 20) -> EmbeddingReport:
+                    split_budget: int = DEFAULT_SPLIT_BUDGET) -> EmbeddingReport:
     """Certified p-norm enclosures for the stack sum and stack sup of a query.
 
-    Both sides are piecewise constant on the cells where the coefficient
+    `family` is the query's gamma family (enumerate_Dgamma at the query's
+    gamma, root and J); a family with another root or J is rejected.  Both
+    sides are piecewise constant on the cells where the coefficient
     stack is locally constant, so each norm is a finite weighted sum of
     certified cell masses.  Also certifies, when the root belongs to the
     family, that the root's plain volume power is dominated by
     (gamma+2)^alpha times its weighted mass.
     """
-    family = enumerate_Dgamma(E, query.root, query.gamma, query.J, budget)
+    if family.root != query.root or family.J != query.J:
+        raise ValueError(f"family of {family.root} to depth {family.J} does not "
+                         f"match the query's {query.root} to depth {query.J}")
     for q in query.coeffs:
         if q not in family:
             raise ValueError(f"coefficient cube {q} is not a family member")

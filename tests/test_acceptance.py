@@ -60,7 +60,7 @@ def test_criterion_1_partition_exactness():
             if E.intersect_status(cand.box) is Status.INTERSECTS:
                 cube = cand
         try:
-            dec = enumerate_FE(E, cube, J, with_distances=False)
+            dec = enumerate_FE(E, cube, J)
         except RootIsFree:
             continue
         assert dec.free_volume() + dec.residual_volume() == cube.volume
@@ -195,9 +195,9 @@ def test_criterion_6_gamma_bound():
     for E, name in ((ORIGIN, "origin"), (CANTOR, "cantor")):
         fams = []
         for gamma in (F(1, 4), F(1), F(2)):
-            rep = gamma_carleson(E, ROOT1, gamma, 10)
-            assert rep.measured <= rep.bound
             fam = enumerate_Dgamma(E, ROOT1, gamma, 10)
+            rep = gamma_carleson(E, fam, gamma)
+            assert rep.measured <= rep.bound
             de = enumerate_DE(E, ROOT1, 10)
             assert set(de.members) <= set(fam.members)
             fams.append(set(fam.members))
@@ -214,7 +214,7 @@ def test_criterion_7_embedding():
 
     lhs_oracle = float(2 * (1 - SQRT_HALF ** (J + 1)) / (1 - SQRT_HALF))
     q1 = EmbeddingQuery.make(1, F(1, 2), F(1, 4), ROOT1, J, coeffs)
-    rep1 = embedding_check(ORIGIN, q1)
+    rep1 = embedding_check(ORIGIN, q1, fam)
     assert rep1.lhs.width <= F(1, 10 ** 4)
     assert rep1.rhs.width <= F(1, 10 ** 4)
     assert float(rep1.lhs.lo) - 1e-12 <= lhs_oracle <= float(rep1.lhs.hi) + 1e-12
@@ -226,7 +226,7 @@ def test_criterion_7_embedding():
         total += (k + 1) ** 2 * 2 * (SQRT_HALF ** k) * (1 - SQRT_HALF)
     total += (J + 1) ** 2 * 2 * SQRT_HALF ** J
     q2 = EmbeddingQuery.make(2, F(1, 2), F(1, 4), ROOT1, J, coeffs)
-    rep2 = embedding_check(ORIGIN, q2)
+    rep2 = embedding_check(ORIGIN, q2, fam)
     assert abs(float(rep2.lhs.lo) - float(mpmath.sqrt(total))) < 1e-10
 
     rng = rng_from_seed(77)
@@ -238,7 +238,7 @@ def test_criterion_7_embedding():
         if not draw:
             continue
         q = EmbeddingQuery.make(1, F(1, 2), F(1, 4), ROOT1, 8, draw)
-        rep = embedding_check(ORIGIN, q)
+        rep = embedding_check(ORIGIN, q, fam8)
         count += 1
         if rep.ratio.hi > max_ratio:
             max_ratio = rep.ratio.hi
@@ -246,7 +246,7 @@ def test_criterion_7_embedding():
     # attains the worst ratio among the sampled draws
     const8 = EmbeddingQuery.make(1, F(1, 2), F(1, 4), ROOT1, 8,
                                  {q: F(1) for q in fam8.members})
-    rep_const = embedding_check(ORIGIN, const8)
+    rep_const = embedding_check(ORIGIN, const8, fam8)
     assert rep_const.ratio.hi >= max_ratio - rep_const.ratio.width
     _report("7 embedding",
             f"p=1 lhs~{float(rep1.lhs.lo):.5f} rhs~2, p=2 checked, "
@@ -269,23 +269,22 @@ def test_criterion_8_multiplicity_inequality():
     for E, root, J in configs:
         d = root.dim
         for alpha in (F(d, 4), F(d, 2), F(3 * d, 4)):
-            _lhs, _rhs, ok = parent_multiplicity_margin(E, root, alpha, J)
+            _lhs, _rhs, ok = parent_multiplicity_margin(enumerate_DE(E, root, J), alpha)
             assert ok
             count += 1
     _report("8 multiplicity-inequality", f"{count} certified comparisons")
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
+def test_criterion_9_determinism(tmp_path):
     set_path = tmp_path / "origin.json"
     set_path.write_text(json.dumps({"kind": "points", "points": [["0/1"]]}))
     from cubeporos.cli import main
     out = tmp_path / "gamma_report.json"
     blobs = []
-    for threads in ("1", "4", "8", "1"):
-        monkeypatch.setenv("CUBEPOROS_THREADS", threads)
+    for _run in range(4):
         code = main(["gamma", "--set", str(set_path), "--gamma", "2/1",
                      "--depth", "6", "--seed", "9", "--out", str(out)])
         assert code == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
-    _report("9 determinism", "byte-identical reports across threads 1/4/8")
+    _report("9 determinism", "byte-identical reports across 4 repeated runs")

@@ -81,7 +81,8 @@ def test_dynkin_alpha_range():
 def test_dynkin_sweep_matches_pointwise_calls():
     grid = [F(1, 4), F(1, 2)]
     J_list = [3, 6]
-    reports = {(r.alpha, r.J): r for r in dynkin_sweep(CANTOR, ROOT1, grid, J_list)}
+    DE = enumerate_DE(CANTOR, ROOT1, max(J_list))
+    reports = {(r.alpha, r.J): r for r in dynkin_sweep(DE, grid, J_list)}
     for alpha in grid:
         for J in J_list:
             direct = dynkin_sum(CANTOR, ROOT1, alpha, J)
@@ -237,11 +238,12 @@ def test_codim_saturated_grid_at_low_resolution():
 def test_multiplicity_inequality_random_points(E, alpha):
     if E.intersect_status(ROOT1.box) is Status.FREE:
         return
-    lhs, rhs, ok = parent_multiplicity_margin(E, ROOT1, alpha, 6)
+    lhs, rhs, ok = parent_multiplicity_margin(enumerate_DE(E, ROOT1, 6), alpha)
     assert ok
 
 
 def test_multiplicity_inequality_on_cantor():
+    DE = enumerate_DE(CANTOR, ROOT1, 10)
     for alpha in (F(1, 4), F(1, 2), F(9, 10)):
-        _lhs, _rhs, ok = parent_multiplicity_margin(CANTOR, ROOT1, alpha, 10)
+        _lhs, _rhs, ok = parent_multiplicity_margin(DE, alpha)
         assert ok

@@ -174,11 +174,10 @@ def test_reports_round_trip_and_embed_config(tmp_path):
     assert len(w.assignments) == 5
 
 
-def test_determinism_across_thread_counts(tmp_path, monkeypatch):
+def test_determinism_across_repeated_runs(tmp_path):
     out = tmp_path / "g.json"
     blobs = []
-    for threads in ("1", "4", "8"):
-        monkeypatch.setenv("CUBEPOROS_THREADS", threads)
+    for _run in range(3):
         code = main(["gamma", "--set", write_set(tmp_path), "--gamma", "1/1",
                      "--depth", "5", "--seed", "42", "--out", str(out)])
         assert code == 0
@@ -188,8 +187,7 @@ def test_determinism_across_thread_counts(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["gamma_seed11.json", "gamma_seed12.json",
                                   "gamma_seed13.json"])
-def test_golden_gamma_runs(tmp_path, name, monkeypatch):
-    monkeypatch.setenv("CUBEPOROS_THREADS", "1")
+def test_golden_gamma_runs(tmp_path, name):
     seed = name.removesuffix(".json").removeprefix("gamma_seed")
     out = tmp_path / "g.json"
     code = main(["gamma", "--set", write_set(tmp_path), "--gamma", "3/2",
@@ -210,7 +208,6 @@ CANTOR_RUNS = json.loads((GOLDEN / "cantor_runs.json").read_text())
 @pytest.mark.parametrize("name", sorted(CANTOR_RUNS))
 def test_golden_cantor_runs(tmp_path, name, monkeypatch):
     # relative paths keep the reports free of run-specific paths
-    monkeypatch.setenv("CUBEPOROS_THREADS", "1")
     monkeypatch.chdir(tmp_path)
     write_set(tmp_path, name="cantor.json", kind="cantor")
     run = CANTOR_RUNS[name]

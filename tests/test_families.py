@@ -1,16 +1,20 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeporos import sets
+from cubeporos.analysis import de_sum, dynkin_sum, parent_multiplicity_margin
 from cubeporos.errors import EmptySetError, RootIsFree
-from cubeporos.families import (CubeFamily, enumerate_DE, enumerate_Dgamma,
-                                enumerate_FE)
-from cubeporos.lattice import DyadicCube, parent
-from cubeporos.sets import (EmptyModel, PointsModel, Status,
+from cubeporos.families import (CubeFamily, FreeDecomposition, enumerate_DE,
+                                enumerate_Dgamma, enumerate_FE)
+from cubeporos.lattice import Box, DyadicCube, parent
+from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionModel,
                             cantor_middle_thirds)
-from conftest import point_sets
+import fe_reference
+from conftest import dyadic_cubes, point_sets
 
 F = Fraction
 CANTOR = cantor_middle_thirds()
@@ -92,7 +96,7 @@ def test_partition_identity(E, J):
     root = DyadicCube.root(E.dim)
     if E.intersect_status(root.box) is Status.FREE:
         return
-    dec = enumerate_FE(E, root, J, with_distances=False)
+    dec = enumerate_FE(E, root, J)
     assert dec.free_volume() + dec.residual_volume() == root.volume
 
 
@@ -123,7 +127,7 @@ def test_free_maximality(E, J):
     root = DyadicCube.root(E.dim)
     if E.intersect_status(root.box) is Status.FREE:
         return
-    dec = enumerate_FE(E, root, J, with_distances=False)
+    dec = enumerate_FE(E, root, J)
     for q, _ in dec.free:
         assert E.intersect_status(parent(q).box) is not Status.FREE
 
@@ -133,6 +137,71 @@ def test_family_json_round_trip():
     fam = enumerate_DE(E, ROOT1, 3)
     assert CubeFamily.from_json(fam.to_json()) == fam
     dec = enumerate_FE(E, ROOT1, 3)
-    from cubeporos.families import FreeDecomposition
     again = FreeDecomposition.from_json(dec.to_json())
     assert again == dec
+
+
+# hull side per dimension: small enough that a budget-0 IFS, which meets
+# every cube touching its hull, stays a few thousand cubes at depth 6
+HULL_SIDE = {1: F(1, 2), 2: F(1, 4), 3: F(1, 8)}
+
+
+@st.composite
+def small_ifs(draw, d):
+    """IFS of 1-3 maps with ratios 1/2..1/5 on a hull off the dyadic grid."""
+    side = HULL_SIDE[d]
+    lo = tuple(F(draw(st.integers(0, 24)), 24) * (1 - side) for _ in range(d))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = F(1, draw(st.integers(2, 5)))
+        # t in [(1-r)lo, (1-r)(lo+side)] keeps the image of the hull inside it
+        maps.append((r, tuple((1 - r) * (a + F(draw(st.integers(0, 4)), 4) * side)
+                              for a in lo)))
+    return IFSModel.make(maps, Box(lo, tuple(a + side for a in lo)))
+
+
+@st.composite
+def decomposition_cases(draw):
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("points", "ifs", "union")))
+    if kind == "points":
+        E = draw(point_sets(dim=d))
+    elif kind == "ifs":
+        E = draw(small_ifs(d))
+    else:
+        E = UnionModel.make([draw(point_sets(dim=d, max_points=3)), draw(small_ifs(d))])
+    R = draw(dyadic_cubes(dim=d, max_depth=2))
+    alpha = d * draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(1))))
+    return (E, R, draw(st.integers(0, 6)), draw(st.sampled_from((0, 1, 2, 36))), alpha)
+
+
+@given(decomposition_cases())
+@settings(max_examples=300, deadline=None)
+def test_fe_and_sums_match_reference_decomposition(case):
+    E, R, J, budget, alpha = case
+    # a small node cap bounds the IFS oracles' time; library and reference
+    # ask the same oracles, so both see the same capped answers
+    with mock.patch.object(sets, "_MAX_NODES", 1000):
+        check_against_reference(E, R, J, budget, alpha)
+
+
+def check_against_reference(E, R, J, budget, alpha):
+    try:
+        free, residual, meeting = fe_reference.free_decomposition(E, R, J, budget)
+    except RootIsFree:
+        with pytest.raises(RootIsFree):
+            enumerate_FE(E, R, J, budget)
+        with pytest.raises(RootIsFree):
+            dynkin_sum(E, R, alpha, J, budget)
+        with pytest.raises(RootIsFree):
+            parent_multiplicity_margin(enumerate_DE(E, R, J, budget), alpha)
+        assert de_sum(E, R, alpha, J, budget) == fe_reference.sum_report(alpha, R, J, [], 0)
+        return
+    assert enumerate_FE(E, R, J, budget) == FreeDecomposition(R, free, residual, J)
+    free_cubes = [q for q, _ in free]
+    assert dynkin_sum(E, R, alpha, J, budget) == \
+        fe_reference.sum_report(alpha, R, J, free_cubes, len(residual))
+    assert de_sum(E, R, alpha, J, budget) == \
+        fe_reference.sum_report(alpha, R, J, meeting, len(residual))
+    assert parent_multiplicity_margin(enumerate_DE(E, R, J, budget), alpha) == \
+        fe_reference.multiplicity_margin(R, alpha, free_cubes, meeting)

@@ -19,6 +19,19 @@ ORIGIN = PointsModel.make([(0,)])
 mpmath.mp.dps = 40
 
 
+def gamma_report(E, gamma, J):
+    return gamma_carleson(E, enumerate_Dgamma(E, ROOT1, gamma, J), gamma)
+
+
+def witness(E, gamma, J, search_depth=6):
+    return gamma_witness(E, enumerate_Dgamma(E, ROOT1, gamma, J), search_depth)
+
+
+def embedding(E, query):
+    family = enumerate_Dgamma(E, query.root, query.gamma, query.J)
+    return embedding_check(E, query, family)
+
+
 def test_minimal_exceeding_integer():
     assert minimal_exceeding_integer(F(1, 4)) == 1
     assert minimal_exceeding_integer(1) == 2
@@ -26,7 +39,7 @@ def test_minimal_exceeding_integer():
 
 
 def test_gamma_carleson_single_point():
-    rep = gamma_carleson(ORIGIN, ROOT1, 2, 10)
+    rep = gamma_report(ORIGIN, 2, 10)
     assert rep.n == 3
     assert rep.max_covering <= 3
     assert rep.measured <= 3 * (2 - F(1, 1 << 10))
@@ -38,13 +51,13 @@ def test_gamma_zero_limit_is_meeting_family():
     fam_small = enumerate_Dgamma(ORIGIN, ROOT1, F(1, 64), 6)
     de = enumerate_DE(ORIGIN, ROOT1, 6)
     assert set(fam_small.members) == set(de.members)
-    rep = gamma_carleson(ORIGIN, ROOT1, F(1, 64), 6)
+    rep = gamma_report(ORIGIN, F(1, 64), 6)
     assert rep.measured == carleson_constant(de).xi_hat
 
 
 @pytest.mark.parametrize("gamma", [F(1, 4), F(1), F(2)])
 def test_gamma_carleson_cantor(gamma):
-    rep = gamma_carleson(CANTOR, ROOT1, gamma, 8)
+    rep = gamma_report(CANTOR, gamma, 8)
     assert rep.measured <= rep.bound
     assert rep.max_covering <= 3
 
@@ -74,7 +87,7 @@ def test_gamma_family_parent_closed():
 
 
 def test_gamma_witness_small_gamma_matches_plain_witness():
-    w = gamma_witness(ORIGIN, ROOT1, F(1, 4), 4)
+    w = witness(ORIGIN, F(1, 4), 4)
     w_plain = build_witness(ORIGIN, ROOT1, 4)
     fam = set(enumerate_Dgamma(ORIGIN, ROOT1, F(1, 4), 4).members)
     assert set(enumerate_DE(ORIGIN, ROOT1, 4).members) == fam
@@ -84,7 +97,7 @@ def test_gamma_witness_small_gamma_matches_plain_witness():
 
 
 def test_gamma_witness_wide_gamma():
-    w = gamma_witness(ORIGIN, ROOT1, 2, 4)
+    w = witness(ORIGIN, 2, 4)
     assert len(w.assignments) > 4
     for a in w.assignments:
         assert ORIGIN.intersect_status(a.free_cube.box) is Status.FREE
@@ -92,7 +105,7 @@ def test_gamma_witness_wide_gamma():
 
 
 def test_gamma_witness_cantor():
-    w = gamma_witness(CANTOR, ROOT1, F(1, 2), 4, search_depth=4)
+    w = witness(CANTOR, F(1, 2), 4, search_depth=4)
     for a in w.assignments:
         assert CANTOR.intersect_status(a.free_cube.box) is Status.FREE
 
@@ -104,7 +117,7 @@ def _constant_query(p, J=30):
 
 
 def test_embedding_constant_coefficients_p1():
-    report = embedding_check(ORIGIN, _constant_query(1))
+    report = embedding(ORIGIN, _constant_query(1))
     J = 30
     half = mpmath.mpf(2) ** mpmath.mpf("-0.5")
     lhs_oracle = float(2 * (1 - half ** (J + 1)) / (1 - half))
@@ -116,7 +129,7 @@ def test_embedding_constant_coefficients_p1():
 
 
 def test_embedding_constant_coefficients_p2():
-    report = embedding_check(ORIGIN, _constant_query(2))
+    report = embedding(ORIGIN, _constant_query(2))
     # stacked-square closed form: sum over cells of height^2 * cell mass
     J = 30
     half = mpmath.mpf(2) ** mpmath.mpf("-0.5")
@@ -134,7 +147,7 @@ def test_embedding_single_cube_identity():
     fam = enumerate_Dgamma(ORIGIN, ROOT1, F(1, 4), 6)
     for p in (F(1), F(2), F(3, 2)):
         q = EmbeddingQuery.make(p, F(1, 2), F(1, 4), ROOT1, 6, {ROOT1: F(1)})
-        report = embedding_check(ORIGIN, q)
+        report = embedding_check(ORIGIN, q, fam)
         assert report.lhs == report.rhs
 
 
@@ -142,7 +155,15 @@ def test_embedding_rejects_foreign_cube():
     q = EmbeddingQuery.make(1, F(1, 2), F(1, 64), ROOT1, 3,
                             {DyadicCube(1, (1,)): F(1)})
     with pytest.raises(ValueError):
-        embedding_check(ORIGIN, q)
+        embedding(ORIGIN, q)
+
+
+def test_embedding_rejects_family_of_another_root_or_depth():
+    q = _constant_query(1, J=5)
+    for other in (enumerate_Dgamma(ORIGIN, ROOT1, F(1, 4), 4),
+                  enumerate_Dgamma(ORIGIN, DyadicCube(1, (0,)), F(1, 4), 5)):
+        with pytest.raises(ValueError):
+            embedding_check(ORIGIN, q, other)
 
 
 def test_embedding_query_json_round_trip():

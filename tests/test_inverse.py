@@ -76,6 +76,13 @@ def test_invert_rejects_non_parent_closed():
         invert(fam)
 
 
+def test_corner_membership_needs_the_deepest_member():
+    # the corner family truncated above the deepest member cannot contain it
+    S = chain_family(6)
+    assert not invert(S, J=5)[1].corner_membership_ok
+    assert invert(S, J=6)[1].corner_membership_ok
+
+
 def test_s4_vanishes_off_the_corner():
     S = chain_family(6)
     _E, rep = invert(S, J=10)
