@@ -84,20 +84,46 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
     return None
 
 
+def free_cube_table(E: SetModel, DE: CubeFamily, search_depth: int,
+                    budget: int = DEFAULT_BUDGET) -> dict:
+    """largest_free_cube(E, q, search_depth, budget) for every member q of a
+    meeting family enumerated with the same budget, in one bottom-up pass.
+
+    A member at the family's bottom depth is searched directly.  Any other
+    member takes the first, in canonical order, of its free children (its
+    non-member children) and its member children's entries, or None when
+    that lies deeper than its own window.  Exact: the order is depth first,
+    and a search that finds nothing in a child's window finds nothing in its
+    parent's window either.
+    """
+    bottom = DE.root.depth + DE.J
+    table = {}
+    for q in reversed(DE.members):  # deepest first
+        if q.depth == bottom:
+            table[q] = largest_free_cube(E, q, search_depth, budget)
+            continue
+        picks = [table[c] if c in DE else c for c in children(q)]
+        m = min((m for m in picks if m is not None), key=cube_order_key, default=None)
+        table[q] = m if m is not None and m.depth <= q.depth + search_depth else None
+    return table
+
+
 def porosity_scan(E: SetModel, depth: int, J: int,
                   budget: int = DEFAULT_BUDGET) -> PorosityReport:
     """Apply the largest-free-cube search to every E-meeting cube up to `depth`.
 
     Exhaustive rather than sampled: the porosity definition quantifies over
-    all cubes, so we check all of them at the given resolution.
+    all cubes, so we check all of them at the given resolution.  The searches
+    are read from one free-cube table of the enumerated family.
     """
     root = DyadicCube.root(E.dim)
     family = enumerate_DE(E, root, depth, budget)
+    table = free_cube_table(E, family, J, budget)
     records = []
     absent = []
     eta_hat = None
     for q in family.members:
-        m = largest_free_cube(E, q, J, budget)
+        m = table[q]
         if m is None:
             absent.append(q)
             records.append(PorosityRecord(q, None, None))

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import largest_free_cube
+from .analysis import free_cube_table
 from .enclosure import frac_str
 from .errors import EmptyFamilyError, PorosityFailure, RootIsFree
-from .families import CubeFamily
+from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children, contains, cube_order_key, parent
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
@@ -121,105 +121,73 @@ def _carrier_child(q: DyadicCube, inner: DyadicCube) -> DyadicCube:
     return inner.ancestor_at(q.depth + 1)
 
 
-class _WitnessBuilder:
-    def __init__(self, E, search_depth, budget, max_depth):
-        self.E = E
-        self.search_depth = search_depth
-        self.budget = budget
-        self.max_depth = max_depth
-        self.assignments = {}
-
-    def _status(self, model, cube):
-        return model.intersect_status(cube.box, self.budget)
-
-    def assign(self, q, local, inherited, inherited_origin):
-        """Assign q its own free cube, honoring an inherited one, then recurse."""
-        if inherited is None:
-            m = largest_free_cube(self.E, q, self.search_depth, self.budget)
-            if m is None:
-                raise PorosityFailure(q)
-        else:
-            s_star = _carrier_child(q, inherited) if inherited.depth > q.depth + 1 \
-                else inherited
-            m = None
-            meeting = []
-            for c in children(q):
-                if c == s_star:
-                    continue
-                if self._status(local.restricted(c.box), c) is Status.FREE:
-                    m = c  # a whole free child avoiding the inherited cube
-                    break
-                meeting.append(c)
-            if m is None:
-                # canonical-order-first meeting child that avoids the inherited cube
-                c = meeting[0]
-                m = largest_free_cube(self.E, c, self.search_depth, self.budget)
-                if m is None:
-                    raise PorosityFailure(c)
-        self.assignments[q] = WitnessAssignment(q, m, inherited_origin)
-        if q.depth >= self.max_depth:
-            return
-        for c in children(q):
-            sub = local.restricted(c.box)
-            if self._status(sub, c) is Status.FREE:
-                continue
-            inh, origin = None, None
-            if inherited is not None and contains(c, inherited) and c != inherited:
-                inh, origin = inherited, inherited_origin
-            if contains(c, m) and c != m:
-                # own cube and inherited cube never share a child by construction
-                inh, origin = m, q
-            self.assign(c, sub, inh, origin)
-
-
 def build_witness(E: SetModel, R: DyadicCube, J: int, search_depth: int = 6,
                   budget: int = DEFAULT_BUDGET) -> SparseWitness:
     """Disjoint free cubes M(Q), one per E-meeting cube Q, down to R.depth + J.
 
     Raises PorosityFailure naming the first cube with no free descendant
     within `search_depth`; that distinguishes a budget miss from a disproof.
+    Every free-cube choice is read from one meeting family, enumerated from
+    the lattice root one level below the deepest assigned cube, and its
+    free-cube table: a cube is free exactly when it is not a member.
     """
-    local = E.restricted(R.box)
-    if local.intersect_status(R.box, budget) is Status.FREE:
+    DE = enumerate_DE(E, DyadicCube.root(R.dim), R.depth + J + 1, budget)
+    if R not in DE:
         raise RootIsFree(f"{R} does not meet the set")
-    builder = _WitnessBuilder(E, search_depth, budget, R.depth + J)
-    builder.assign(R, local, None, None)
+    table = free_cube_table(E, DE, search_depth, budget)
+    assignments = {}
+
+    def assign(q, inherited, origin):
+        """Assign q its own free cube, honoring an inherited one, then recurse."""
+        c = q
+        if inherited is not None:
+            s_star = _carrier_child(q, inherited) if inherited.depth > q.depth + 1 \
+                else inherited
+            others = [c for c in children(q) if c != s_star]
+            # a whole free child avoiding the inherited cube, else the
+            # canonical-order-first meeting one
+            c = next((c for c in others if c not in DE), others[0])
+        m = table.get(c, c)  # a non-member is its own largest free cube
+        if m is None:
+            raise PorosityFailure(c)
+        assignments[q] = WitnessAssignment(q, m, origin)
+        if q.depth >= R.depth + J:
+            return
+        for c in children(q):
+            if c not in DE:
+                continue
+            inh, orig = None, None
+            if inherited is not None and contains(c, inherited):
+                inh, orig = inherited, origin
+            if contains(c, m):
+                # own cube and inherited cube never share a child by construction
+                inh, orig = m, q
+            assign(c, inh, orig)
+
+    assign(R, None, None)
 
     # extend the construction upward: each ancestor takes the best free cube
     # found inside a sibling subtree, then the siblings are filled in.
     cur = R
     while cur.depth > 0:
         p = parent(cur)
-        best = None
-        for c in children(p):
-            if c == cur:
-                continue
-            m = largest_free_cube(E, c, search_depth, budget)
-            if m is None:
-                continue
-            key = (-m.volume, cube_order_key(m))
-            if best is None or key < best[0]:
-                best = (key, m)
-        if best is None:
+        siblings = [c for c in children(p) if c != cur]
+        picks = [m for m in (table.get(c, c) for c in siblings) if m is not None]
+        if not picks:
             raise PorosityFailure(p)
-        m_p = best[1]
-        builder.assignments[p] = WitnessAssignment(p, m_p, None)
-        for c in children(p):
-            if c == cur:
-                continue
-            sub = E.restricted(c.box)
-            if sub.intersect_status(c.box, budget) is Status.FREE:
-                continue
-            if contains(c, m_p) and c != m_p:
-                builder.assign(c, sub, m_p, p)
-            else:
-                builder.assign(c, sub, None, None)
+        m_p = min(picks, key=cube_order_key)
+        assignments[p] = WitnessAssignment(p, m_p, None)
+        for c in siblings:
+            if c in DE:
+                if contains(c, m_p):
+                    assign(c, m_p, p)
+                else:
+                    assign(c, None, None)
         cur = p
 
-    assignments = tuple(sorted(builder.assignments.values(),
-                               key=lambda a: cube_order_key(a.cube)))
-    lambda_hat = max(a.cube.volume / a.free_cube.volume for a in assignments)
-    return SparseWitness(assignments, lambda_hat)
+    ordered = tuple(sorted(assignments.values(), key=lambda a: cube_order_key(a.cube)))
+    lambda_hat = max(a.cube.volume / a.free_cube.volume for a in ordered)
+    return SparseWitness(ordered, lambda_hat)
 
 
 @dataclass(frozen=True)

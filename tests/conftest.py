@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cubeporos.lattice import Box, DyadicCube
-from cubeporos.sets import PointsModel, cantor_middle_thirds
+from cubeporos.sets import IFSModel, PointsModel, cantor_middle_thirds
 
 
 @st.composite
@@ -52,6 +52,25 @@ def point_sets(draw, dim=None, max_points=6):
     for _ in range(n):
         pts.append(tuple(Fraction(draw(st.integers(0, 63)), 64) for _ in range(d)))
     return PointsModel.make(pts)
+
+
+# hull side per dimension: small enough that a budget-0 IFS, which meets
+# every cube touching its hull, stays a few thousand cubes at depth 6
+HULL_SIDE = {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 8)}
+
+
+@st.composite
+def small_ifs(draw, d):
+    """IFS of 1-3 maps with ratios 1/2..1/5 on a hull off the dyadic grid."""
+    side = HULL_SIDE[d]
+    lo = tuple(Fraction(draw(st.integers(0, 24)), 24) * (1 - side) for _ in range(d))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = Fraction(1, draw(st.integers(2, 5)))
+        # t in [(1-r)lo, (1-r)(lo+side)] keeps the image of the hull inside it
+        maps.append((r, tuple(
+            (1 - r) * (a + Fraction(draw(st.integers(0, 4)), 4) * side) for a in lo)))
+    return IFSModel.make(maps, Box(lo, tuple(a + side for a in lo)))
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,11 @@ from cubeporos.analysis import de_sum, dynkin_sum, parent_multiplicity_margin
 from cubeporos.errors import EmptySetError, RootIsFree
 from cubeporos.families import (CubeFamily, FreeDecomposition, enumerate_DE,
                                 enumerate_Dgamma, enumerate_FE)
-from cubeporos.lattice import Box, DyadicCube, parent
-from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionModel,
+from cubeporos.lattice import DyadicCube, parent
+from cubeporos.sets import (EmptyModel, PointsModel, Status, UnionModel,
                             cantor_middle_thirds)
 import fe_reference
-from conftest import dyadic_cubes, point_sets
+from conftest import dyadic_cubes, point_sets, small_ifs
 
 F = Fraction
 CANTOR = cantor_middle_thirds()
@@ -139,25 +139,6 @@ def test_family_json_round_trip():
     dec = enumerate_FE(E, ROOT1, 3)
     again = FreeDecomposition.from_json(dec.to_json())
     assert again == dec
-
-
-# hull side per dimension: small enough that a budget-0 IFS, which meets
-# every cube touching its hull, stays a few thousand cubes at depth 6
-HULL_SIDE = {1: F(1, 2), 2: F(1, 4), 3: F(1, 8)}
-
-
-@st.composite
-def small_ifs(draw, d):
-    """IFS of 1-3 maps with ratios 1/2..1/5 on a hull off the dyadic grid."""
-    side = HULL_SIDE[d]
-    lo = tuple(F(draw(st.integers(0, 24)), 24) * (1 - side) for _ in range(d))
-    maps = []
-    for _ in range(draw(st.integers(1, 3))):
-        r = F(1, draw(st.integers(2, 5)))
-        # t in [(1-r)lo, (1-r)(lo+side)] keeps the image of the hull inside it
-        maps.append((r, tuple((1 - r) * (a + F(draw(st.integers(0, 4)), 4) * side)
-                              for a in lo)))
-    return IFSModel.make(maps, Box(lo, tuple(a + side for a in lo)))
 
 
 @st.composite

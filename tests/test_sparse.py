@@ -1,18 +1,23 @@
+import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeporos.analysis import porosity_scan
+from cubeporos import sets
+from cubeporos.analysis import free_cube_table, largest_free_cube, porosity_scan
 from cubeporos.errors import EmptyFamilyError, PorosityFailure, RootIsFree
 from cubeporos.families import CubeFamily, enumerate_DE
 from cubeporos.generators import random_porous_model, rng_from_seed
 from cubeporos.lattice import DyadicCube, children, contains
-from cubeporos.sets import PointsModel, cantor_middle_thirds
+from cubeporos.sets import PointsModel, UnionModel, cantor_middle_thirds
 from cubeporos.sparse import (SparseWitness, WitnessAssignment,
                               audit_single_inheritance, build_witness,
                               carleson_constant, verify_witness)
+import witness_reference
+from conftest import dyadic_cubes, point_sets, small_ifs
 
 F = Fraction
 CANTOR = cantor_middle_thirds()
@@ -159,3 +164,42 @@ def test_witness_json_round_trip():
     w = build_witness(ORIGIN, ROOT1, 4)
     again = SparseWitness.from_json(w.to_json())
     assert again == w
+
+
+@st.composite
+def free_cube_cases(draw):
+    d = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(("points", "ifs", "union")))
+    if kind == "points":
+        E = draw(point_sets(dim=d))
+    elif kind == "ifs":
+        E = draw(small_ifs(d))
+    else:
+        E = UnionModel.make([draw(point_sets(dim=d, max_points=3)), draw(small_ifs(d))])
+    R = draw(dyadic_cubes(dim=d, max_depth=2))
+    return (E, R, draw(st.integers(0, 3)), draw(st.integers(0, 4)),
+            draw(st.sampled_from((0, 1, 2, 3, 4, 36))))
+
+
+def _outcome(fn, *args):
+    """JSON bytes of a report, or the type and message of the error raised."""
+    try:
+        return json.dumps(fn(*args).to_json(), sort_keys=True)
+    except (PorosityFailure, RootIsFree) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(free_cube_cases())
+@settings(max_examples=300, deadline=None)
+def test_free_cube_table_matches_per_cube_searches(case):
+    E, R, J, search_depth, budget = case
+    # a small node cap bounds the IFS oracles' time; library and reference
+    # ask the same oracles, so both see the same capped answers
+    with mock.patch.object(sets, "_MAX_NODES", 1000):
+        DE = enumerate_DE(E, R, J, budget)
+        assert free_cube_table(E, DE, search_depth, budget) == \
+            {q: largest_free_cube(E, q, search_depth, budget) for q in DE.members}
+        assert _outcome(porosity_scan, E, R.depth + J, search_depth, budget) == \
+            _outcome(witness_reference.porosity_scan, E, R.depth + J, search_depth, budget)
+        assert _outcome(build_witness, E, R, J, search_depth, budget) == \
+            _outcome(witness_reference.build_witness, E, R, J, search_depth, budget)
