@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cubeporos.analysis import codim_estimate, porosity_scan  # noqa: E402
+from cubeporos.families import enumerate_DE  # noqa: E402
 from cubeporos.lattice import DyadicCube  # noqa: E402
 from cubeporos.sets import cantor_middle_thirds  # noqa: E402
 
@@ -27,7 +28,7 @@ def run(J_max: int = 14):
     grid = [Fraction(k, 50) for k in range(1, 50)]
     for J in (8, 11, J_max):
         t0 = time.time()
-        est = codim_estimate(C, grid, range(4, J + 1), [root])
+        est = codim_estimate([enumerate_DE(C, root, J)], grid, range(4, J + 1))
         print(f"J={J:2d}: estimate {float(est.estimate):.2f} "
               f"(target {target:.5f}) in {time.time() - t0:.1f}s")
 

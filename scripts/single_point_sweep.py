@@ -13,6 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cubeporos.analysis import codim_estimate, de_sum, dynkin_sum  # noqa: E402
+from cubeporos.families import enumerate_DE  # noqa: E402
 from cubeporos.lattice import DyadicCube  # noqa: E402
 from cubeporos.sets import PointsModel  # noqa: E402
 
@@ -30,7 +31,7 @@ def run(J: int = 20):
         print(f"{float(alpha):6.2f} {float(dyn.value.lo):12.6f} "
               f"{float(de.value.lo):12.6f} {limit:12.6f}")
     grid = [Fraction(k, 20) for k in range(1, 21)]
-    est = codim_estimate(E, grid, range(2, J + 1), [root])
+    est = codim_estimate([enumerate_DE(E, root, J)], grid, range(2, J + 1))
     print(f"codimension estimate: {est.estimate} (true value 1)")
 
 

@@ -545,10 +545,12 @@ def parent_multiplicity_margin(DE: CubeFamily, alpha):
     return lhs, rhs, lhs.lo >= rhs.hi
 
 
-def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
-                   budget: int = DEFAULT_BUDGET, tau=None,
+def codim_estimate(families, alpha_grid, J_list, tau=None,
                    check_multiplicity: bool = True) -> CodimEstimate:
     """Largest grid alpha whose free-cube sum trajectories stay bounded in J.
+
+    `families` holds one meeting family per root, each enumerated to at
+    least the largest J; the multiplicity check reads each to its truncation.
 
     The trajectory at each J is the residual-inclusive ratio: resolved
     free-cube mass plus the depth-J residual bound, over the root weight.
@@ -564,10 +566,10 @@ def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
     J_list = sorted(set(int(J) for J in J_list))
     if len(J_list) < 2:
         raise ValueError("need at least two depths to measure growth")
-    roots = list(roots)
-    if not roots:
-        raise ValueError("need at least one root cube")
-    d = roots[0].dim
+    families = list(families)
+    if not families:
+        raise ValueError("need at least one meeting family")
+    d = families[0].root.dim
     Jmax = max(J_list)
     tau = math.log((Jmax + 1) / Jmax) if tau is None else float(tau)
     # the multiplicity check probes the largest grid alpha below d
@@ -577,8 +579,7 @@ def codim_estimate(E: SetModel, alpha_grid, J_list, roots,
     # per-level, so its growth reflects box-count scaling without the lag of
     # a cumulative sum
     per_root_totals = []
-    for R in roots:
-        DE = enumerate_DE(E, R, Jmax, budget)
+    for DE in families:
         reports = dynkin_sweep(DE, alpha_grid, J_list)
         per_root_totals.append({(r.alpha, r.J): (r.value + r.residual_bound) / r.normalizer
                                 for r in reports})

@@ -176,7 +176,9 @@ def cmd_analyze(config: RunConfig) -> int:
     J_list = _analysis_J_list(J)
     scan_depth = min(J, 6 if d == 1 else 3)
     scan = porosity_scan(E, scan_depth, min(J, config.search_depth), config.budget)
-    codim = codim_estimate(E, grid, J_list, [root], config.budget, config.tau)
+    # one family serves the codimension estimate and the sweep CSV
+    family = enumerate_DE(E, root, J_list[-1], config.budget)
+    codim = codim_estimate([family], grid, J_list, config.tau)
 
     failure = bool(scan.absent)
     mu_json = None
@@ -195,8 +197,7 @@ def cmd_analyze(config: RunConfig) -> int:
         "mu": mu_json,
     }
     _dump_json(config.out, report)
-    rows = _sweep_rows(enumerate_DE(E, root, J_list[-1], config.budget), grid, J_list)
-    _write_csv(_csv_path(config.out), SWEEP_HEADER, rows)
+    _write_csv(_csv_path(config.out), SWEEP_HEADER, _sweep_rows(family, grid, J_list))
     return EXIT_BUDGET if failure else EXIT_OK
 
 

@@ -107,14 +107,14 @@ def test_criterion_2_single_point_oracles():
 def test_criterion_3_codimension():
     t0 = time.time()
     grid20 = [F(k, 20) for k in range(1, 21)]
-    est0 = codim_estimate(ORIGIN, grid20, range(2, 21), [ROOT1])
+    est0 = codim_estimate([enumerate_DE(ORIGIN, ROOT1, 20)], grid20, range(2, 21))
     elapsed0 = time.time() - t0
     assert abs(est0.estimate - 1) <= F(1, 20)
     assert elapsed0 < 5
 
     t0 = time.time()
     grid50 = [F(k, 50) for k in range(1, 50)]
-    est_c = codim_estimate(CANTOR, grid50, range(4, 15), [ROOT1])
+    est_c = codim_estimate([enumerate_DE(CANTOR, ROOT1, 14)], grid50, range(4, 15))
     elapsed_c = time.time() - t0
     target = 1 - math.log(2) / math.log(3)
     assert abs(float(est_c.estimate) - target) <= 0.08

@@ -211,14 +211,14 @@ def test_growth_contrast_straddles_codimension():
 
 def test_codim_single_point():
     grid = [F(k, 20) for k in range(1, 21)]
-    est = codim_estimate(ORIGIN, grid, range(2, 21), [ROOT1])
+    est = codim_estimate([enumerate_DE(ORIGIN, ROOT1, 20)], grid, range(2, 21))
     assert abs(est.estimate - 1) <= F(1, 20)
     assert est.multiplicity_ok
 
 
 def test_codim_cantor():
     grid = [F(k, 50) for k in range(1, 50)]
-    est = codim_estimate(CANTOR, grid, range(4, 15), [ROOT1])
+    est = codim_estimate([enumerate_DE(CANTOR, ROOT1, 14)], grid, range(4, 15))
     target = 1 - math.log(2) / math.log(3)
     assert abs(float(est.estimate) - target) <= 0.08
     assert est.multiplicity_ok
@@ -229,7 +229,7 @@ def test_codim_saturated_grid_at_low_resolution():
     grid = [F(k, 20) for k in range(1, 21)]
     # nothing is free above depth 6, so with the strict threshold no alpha
     # beyond the first grid step shows a bounded trajectory
-    est = codim_estimate(corners, grid, [4, 5, 6], [ROOT1], tau=F(1, 20))
+    est = codim_estimate([enumerate_DE(corners, ROOT1, 6)], grid, [4, 5, 6], tau=F(1, 20))
     assert est.estimate <= F(1, 10)
 
 
