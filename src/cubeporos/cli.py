@@ -251,6 +251,8 @@ def cmd_gamma(config: RunConfig) -> int:
         raise ValidationError("cannot run gamma analysis on an empty set")
     if config.gamma is None:
         raise ValidationError("--gamma P/Q is required")
+    if config.gamma <= 0:
+        raise ValidationError(f"--gamma must be positive, got {config.gamma}")
     d = E.dim
     root = DyadicCube.root(d)
     alpha = config.alpha if config.alpha is not None else Fraction(1, 2)

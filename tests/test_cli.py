@@ -127,6 +127,14 @@ def test_negative_depth_exits_2(tmp_path, capsys, command, flag):
     assert f"error: {flag} must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["0/1", "-1/2"])
+def test_non_positive_gamma_exits_2(tmp_path, capsys, gamma):
+    code = main(["gamma", "--set", write_set(tmp_path), f"--gamma={gamma}",
+                 "--depth", "3", "--out", str(tmp_path / "g.json")])
+    assert code == 2
+    assert "error: --gamma must be positive" in capsys.readouterr().err
+
+
 def test_analyze_cantor_flags_unresolved_mass(tmp_path):
     out = tmp_path / "cantor.json"
     code = main(["analyze", "--set", write_set(tmp_path, kind="cantor"),
