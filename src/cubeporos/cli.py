@@ -57,7 +57,6 @@ class RunConfig:
     tau: Fraction | None = None
     seed: int = 0
     out: str = "report.json"
-    format: str = "json"
 
     def to_json(self):
         return {
@@ -70,7 +69,7 @@ class RunConfig:
             "gamma": frac_str(self.gamma) if self.gamma is not None else None,
             "p": frac_str(self.p),
             "tau": frac_str(self.tau) if self.tau is not None else "adaptive",
-            "seed": self.seed, "out": self.out, "format": self.format,
+            "seed": self.seed, "out": self.out,
         }
 
 
@@ -339,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="report.json")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -381,7 +379,6 @@ def main(argv=None) -> int:
             tau=frac_parse(ns.tau) if ns.tau else None,
             seed=ns.seed,
             out=ns.out,
-            format=ns.format,
         )
         return COMMANDS[ns.command](config)
     except ValidationError as exc:
