@@ -103,7 +103,7 @@ def free_cube_table(E: SetModel, DE: CubeFamily, search_depth: int,
             table[q] = largest_free_cube(E, q, search_depth, budget)
             continue
         picks = [table[c] if c in DE else c for c in children(q)]
-        m = min((m for m in picks if m is not None), key=cube_order_key, default=None)
+        m = min((p for p in picks if p is not None), key=cube_order_key, default=None)
         table[q] = m if m is not None and m.depth <= q.depth + search_depth else None
     return table
 
