@@ -370,8 +370,7 @@ def mu_enclosure(E: SetModel, R: DyadicCube, alpha, J: int,
     return MeasureEnclosure(alpha, R, J, split_budget, lower, upper, notes)
 
 
-def mu_points_exact_1d(E: PointsModel, box: Box, alpha,
-                       rel_bits: int = 60) -> RatInterval | None:
+def mu_points_exact_1d(E: PointsModel, box: Box, alpha) -> RatInterval | None:
     """Sharp certified mass of a 1-d box against a finite point set.
 
     The distance function is piecewise linear with breakpoints at the points
@@ -404,11 +403,11 @@ def mu_points_exact_1d(E: PointsModel, box: Box, alpha,
         p = min(pts, key=lambda t: abs(t - mid))
         # integral of |x-p|^(-alpha) over [u, v]; p never lies strictly inside
         if p <= u:
-            hi_part = pow_enclosure(v - p, one_m, rel_bits)
-            lo_part = RatInterval.point(0) if p == u else pow_enclosure(u - p, one_m, rel_bits)
+            hi_part = pow_enclosure(v - p, one_m)
+            lo_part = RatInterval.point(0) if p == u else pow_enclosure(u - p, one_m)
         else:  # p >= v
-            hi_part = pow_enclosure(p - u, one_m, rel_bits)
-            lo_part = RatInterval.point(0) if p == v else pow_enclosure(p - v, one_m, rel_bits)
+            hi_part = pow_enclosure(p - u, one_m)
+            lo_part = RatInterval.point(0) if p == v else pow_enclosure(p - v, one_m)
         total = total + (hi_part - lo_part) * (1 / one_m)
     return RatInterval(max(total.lo, _ZERO), total.hi)
 
@@ -545,8 +544,7 @@ def parent_multiplicity_margin(DE: CubeFamily, alpha):
     return lhs, rhs, lhs.lo >= rhs.hi
 
 
-def codim_estimate(families, alpha_grid, J_list, tau=None,
-                   check_multiplicity: bool = True) -> CodimEstimate:
+def codim_estimate(families, alpha_grid, J_list, tau=None) -> CodimEstimate:
     """Largest grid alpha whose free-cube sum trajectories stay bounded in J.
 
     `families` holds one meeting family per root, each enumerated to at
@@ -583,8 +581,7 @@ def codim_estimate(families, alpha_grid, J_list, tau=None,
         reports = dynkin_sweep(DE, alpha_grid, J_list)
         per_root_totals.append({(r.alpha, r.J): (r.value + r.residual_bound) / r.normalizer
                                 for r in reports})
-        if check_multiplicity:
-            mult_ok = parent_multiplicity_margin(DE, probe)[2] and mult_ok
+        mult_ok = parent_multiplicity_margin(DE, probe)[2] and mult_ok
 
     trajectories = {}
     increments = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-# --depth default of every command but invert, whose default (None) lets
-# invert() take the deepest family member + 8
-DEFAULT_DEPTH = 8
-
 
 class ValidationError(Exception):
     pass
@@ -42,11 +39,12 @@ class ValidationError(Exception):
 
 @dataclass
 class RunConfig:
+    """One command's settings; holds the default of every CLI flag."""
     command: str
     set_path: str | None = None
     family_path: str | None = None
     dim: int | None = None
-    depth: int | None = DEFAULT_DEPTH
+    depth: int | None = 8
     budget: int = DEFAULT_BUDGET
     split_budget: int = DEFAULT_SPLIT_BUDGET
     search_depth: int = 6
@@ -77,10 +75,10 @@ def _parse_grid(spec: str) -> tuple:
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = frac_parse(lo_s), frac_parse(hi_s), frac_parse(step_s)
-    except Exception:
-        raise ValidationError(f"--alpha-grid must be LO:HI:STEP, got {spec!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be LO:HI:STEP, got {spec!r}")
     if step <= 0 or hi < lo:
-        raise ValidationError(f"bad alpha grid {spec!r}")
+        raise argparse.ArgumentTypeError(f"bad alpha grid {spec!r}")
     grid = []
     a = lo
     while a <= hi:
@@ -130,8 +128,7 @@ def _dump_json(path: str, payload):
 
 
 def _csv_path(out: str) -> str:
-    stem, dot, _ext = out.rpartition(".")
-    return (stem if dot else out) + ".csv"
+    return os.path.splitext(out)[0] + ".csv"
 
 
 def _sweep_rows(DE, alpha_grid, J_list):
@@ -309,12 +306,44 @@ def cmd_plotdata(config: RunConfig) -> int:
             family_rows = [[depth, counts.get(depth, 0)] for depth in range(top + 1)]
     else:
         raise ValidationError("plotdata needs --set or --family")
-    _write_csv(config.out if config.out.endswith(".csv") else _csv_path(config.out),
-               SWEEP_HEADER, rows)
-    fam_path = (config.out[:-4] if config.out.endswith(".csv") else
-                _csv_path(config.out)[:-4]) + "_families.csv"
-    _write_csv(fam_path, ["depth", "family_size"], family_rows)
+    sweep_path = _csv_path(config.out)
+    _write_csv(sweep_path, SWEEP_HEADER, rows)
+    _write_csv(sweep_path.removesuffix(".csv") + "_families.csv",
+               ["depth", "family_size"], family_rows)
     return EXIT_OK
+
+
+# per-command flags; each flag's converter is declared once below and its
+# default once in RunConfig
+FLAGS = {
+    "--set": {"dest": "set_path"},
+    "--family": {"dest": "family_path"},
+    "--dim": {"type": int},
+    "--depth": {"type": int},
+    "--budget": {"type": int},
+    "--split-budget": {"type": int},
+    "--search-depth": {"type": int},
+    "--alpha-grid": {"type": _parse_grid},
+    "--alpha": {"type": frac_parse},
+    "--gamma": {"type": frac_parse},
+    "--p": {"type": frac_parse},
+    "--tau": {"type": frac_parse},
+    "--seed": {"type": int},
+    "--out": {},
+}
+
+# name -> (command, its flags, its defaults that differ from RunConfig's)
+COMMANDS = {
+    "analyze": (cmd_analyze, "--set --dim --depth --budget --split-budget "
+                "--search-depth --alpha-grid --tau --out", {}),
+    "witness": (cmd_witness, "--set --dim --depth --budget --search-depth --out", {}),
+    # depth None lets invert() take the deepest family member + 8
+    "invert": (cmd_invert, "--family --depth --budget --out", {"depth": None}),
+    "gamma": (cmd_gamma, "--set --dim --depth --budget --split-budget "
+              "--search-depth --alpha --gamma --p --seed --out", {}),
+    "plotdata": (cmd_plotdata, "--set --family --dim --depth --budget --alpha-grid "
+                 "--out", {}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,65 +351,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cubeporos",
         description="exact dyadic-lattice analytics for porous sets")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "witness", "invert", "gamma", "plotdata"):
-        p = sub.add_parser(name)
-        p.add_argument("--set", dest="set_path")
-        p.add_argument("--family", dest="family_path")
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--split-budget", type=int, default=DEFAULT_SPLIT_BUDGET)
-        p.add_argument("--search-depth", type=int, default=6)
-        p.add_argument("--alpha-grid", default=None)
-        p.add_argument("--alpha", default=None)
-        p.add_argument("--gamma", default=None)
-        p.add_argument("--p", default="1/1")
-        p.add_argument("--tau", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="report.json")
+    for name, (_run, flags, defaults) in COMMANDS.items():
+        # an absent flag leaves its RunConfig default; no prefix matching, so
+        # a flag a command does not read cannot pass for one it does
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
-COMMANDS = {
-    "analyze": cmd_analyze,
-    "witness": cmd_witness,
-    "invert": cmd_invert,
-    "gamma": cmd_gamma,
-    "plotdata": cmd_plotdata,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
-    depth = ns.depth
-    if depth is None and ns.command != "invert":
-        depth = DEFAULT_DEPTH
     try:
-        for flag, value in (("--depth", depth), ("--search-depth", ns.search_depth)):
+        for flag, value in (("--depth", config.depth),
+                            ("--search-depth", config.search_depth)):
             if value is not None and value < 0:
                 raise ValidationError(f"{flag} must be >= 0, got {value}")
-        config = RunConfig(
-            command=ns.command,
-            set_path=ns.set_path,
-            family_path=ns.family_path,
-            dim=ns.dim,
-            depth=depth,
-            budget=ns.budget,
-            split_budget=ns.split_budget,
-            search_depth=ns.search_depth,
-            alpha_grid=_parse_grid(ns.alpha_grid) if ns.alpha_grid else (),
-            alpha=frac_parse(ns.alpha) if ns.alpha else None,
-            gamma=frac_parse(ns.gamma) if ns.gamma else None,
-            p=frac_parse(ns.p),
-            tau=frac_parse(ns.tau) if ns.tau else None,
-            seed=ns.seed,
-            out=ns.out,
-        )
-        return COMMANDS[ns.command](config)
+        return COMMANDS[config.command][0](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -392,9 +384,5 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
 
 
-def entrypoint():  # console script
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -26,8 +26,10 @@ def frac_str(x: Fraction) -> str:
 def frac_parse(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(t) for t in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
     # accept bare integers and decimal strings from CLI flags
     return Fraction(s)
 
@@ -127,24 +129,24 @@ class RatInterval:
         return [frac_str(self.lo), frac_str(self.hi)]
 
 
-def _rational_root_enclosure(y: Fraction, q: int, rel_bits: int) -> RatInterval:
-    """Enclosure of y**(1/q) for y > 0 with relative width <= 2^-rel_bits."""
+def _rational_root_enclosure(y: Fraction, q: int) -> RatInterval:
+    """Enclosure of y**(1/q) for y > 0 with relative width <= 2^-REL_BITS."""
     num, den = y.numerator, y.denominator
-    # Scale so the integer root retains > rel_bits significant bits.
+    # Scale so the integer root retains > REL_BITS significant bits.
     mag = num.bit_length() - den.bit_length()  # log2(y) within +-1
-    k = rel_bits + 4 + max(0, (q - mag + 1) // q + 1)
+    k = REL_BITS + 4 + max(0, (q - mag + 1) // q + 1)
     while True:
         t = (num << (q * k)) // den
         lo_i = iroot(t, q)
         hi_i = iroot(t + 1, q) + 1
         scale = _ONE / (1 << k)
         lo, hi = lo_i * scale, hi_i * scale
-        if lo > 0 and (hi - lo) * (1 << rel_bits) <= lo:
+        if lo > 0 and (hi - lo) * (1 << REL_BITS) <= lo:
             return RatInterval(lo, hi)
         k += 32
 
 
-def pow_enclosure(base, exp, rel_bits: int = REL_BITS) -> RatInterval:
+def pow_enclosure(base, exp) -> RatInterval:
     """Certified enclosure of base**exp for rational base > 0, rational exp.
 
     Exact (a point interval) whenever the true value is rational by
@@ -166,12 +168,12 @@ def pow_enclosure(base, exp, rel_bits: int = REL_BITS) -> RatInterval:
     root_d = iroot(y.denominator, q)
     if root ** q == y.numerator and root_d ** q == y.denominator:
         return RatInterval.point(Fraction(root, root_d))
-    return _rational_root_enclosure(y, q, rel_bits)
+    return _rational_root_enclosure(y, q)
 
 
-def pow2_enclosure(exp, rel_bits: int = REL_BITS) -> RatInterval:
+def pow2_enclosure(exp) -> RatInterval:
     """Enclosure of 2**exp; the workhorse for dyadic volume powers."""
-    return pow_enclosure(Fraction(2), exp, rel_bits)
+    return pow_enclosure(Fraction(2), exp)
 
 
 def sum_intervals(parts) -> RatInterval:

@@ -89,9 +89,6 @@ class SparseWitness:
     def __len__(self):
         return len(self.assignments)
 
-    def assignment_map(self) -> dict:
-        return {a.cube: a.free_cube for a in self.assignments}
-
     def restrict_to(self, cubes) -> "SparseWitness":
         keep = {(q.depth, q.coords) for q in cubes}
         kept = tuple(a for a in self.assignments

@@ -1,5 +1,5 @@
 import json
-import os
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ def write_set(tmp_path, name="set.json", kind="origin"):
                             {"ratio": "1/3", "shift": ["2/3"]}],
                    "hull": {"lo": ["0/1"], "hi": ["1/1"]}},
         "empty": {"kind": "empty", "dim": 1},
+        "zero-denominator": {"kind": "points", "points": [["1/0"]]},
     }
     path = tmp_path / name
     path.write_text(json.dumps(payloads[kind]))
@@ -117,14 +118,86 @@ def test_invert_non_parent_closed_exits_2(tmp_path):
     assert payload["cube"] == {"depth": 2, "coords": [1]}
 
 
-@pytest.mark.parametrize("flag", ["--depth", "--search-depth"])
-@pytest.mark.parametrize("command", ["analyze", "witness", "invert", "gamma", "plotdata"])
+# the flags each command reads
+COMMAND_FLAGS = {
+    "analyze": {"--set", "--dim", "--depth", "--budget", "--split-budget",
+                "--search-depth", "--alpha-grid", "--tau", "--out"},
+    "witness": {"--set", "--dim", "--depth", "--budget", "--search-depth", "--out"},
+    "invert": {"--family", "--depth", "--budget", "--out"},
+    "gamma": {"--set", "--dim", "--depth", "--budget", "--split-budget",
+              "--search-depth", "--alpha", "--gamma", "--p", "--seed", "--out"},
+    "plotdata": {"--set", "--family", "--dim", "--depth", "--budget",
+                 "--alpha-grid", "--out"},
+}
+ALL_FLAGS = set().union(*COMMAND_FLAGS.values())
+UNREAD_FLAGS = sorted((command, flag) for command, flags in COMMAND_FLAGS.items()
+                      for flag in ALL_FLAGS - flags)
+
+
+def source_args(tmp_path, command):
+    if command == "invert":
+        return ["--family", write_family(tmp_path, [{"depth": 0, "coords": [0]}])]
+    return ["--set", write_set(tmp_path)]
+
+
+@pytest.mark.parametrize("command,flag", sorted(
+    (command, flag) for command, flags in COMMAND_FLAGS.items()
+    for flag in ("--depth", "--search-depth") if flag in flags))
 def test_negative_depth_exits_2(tmp_path, capsys, command, flag):
-    source = (["--family", write_family(tmp_path, [{"depth": 0, "coords": [0]}])]
-              if command == "invert" else ["--set", write_set(tmp_path)])
-    code = main([command, *source, flag, "-1", "--out", str(tmp_path / "r.json")])
+    code = main([command, *source_args(tmp_path, command), flag, "-1",
+                 "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert f"error: {flag} must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_the_commands_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_unread_flag_exits_2(tmp_path, capsys, command, flag):
+    values = {"--set": write_set(tmp_path), "--dim": "1",
+              "--family": write_family(tmp_path, [{"depth": 0, "coords": [0]}]),
+              "--split-budget": "4", "--search-depth": "2",
+              "--alpha-grid": "1/2:1:1/2", "--alpha": "1/2", "--gamma": "1/1",
+              "--p": "2/1", "--tau": "1/10", "--seed": "1"}
+    out = tmp_path / "r.json"
+    code = main([command, *source_args(tmp_path, command), flag, values[flag],
+                 "--depth", "2", "--out", str(out)])
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["gamma", "--gamma", "abc"], "origin"),
+    (["gamma", "--gamma", "1/0"], "origin"),
+    (["gamma", "--gamma", "1/1", "--p", "1/0"], "origin"),
+    (["gamma", "--gamma", "1/1", "--alpha", "x"], "origin"),
+    (["analyze", "--tau", "1/0"], "origin"),
+    (["analyze"], "zero-denominator"),
+], ids=["gamma-abc", "gamma-1/0", "p-1/0", "alpha-x", "tau-1/0", "set-1/0"])
+def test_malformed_fraction_exits_2(tmp_path, capsys, argv, kind):
+    out = tmp_path / "r.json"
+    code = main([*argv, "--set", write_set(tmp_path, kind=kind), "--depth", "3",
+                 "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_is_written_beside_an_extensionless_out(tmp_path):
+    outdir = tmp_path / "out.d"
+    outdir.mkdir()
+    for command, out in (("analyze", "report"), ("plotdata", "sweep")):
+        assert main([command, "--set", write_set(tmp_path), "--depth", "4",
+                     "--out", str(outdir / out)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "report", "report.csv", "sweep.csv", "sweep_families.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.d", "set.json"]
 
 
 @pytest.mark.parametrize("gamma", ["0/1", "-1/2"])
