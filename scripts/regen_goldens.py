@@ -5,8 +5,8 @@ Writes the gamma reports on the origin point set (seeds 11-13), the
 Cantor-set runs of `analyze`, `plotdata` and `gamma`, whose argument lists,
 exit codes and output files are listed in `cantor_runs.json`, and the
 `invert` run on a seeded 2-d parent-closed family, listed with its input
-file in `invert_runs.json`.  These runs use paths relative to their working
-directory, so their reports carry no machine-specific path and compare
+file in `invert_runs.json`.  Every run uses paths relative to its working
+directory, so the reports carry no machine-specific path and compare
 byte-for-byte.
 
 Usage: python scripts/regen_goldens.py
@@ -49,17 +49,21 @@ INVERT_ARGV = ["invert", "--family", FAMILY_FILE, "--depth", "12",
 
 
 def regen_gamma(tmp: Path):
-    set_path = tmp / "origin.json"
-    set_path.write_text(json.dumps({"kind": "points", "points": [["0/1"]]}))
-    for seed in (11, 12, 13):
-        out = tmp / f"gamma_seed{seed}.json"
-        code = main(["gamma", "--set", str(set_path), "--gamma", "3/2",
-                     "--depth", "5", "--seed", str(seed), "--out", str(out)])
-        if code != 0:
-            raise SystemExit(f"gamma run for seed {seed} exited with {code}")
-        target = GOLDEN_DIR / f"gamma_seed{seed}.json"
-        target.write_text(out.read_text())
-        print(f"wrote {target}")
+    (tmp / "origin.json").write_text(json.dumps({"kind": "points", "points": [["0/1"]]}))
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for seed in (11, 12, 13):
+            out = f"gamma_seed{seed}.json"
+            code = main(["gamma", "--set", "origin.json", "--gamma", "3/2",
+                         "--depth", "5", "--seed", str(seed), "--out", out])
+            if code != 0:
+                raise SystemExit(f"gamma run for seed {seed} exited with {code}")
+            target = GOLDEN_DIR / out
+            target.write_bytes((tmp / out).read_bytes())
+            print(f"wrote {target}")
+    finally:
+        os.chdir(cwd)
 
 
 def regen_cantor(tmp: Path):
