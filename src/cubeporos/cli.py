@@ -313,8 +313,7 @@ def cmd_plotdata(config: RunConfig) -> int:
     return EXIT_OK
 
 
-# per-command flags; each flag's converter is declared once below and its
-# default once in RunConfig
+# every flag's converter; its default is the RunConfig field's
 FLAGS = {
     "--set": {"dest": "set_path"},
     "--family": {"dest": "family_path"},
@@ -373,10 +372,7 @@ def main(argv=None) -> int:
             if value is not None and value < 0:
                 raise ValidationError(f"{flag} must be >= 0, got {value}")
         return COMMANDS[config.command][0](config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (EmptySetError, EmptyFamilyError) as exc:
+    except (ValidationError, EmptySetError, EmptyFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (PorosityFailure, UnresolvedMeasure) as exc:
