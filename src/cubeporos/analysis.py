@@ -63,8 +63,8 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
     Ties are broken by canonical cube order (smallest corner first).  Returns
     None when no free cube exists at this resolution.
     """
-    local = E.restricted(R.box)
-    if local.intersect_status(R.box, budget) is Status.FREE:
+    local = E.restricted(R)
+    if local.intersect_status(R, budget) is Status.FREE:
         return R
     frontier = [(R, local)]
     for _ in range(J):
@@ -72,8 +72,8 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
         nxt = []
         for q, model in frontier:
             for c in children(q):
-                sub = model.restricted(c.box)
-                if sub.intersect_status(c.box, budget) is Status.FREE:
+                sub = model.restricted(c)
+                if sub.intersect_status(c, budget) is Status.FREE:
                     if best is None or cube_order_key(c) < cube_order_key(best):
                         best = c
                 else:
@@ -296,7 +296,7 @@ def _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes):
     vol = cube.volume
     if alpha == 0:
         return vol, vol
-    lo_d, hi_d = E.dist_interval(cube.box, budget)
+    lo_d, hi_d = E.dist_interval(cube, budget)
     up = hi_d + cube.side
     if parent_meets:
         # a point of E lies in the parent, at most 2*side away in l-inf
@@ -318,7 +318,7 @@ def _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes):
 
 
 def _mu_cell(E, local, cube, alpha, levels_left, parent_meets, budget, notes):
-    st = local.intersect_status(cube.box, budget)
+    st = local.intersect_status(cube, budget)
     if st is Status.FREE:
         return _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes)
     if alpha == 0:
@@ -333,7 +333,7 @@ def _mu_cell(E, local, cube, alpha, levels_left, parent_meets, budget, notes):
         # children's distances at 2*side
         meets = st is Status.INTERSECTS
         for c in children(cube):
-            sub = local.restricted(c.box)
+            sub = local.restricted(c)
             l, u = _mu_cell(E, sub, c, alpha, levels_left - 1, meets, budget, notes)
             lower += l
             upper = None if (upper is None or u is None) else upper + u
@@ -341,7 +341,7 @@ def _mu_cell(E, local, cube, alpha, levels_left, parent_meets, budget, notes):
     if levels_left > 0:
         notes.node_capped = True
     # terminal cell still meeting E
-    if cube.dim == 1 and alpha < 1 and E.misses_interior(cube.box, budget):
+    if cube.dim == 1 and alpha < 1 and E.misses_interior(cube, budget):
         notes.boundary_layer_cells += 1
         return _ZERO, _boundary_layer_upper(cube.side, alpha)
     notes.unresolved_cells.append(cube)
@@ -361,8 +361,8 @@ def mu_enclosure(E: SetModel, R: DyadicCube, alpha, J: int,
     alpha = _check_alpha(alpha, R.dim, allow_d=False)
     if E.is_empty:
         raise EmptySetError("weighted measure against an empty set")
-    local = E.restricted(R.box)
-    if local.intersect_status(R.box, budget) is Status.FREE:
+    local = E.restricted(R)
+    if local.intersect_status(R, budget) is Status.FREE:
         raise RootIsFree(f"{R} does not meet the set")
     notes = MuNotes()
     lower, upper = _mu_cell(E, local, R, alpha, J + split_budget, False,
@@ -374,7 +374,8 @@ def mu_points_exact_1d(E: PointsModel, box: Box, alpha) -> RatInterval | None:
     """Sharp certified mass of a 1-d box against a finite point set.
 
     The distance function is piecewise linear with breakpoints at the points
-    and their midpoints, so the integral has a closed form per piece.
+    and their midpoints, so the integral has a closed form per piece; only the
+    points in the box and the nearest one beyond each end take part.
     Supports 0 <= alpha < 1 (the full range in one dimension); returns None
     for larger exponents, where the one-sided antiderivative changes shape.
     """
@@ -382,7 +383,7 @@ def mu_points_exact_1d(E: PointsModel, box: Box, alpha) -> RatInterval | None:
     a, b = box.lo[0], box.hi[0]
     if a == b:
         return RatInterval.point(0)
-    pts = sorted(p[0] for p in E.points)
+    pts = E.around(a, b)
     if alpha == 0:
         return RatInterval.point(b - a)
     if alpha >= 1:
@@ -441,13 +442,13 @@ def _mu_decomposition_terms(E, DE, alpha, budget, split_budget):
     for q in free:
         p = parent(q)
         if p not in parent_meets:
-            parent_meets[p] = E.intersect_status(p.box, budget) is Status.INTERSECTS
+            parent_meets[p] = E.intersect_status(p, budget) is Status.INTERSECTS
         lower, upper = _free_cell_bounds(E, q, alpha, parent_meets[p], budget, notes)
         entries.append((q, lower, upper, True))
     for q in residual:
         # a residual cell meets E or is undetermined, so it is never bounded
         # as a free cell and needs no parent flag
-        local = E.restricted(q.box)
+        local = E.restricted(q)
         lower, upper = _mu_cell(E, local, q, alpha, split_budget, False, budget, notes)
         entries.append((q, lower, upper, False))
     return entries
@@ -469,7 +470,7 @@ def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,
             raise ValueError(f"family member {q} is not inside {R}")
         if q.depth > R.depth + J:
             raise ValueError(f"family member {q} deeper than truncation depth")
-        if E.intersect_status(q.box, budget) is Status.FREE:
+        if E.intersect_status(q, budget) is Status.FREE:
             raise ValueError(f"family member {q} does not meet the set")
     num_lo = _ZERO
     num_hi = _ZERO

@@ -151,6 +151,15 @@ def _write_csv(path: str, header, rows):
 SWEEP_HEADER = ["alpha", "J", "root", "value_lo", "value_hi", "ratio_lo", "ratio_hi"]
 
 
+def _alpha_grid(config: RunConfig, d: int) -> tuple:
+    """The --alpha-grid (default 1/10:1:1/10), each entry checked to lie in [0, d]."""
+    grid = config.alpha_grid or _parse_grid("1/10:1:1/10")
+    for a in grid:
+        if a < 0 or a > d:
+            raise ValidationError(f"alpha grid entry {a} outside [0, {d}]")
+    return grid
+
+
 def _analysis_J_list(J: int):
     cand = sorted({max(1, J - 6), max(1, J - 4), max(1, J - 2), J})
     if len(cand) < 2:
@@ -164,10 +173,7 @@ def cmd_analyze(config: RunConfig) -> int:
         raise ValidationError("cannot analyze an empty set")
     d = E.dim
     root = DyadicCube.root(d)
-    grid = config.alpha_grid or _parse_grid("1/10:1:1/10")
-    for a in grid:
-        if a < 0 or a > d:
-            raise ValidationError(f"alpha grid entry {a} outside [0, {d}]")
+    grid = _alpha_grid(config, d)
     J = config.depth
     J_list = _analysis_J_list(J)
     scan_depth = min(J, 6 if d == 1 else 3)
@@ -178,7 +184,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
     failure = bool(scan.absent)
     mu_json = None
-    if E.intersect_status(root.box, config.budget) is not Status.FREE:
+    if E.intersect_status(root, config.budget) is not Status.FREE:
         alpha_mid = grid[len(grid) // 2]
         if alpha_mid >= d:
             alpha_mid = grid[0] if grid[0] < d else Fraction(1, 2) * d
@@ -286,11 +292,13 @@ def cmd_gamma(config: RunConfig) -> int:
 def cmd_plotdata(config: RunConfig) -> int:
     rows = []
     family_rows = []
+    if config.family_path and (config.set_path or config.dim is not None):
+        raise ValidationError("plotdata --family reads neither --set nor --dim")
     if config.set_path:
         E = _load_set(config)
         if not E.is_empty:
             root = DyadicCube.root(E.dim)
-            grid = config.alpha_grid or _parse_grid("1/10:1:1/10")
+            grid = _alpha_grid(config, E.dim)
             J_list = _analysis_J_list(config.depth)
             # J_list ends at --depth or above, so one family serves both files
             family = enumerate_DE(E, root, J_list[-1], config.budget)

@@ -24,6 +24,8 @@ def frac_str(x: Fraction) -> str:
 
 
 def frac_parse(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational as a string such as '1/3', got {s!r}")
     s = s.strip()
     if "/" in s:
         num, den = (int(t) for t in s.split("/", 1))

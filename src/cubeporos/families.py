@@ -109,8 +109,8 @@ def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
     if J < 0:
         raise ValueError("truncation depth must be >= 0")
     members = []
-    local = E.restricted(R.box)
-    if local.intersect_status(R.box, budget) is not Status.FREE:
+    local = E.restricted(R)
+    if local.intersect_status(R, budget) is not Status.FREE:
         stack = [(R, local)]
         while stack:
             q, model = stack.pop()
@@ -118,8 +118,8 @@ def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
             if q.depth - R.depth >= J:
                 continue
             for c in children(q):
-                sub = model.restricted(c.box)
-                if sub.intersect_status(c.box, budget) is not Status.FREE:
+                sub = model.restricted(c)
+                if sub.intersect_status(c, budget) is not Status.FREE:
                     stack.append((c, sub))
     return CubeFamily.make(R, members, J, PROVENANCE_DE)
 
@@ -145,7 +145,7 @@ def enumerate_FE(E: SetModel, R: DyadicCube, J: int,
     if not family.members:
         raise RootIsFree(f"{R} does not meet the set; no decomposition")
     free, residual = free_split(family)
-    return FreeDecomposition(R, tuple((q, E.dist_interval(q.box, budget)) for q in free),
+    return FreeDecomposition(R, tuple((q, E.dist_interval(q, budget)) for q in free),
                              tuple(residual), J)
 
 
@@ -168,7 +168,7 @@ def enumerate_Dgamma(E: SetModel, R: DyadicCube, gamma, J: int,
     stack = [R]
     while stack:
         q = stack.pop()
-        if E.dist_below(q.box, gamma * q.side, budget) is False:
+        if E.dist_below(q, gamma * q.side, budget) is False:
             continue  # certified dist >= gamma*side; children only get farther
         members.append(q)
         if q.depth - R.depth < J:

@@ -192,7 +192,8 @@ def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
     return rel in (Relation.EQUAL, Relation.Q_INSIDE_R)
 
 
-def _as_box(obj) -> Box:
+def as_box(obj) -> Box:
+    """The half-open box of a cube, or the box itself."""
     return obj.box if isinstance(obj, DyadicCube) else obj
 
 
@@ -201,7 +202,7 @@ def linf_dist(a, b) -> Fraction:
 
     Zero exactly when the closures intersect.
     """
-    a, b = _as_box(a), _as_box(b)
+    a, b = as_box(a), as_box(b)
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim}-d box vs {b.dim}-d box")
     gap = _ZERO

@@ -160,10 +160,10 @@ def gamma_witness(E: SetModel, family: CubeFamily,
     witness = build_witness(combined, R, J, search_depth, budget)
     restricted = witness.restrict_to(family.members)
     for a in restricted.assignments:
-        if tilde.intersect_status(a.free_cube.box, budget) is not Status.FREE:
+        if tilde.intersect_status(a.free_cube, budget) is not Status.FREE:
             raise UnresolvedMeasure(
                 f"{a.free_cube} not certified free for the corner set")
-        if E.intersect_status(a.free_cube.box, budget) is not Status.FREE:
+        if E.intersect_status(a.free_cube, budget) is not Status.FREE:
             raise UnresolvedMeasure(
                 f"{a.free_cube} not certified free for the underlying set")
     return restricted
@@ -231,7 +231,7 @@ def _cell_mass(E, cube, alpha, budget, split_budget) -> RatInterval:
             raise UnresolvedMeasure(f"mass of {cube} diverges at alpha={alpha}")
         return enc
     notes = MuNotes()
-    local = E.restricted(cube.box)
+    local = E.restricted(cube)
     lower, upper = _mu_cell(E, local, cube, alpha, split_budget, False,
                             budget, notes)
     if upper is None:

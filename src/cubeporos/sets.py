@@ -7,10 +7,13 @@ enlarges enumerated families and inflates measured constants monotonically.
 The IFS oracles share one exact integer kernel: composed hull images are
 integer numerators over a per-node denominator, compared with the query box
 by cross-multiplication, and a `Fraction` is built only for a returned value.
+A point set finds a cube's points by bisection in a Z-order index (a linear
+quadtree), and its 1-d distances by bisection in its sorted coordinates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -19,10 +22,11 @@ from math import lcm
 
 from .enclosure import frac_parse, frac_str
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import Box, DyadicCube, linf_dist
+from .lattice import Box, DyadicCube, as_box, linf_dist
 
 DEFAULT_BUDGET = 36
 _MAX_NODES = 200_000  # hard cap on hull expansions per oracle call
+_ZERO = Fraction(0)
 
 
 class Status(Enum):
@@ -32,7 +36,8 @@ class Status(Enum):
 
 
 class SetModel:
-    """Common oracle interface; all models are immutable and pure."""
+    """Common oracle interface; all models are immutable and pure.  Every query
+    `box` is a `Box` or a `DyadicCube`, read as its half-open box."""
 
     kind = "abstract"
 
@@ -44,14 +49,15 @@ class SetModel:
     def is_empty(self) -> bool:
         return False
 
-    def intersect_status(self, box: Box, budget: int = DEFAULT_BUDGET) -> Status:
+    def intersect_status(self, box: Box | DyadicCube,
+                         budget: int = DEFAULT_BUDGET) -> Status:
         raise NotImplementedError
 
-    def dist_interval(self, box: Box, budget: int = DEFAULT_BUDGET):
+    def dist_interval(self, box: Box | DyadicCube, budget: int = DEFAULT_BUDGET):
         """Certified [lo, hi] with lo <= dist(box, E) <= hi."""
         raise NotImplementedError
 
-    def dist_below(self, box: Box, threshold, budget: int = DEFAULT_BUDGET):
+    def dist_below(self, box: Box | DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
         """Three-valued threshold query: is dist(box, E) < threshold?
 
         True and False are certified; None means the budget ran out.  Cheaper
@@ -65,14 +71,14 @@ class SetModel:
             return False
         return None
 
-    def restricted(self, box: Box) -> "SetModel":
+    def restricted(self, box: Box | DyadicCube) -> "SetModel":
         """Model whose intersection answers agree with self on sub-boxes of `box`.
 
         Only valid for intersection descent; distances must use the full model.
         """
         return self
 
-    def misses_interior(self, box: Box, budget: int = DEFAULT_BUDGET) -> bool:
+    def misses_interior(self, box: Box | DyadicCube, budget: int = DEFAULT_BUDGET) -> bool:
         """True only when E is certified not to meet the open interior of `box`."""
         return False
 
@@ -114,11 +120,32 @@ class EmptyModel(SetModel):
         return {"kind": "empty", "dim": self.dimension}
 
 
+def _zorder(coords, spread) -> int:
+    """Interleave the coordinates' bits, the first one's highest at each level;
+    `spread` maps each byte to its bits moved d places apart."""
+    step, z = 8 * len(coords), 0
+    for k in coords:
+        s = shift = 0
+        while k:
+            s |= spread[k & 255] << shift
+            k >>= 8
+            shift += step
+        z = z << 1 | s
+    return z
+
+
+def _ends(box):
+    """The two ends of a 1-d box or cube."""
+    if isinstance(box, DyadicCube):
+        return box.lower_corner[0], box.lower_corner[0] + box.side
+    return box.lo[0], box.hi[0]
+
+
 @dataclass(frozen=True)
 class PointsModel(SetModel):
     """Finite rational point set; every oracle answer is exact."""
 
-    points: tuple  # tuple of d-tuples of Fraction, deduplicated and sorted
+    points: tuple  # distinct sorted d-tuples of Fraction (key order if cube-restricted)
 
     kind = "points"
 
@@ -136,25 +163,80 @@ class PointsModel(SetModel):
     def dim(self) -> int:
         return len(self.points[0])
 
+    @cached_property
+    def _index(self):
+        """(K, spread, keys, rows): the points in [0,1)^d sorted by Z-order key,
+        the interleaved bits of their depth-K addresses (num << K) // den, with
+        K the bit length of the largest denominator."""
+        d = self.dim
+        spread = tuple(sum((b >> i & 1) << i * d for i in range(8)) for b in range(256))
+        K = max(x.denominator for p in self.points for x in p).bit_length()
+        rows = sorted((_zorder([(x.numerator << K) // x.denominator for x in p], spread), p)
+                      for p in self.points if all(0 <= x < 1 for x in p))
+        return K, spread, tuple(key for key, _ in rows), tuple(p for _, p in rows)
+
+    def _cube_rows(self, q: DyadicCube):
+        """The index keys and points inside q.  A depth-j cube, j <= K, owns the
+        keys [z << d(K-j), (z+1) << d(K-j)), z its interleaved coordinates; a
+        deeper one tests its depth-K ancestor's points exactly."""
+        K, spread, keys, rows = self._index
+        j = min(q.depth, K)
+        s = q.depth - j
+        z = _zorder([k >> s for k in q.coords], spread)
+        lo = bisect_left(keys, z << self.dim * (K - j))
+        hi = bisect_left(keys, (z + 1) << self.dim * (K - j), lo)
+        if not s:
+            return keys[lo:hi], rows[lo:hi]
+        kept = tuple(p for p in rows[lo:hi] if all(
+            k * x.denominator <= x.numerator << q.depth < (k + 1) * x.denominator
+            for k, x in zip(q.coords, p)))
+        return (z,) * len(kept), kept
+
+    @cached_property
+    def _line(self) -> tuple:
+        return tuple(sorted(p[0] for p in self.points))
+
+    def around(self, a, b) -> tuple:
+        """The sorted coordinates of a 1-d set in [a, b] and the nearest one
+        beyond each end: all that decides distances from [a, b]."""
+        xs = self._line
+        return xs[max(bisect_left(xs, a) - 1, 0):bisect_right(xs, b) + 1]
+
     def intersect_status(self, box, budget=DEFAULT_BUDGET):
         self._check_dim(box)
-        if any(box.contains_point(p) for p in self.points):
-            return Status.INTERSECTS
-        return Status.FREE
+        if isinstance(box, DyadicCube):
+            meets = bool(self._cube_rows(box)[1])
+        else:
+            meets = any(box.contains_point(p) for p in self.points)
+        return Status.INTERSECTS if meets else Status.FREE
 
     def dist_interval(self, box, budget=DEFAULT_BUDGET):
         self._check_dim(box)
-        d = min(linf_dist(box, Box.point(p)) for p in self.points)
+        if self.dim == 1:
+            a, b = _ends(box)
+            d = min(max(a - x, x - b, _ZERO) for x in self.around(a, b))
+        else:
+            d = min(linf_dist(box, Box.point(p)) for p in self.points)
         return (d, d)
 
     def restricted(self, box):
-        kept = tuple(p for p in self.points if box.contains_point(p))
+        self._check_dim(box)
+        if not isinstance(box, DyadicCube):
+            kept = tuple(p for p in self.points if box.contains_point(p))
+            return PointsModel(kept) if kept else EmptyModel(self.dim)
+        keys, kept = self._cube_rows(box)
         if not kept:
             return EmptyModel(self.dim)
-        return PointsModel(kept)
+        sub = PointsModel(kept)
+        sub.__dict__["_index"] = self._index[:2] + (keys, kept)  # the parent's slice
+        return sub
 
     def misses_interior(self, box, budget=DEFAULT_BUDGET):
         self._check_dim(box)
+        if self.dim == 1:
+            a, b = _ends(box)
+            return not any(a < x < b for x in self.around(a, b))
+        box = as_box(box)
         return not any(box.open_interior_contains_point(p) for p in self.points)
 
     def to_json(self):
@@ -270,15 +352,20 @@ class IFSModel(SetModel):
         return M, A, B, W, tuple(maps)
 
     def _query(self, box):
-        """Read the box once: its corners as numerators BL, BH over one
-        denominator bd.  Node hull numerators are kept multiplied by bd, so a
-        node with denominator D compares lo*bd/(D*bd) against BL*D/(D*bd).
+        """Read the query once: its corners as numerators BL, BH over one
+        denominator bd (2^depth for a cube).  Node hull numerators are kept
+        multiplied by bd, so a node with denominator D compares lo*bd/(D*bd)
+        against BL*D/(D*bd).
 
         Returns (bd, BL, BH, W*bd, root node, maps with offsets times bd).
         """
-        bd = lcm(*(x.denominator for x in box.lo + box.hi))
-        BL = tuple(x.numerator * (bd // x.denominator) for x in box.lo)
-        BH = tuple(x.numerator * (bd // x.denominator) for x in box.hi)
+        if isinstance(box, DyadicCube):
+            bd, BL = 1 << box.depth, box.coords
+            BH = tuple(k + 1 for k in BL)
+        else:
+            bd = lcm(*(x.denominator for x in box.lo + box.hi))
+            BL = tuple(x.numerator * (bd // x.denominator) for x in box.lo)
+            BH = tuple(x.numerator * (bd // x.denominator) for x in box.hi)
         M, A, B, W, maps = self._kernel
         root = (1, M, tuple(a * bd for a in A), tuple(b * bd for b in B))
         maps = tuple((p, q, tuple(o * bd for o in olo), tuple(o * bd for o in ohi))

@@ -216,7 +216,7 @@ def verify_witness(W: SparseWitness, E: SetModel,
         if a.cube.volume > W.lambda_hat * m.volume:
             return WitnessVerdict(False, "volume ratio exceeds lambda_hat",
                                   (a.cube, m))
-        if E.intersect_status(m.box, budget) is not Status.FREE:
+        if E.intersect_status(m, budget) is not Status.FREE:
             return WitnessVerdict(False, "assigned cube is not certified free",
                                   (a.cube, m))
     placed = {}

@@ -18,6 +18,7 @@ def write_set(tmp_path, name="set.json", kind="origin"):
                    "hull": {"lo": ["0/1"], "hi": ["1/1"]}},
         "empty": {"kind": "empty", "dim": 1},
         "zero-denominator": {"kind": "points", "points": [["1/0"]]},
+        "json-number": {"kind": "points", "points": [[0]]},
     }
     path = tmp_path / name
     path.write_text(json.dumps(payloads[kind]))
@@ -179,11 +180,35 @@ def test_unread_flag_exits_2(tmp_path, capsys, command, flag):
     (["gamma", "--gamma", "1/1", "--alpha", "x"], "origin"),
     (["analyze", "--tau", "1/0"], "origin"),
     (["analyze"], "zero-denominator"),
-], ids=["gamma-abc", "gamma-1/0", "p-1/0", "alpha-x", "tau-1/0", "set-1/0"])
+    (["witness"], "json-number"),
+], ids=["gamma-abc", "gamma-1/0", "p-1/0", "alpha-x", "tau-1/0", "set-1/0",
+        "set-json-number"])
 def test_malformed_fraction_exits_2(tmp_path, capsys, argv, kind):
     out = tmp_path / "r.json"
     code = main([*argv, "--set", write_set(tmp_path, kind=kind), "--depth", "3",
                  "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "plotdata"])
+def test_alpha_grid_outside_0_d_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    code = main([command, "--set", write_set(tmp_path), "--alpha-grid", "1:3:1",
+                 "--depth", "3", "--out", str(out)])
+    assert code == 2
+    assert "error: alpha grid entry 2 outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--set", "SET"], ["--dim", "3"]],
+                         ids=["set-and-family", "dim-mismatch"])
+def test_plotdata_rejects_a_family_with_unread_input(tmp_path, capsys, extra):
+    family = write_family(tmp_path, [{"depth": 0, "coords": [0]}])
+    extra = [write_set(tmp_path) if a == "SET" else a for a in extra]
+    out = tmp_path / "sweep.csv"
+    code = main(["plotdata", "--family", family, *extra, "--out", str(out)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from cubeporos import sets
 from cubeporos.errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from cubeporos.lattice import Box, DyadicCube
+from cubeporos.analysis import mu_points_exact_1d
+from cubeporos.lattice import Box, DyadicCube, as_box
 from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionModel,
                             cantor_middle_thirds, corner_set, model_from_json)
 import ifs_reference
+import points_reference
 from conftest import cantor_meets_interval, dyadic_cubes, point_sets
 
 F = Fraction
@@ -64,11 +66,14 @@ def test_empty_model():
                                UnionModel.make([PointsModel.make([(0,)]), CANTOR])],
                          ids=["points", "ifs", "union"])
 def test_wrong_dimension_box_raises(E):
-    box = Box.make([0, 0], [1, 1])
-    with pytest.raises(DimensionMismatch):
-        E.intersect_status(box)
-    with pytest.raises(DimensionMismatch):
-        E.misses_interior(box)
+    for box in (Box.make([0, 0], [1, 1]), DyadicCube.root(2)):
+        with pytest.raises(DimensionMismatch):
+            E.intersect_status(box)
+        with pytest.raises(DimensionMismatch):
+            E.misses_interior(box)
+        if E.kind != "ifs":  # an IFS model is its own restriction
+            with pytest.raises(DimensionMismatch):
+                E.restricted(box)
 
 
 @given(dyadic_cubes(dim=1, max_depth=7))
@@ -164,8 +169,11 @@ def rational_ifs(draw):
 
 @st.composite
 def query_boxes(draw, dim):
-    if draw(st.booleans()):
-        return draw(dyadic_cubes(dim=dim, max_depth=6)).box
+    """A cube, a cube's box, or a box with arbitrary rational corners."""
+    kind = draw(st.sampled_from(("cube", "cube box", "box")))
+    if kind != "box":
+        q = draw(dyadic_cubes(dim=dim, max_depth=6))
+        return q if kind == "cube" else q.box
     lo = tuple(_rational(draw, -1, 2) for _ in range(dim))
     return Box(lo, tuple(a + _rational(draw, 0, 1) for a in lo))
 
@@ -181,15 +189,91 @@ def ifs_queries(draw):
 @settings(max_examples=300, deadline=None)
 def test_ifs_kernel_matches_fraction_walk(query):
     E, box, budget, threshold = query
+    ref = as_box(box)
     # a small node cap bounds the reference walk's time and reaches the cap
     # branches, which both walks must take at the same node
     with mock.patch.object(sets, "_MAX_NODES", 1000):
         assert E.intersect_status(box, budget) is \
-            ifs_reference.intersect_status(E, box, budget)
+            ifs_reference.intersect_status(E, ref, budget)
         got = E.dist_interval(box, budget)
-        assert got == ifs_reference.dist_interval(E, box, budget)
+        assert got == ifs_reference.dist_interval(E, ref, budget)
         assert all(type(x) is F for x in got)
         assert E.dist_below(box, threshold, budget) is \
-            ifs_reference.dist_below(E, box, threshold, budget)
+            ifs_reference.dist_below(E, ref, threshold, budget)
         assert E.misses_interior(box, budget) is \
-            ifs_reference.misses_interior(E, box, budget)
+            ifs_reference.misses_interior(E, ref, budget)
+
+
+# point coordinates: dyadic and non-dyadic (thirds, sixths), on the boundary
+# of [0,1)^d (0 and 1) and outside it
+POINT_DENOMS = (1, 2, 3, 4, 6, 8, 16, 32)
+
+
+@st.composite
+def boundary_points(draw, d, max_points=8):
+    pts = []
+    for _ in range(draw(st.integers(1, max_points))):
+        den = draw(st.sampled_from(POINT_DENOMS))
+        pts.append(tuple(F(draw(st.integers(-den // 2, den + den // 4)), den)
+                         for _ in range(d)))
+    return PointsModel.make(pts)
+
+
+@st.composite
+def descendant(draw, q, max_extra=4):
+    """A cube inside q, up to `max_extra` levels deeper."""
+    g = draw(st.integers(0, max_extra))
+    return DyadicCube(q.depth + g, tuple((k << g) + draw(st.integers(0, (1 << g) - 1))
+                                         for k in q.coords))
+
+
+@st.composite
+def points_queries(draw):
+    """A point set, a query (a cube down to 3 levels below the index depth
+    K <= 6, its box, or an arbitrary or degenerate box), a threshold, and a
+    parent cube with a child inside it, or a second arbitrary cube."""
+    d = draw(st.integers(1, 3))
+    E = draw(boundary_points(d))
+    kind = draw(st.sampled_from(("cube", "cube box", "box")))
+    if kind == "box":
+        lo = tuple(_rational(draw, -1, 2) for _ in range(d))
+        box = Box(lo, tuple(a + _rational(draw, 0, 1) for a in lo))
+    else:
+        box = draw(dyadic_cubes(dim=d, max_depth=9))
+        box = box if kind == "cube" else box.box
+    parent = draw(dyadic_cubes(dim=d, max_depth=7))
+    child = draw(st.one_of(descendant(parent), dyadic_cubes(dim=d, max_depth=9)))
+    return E, box, _rational(draw, 0, 2), parent, child
+
+
+@given(points_queries())
+@settings(max_examples=400, deadline=None)
+def test_points_index_matches_scan(query):
+    E, box, threshold, parent, child = query
+    pts, ref = E.points, as_box(box)
+    assert E.intersect_status(box) is points_reference.intersect_status(pts, ref)
+    got = E.dist_interval(box)
+    assert got == points_reference.dist_interval(pts, ref)
+    assert all(type(x) is F for x in got)
+    assert E.dist_below(box, threshold) is points_reference.dist_below(pts, ref, threshold)
+    assert E.misses_interior(box) is points_reference.misses_interior(pts, ref)
+    kept = points_reference.restricted(pts, ref)
+    sub = E.restricted(box)
+    assert set(getattr(sub, "points", ())) == set(kept)
+    # a chain: restrict to the parent cube, then query or restrict to the child
+    local = E.restricted(parent)
+    kept = points_reference.restricted(pts, parent.box)
+    assert set(getattr(local, "points", ())) == set(kept)
+    assert local.intersect_status(child) is \
+        points_reference.intersect_status(kept, child.box)
+    assert set(getattr(local.restricted(child), "points", ())) == \
+        set(points_reference.restricted(kept, child.box))
+
+
+@given(boundary_points(1), st.integers(-4, 36), st.integers(0, 16),
+       st.sampled_from((0, F(1, 5), F(1, 2), F(3, 5), 1, F(3, 2))))
+@settings(max_examples=150, deadline=None)
+def test_mu_points_exact_1d_matches_full_scan(E, lo, width, alpha):
+    box = Box.make([F(lo, 32)], [F(lo + width, 32)])
+    assert mu_points_exact_1d(E, box, alpha) == \
+        points_reference.mu_points_exact_1d(E.points, box, alpha)
