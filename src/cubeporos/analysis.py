@@ -16,7 +16,7 @@ from fractions import Fraction
 from .enclosure import RatInterval, pow2_enclosure, pow_enclosure, sum_intervals
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
 from .families import CubeFamily, enumerate_DE, free_split
-from .lattice import Box, DyadicCube, children, contains, cube_order_key, parent
+from .lattice import DyadicCube, children, contains, cube_order_key, parent
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, Status
 
 DEFAULT_SPLIT_BUDGET = 20
@@ -370,19 +370,18 @@ def mu_enclosure(E: SetModel, R: DyadicCube, alpha, J: int,
     return MeasureEnclosure(alpha, R, J, split_budget, lower, upper, notes)
 
 
-def mu_points_exact_1d(E: PointsModel, box: Box, alpha) -> RatInterval | None:
-    """Sharp certified mass of a 1-d box against a finite point set.
+def mu_points_exact_1d(E: PointsModel, q: DyadicCube, alpha) -> RatInterval | None:
+    """Sharp certified mass of a 1-d cube against a finite point set.
 
     The distance function is piecewise linear with breakpoints at the points
     and their midpoints, so the integral has a closed form per piece; only the
-    points in the box and the nearest one beyond each end take part.
+    points in the cube and the nearest one beyond each end take part.
     Supports 0 <= alpha < 1 (the full range in one dimension); returns None
     for larger exponents, where the one-sided antiderivative changes shape.
     """
     alpha = Fraction(alpha)
-    a, b = box.lo[0], box.hi[0]
-    if a == b:
-        return RatInterval.point(0)
+    a = q.lower_corner[0]
+    b = a + q.side
     pts = E.around(a, b)
     if alpha == 0:
         return RatInterval.point(b - a)

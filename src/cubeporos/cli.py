@@ -230,7 +230,7 @@ def cmd_witness(config: RunConfig) -> int:
 def cmd_invert(config: RunConfig) -> int:
     family = _load_family(config)
     try:
-        _E, report = invert(family, config.depth, config.budget)
+        _E, report = invert(family, config.depth)
     except NotParentClosed as exc:
         _dump_json(config.out, {
             "config": config.to_json(),
@@ -345,7 +345,7 @@ COMMANDS = {
                 "--search-depth --alpha-grid --tau --out", {}),
     "witness": (cmd_witness, "--set --dim --depth --budget --search-depth --out", {}),
     # depth None lets invert() take the deepest family member + 8
-    "invert": (cmd_invert, "--family --depth --budget --out", {"depth": None}),
+    "invert": (cmd_invert, "--family --depth --out", {"depth": None}),
     "gamma": (cmd_gamma, "--set --dim --depth --budget --split-budget "
               "--search-depth --alpha --gamma --p --seed --out", {}),
     "plotdata": (cmd_plotdata, "--set --family --dim --depth --budget --alpha-grid "

@@ -36,6 +36,13 @@ def frac_parse(s: str) -> Fraction:
     return Fraction(s)
 
 
+def int_parse(x) -> int:
+    """A JSON integer as read by `json`; a float, bool or string raises."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for integers n >= 0, k >= 1."""
     if n < 0:

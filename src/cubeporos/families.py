@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .enclosure import frac_parse, frac_str
+from .enclosure import frac_parse, frac_str, int_parse
 from .errors import EmptySetError, RootIsFree
 from .lattice import DyadicCube, children, cube_order_key
 from .sets import DEFAULT_BUDGET, SetModel, Status
@@ -61,7 +61,7 @@ class CubeFamily:
     def from_json(cls, obj) -> "CubeFamily":
         return cls.make(DyadicCube.from_json(obj["root"]),
                         [DyadicCube.from_json(c) for c in obj["members"]],
-                        int(obj["J"]), obj.get("provenance", PROVENANCE_USER))
+                        int_parse(obj["J"]), obj.get("provenance", PROVENANCE_USER))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class FreeDecomposition:
                       (frac_parse(e["dist"][0]), frac_parse(e["dist"][1])))
                      for e in obj["free"])
         residual = tuple(DyadicCube.from_json(c) for c in obj["residual"])
-        return cls(DyadicCube.from_json(obj["root"]), free, residual, int(obj["J"]))
+        return cls(DyadicCube.from_json(obj["root"]), free, residual, int_parse(obj["J"]))
 
 
 def enumerate_DE(E: SetModel, R: DyadicCube, J: int,

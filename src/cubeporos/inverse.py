@@ -20,7 +20,7 @@ from .enclosure import frac_str
 from .errors import EmptyFamilyError, NotParentClosed
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube
-from .sets import DEFAULT_BUDGET, corner_set
+from .sets import corner_set
 from .sparse import carleson_constant, subtree_sums
 
 _ZERO = Fraction(0)
@@ -117,8 +117,7 @@ def _chain_owner(q: DyadicCube, S: CubeFamily) -> DyadicCube | None:
     return None
 
 
-def invert(S: CubeFamily, J: int | None = None,
-           budget: int = DEFAULT_BUDGET) -> tuple:
+def invert(S: CubeFamily, J: int | None = None) -> tuple:
     """Corner set of S plus the certified packing report of its meeting family.
 
     J defaults to (deepest member depth) + 8; deeper chain tails contribute
@@ -137,7 +136,7 @@ def invert(S: CubeFamily, J: int | None = None,
     E = corner_set(S.members)
 
     d = S.root.dim
-    DE = enumerate_DE(E, DyadicCube.root(d), J, budget)
+    DE = enumerate_DE(E, DyadicCube.root(d), J)  # point-set answers are exact
     # every member holds its own corner, so this fails only for members
     # deeper than J
     corner_membership_ok = all(q in DE for q in S.members)

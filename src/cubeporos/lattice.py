@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .enclosure import frac_parse, frac_str
+from .enclosure import frac_parse, frac_str, int_parse
 from .errors import DimensionMismatch, RootHasNoParent
 
 _ZERO = Fraction(0)
@@ -147,7 +147,7 @@ class DyadicCube:
 
     @classmethod
     def from_json(cls, obj) -> "DyadicCube":
-        return cls(int(obj["depth"]), tuple(int(k) for k in obj["coords"]))
+        return cls(int_parse(obj["depth"]), tuple(int_parse(k) for k in obj["coords"]))
 
     def __str__(self):
         return f"Q(j={self.depth}, k={self.coords})"
@@ -192,17 +192,12 @@ def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
     return rel in (Relation.EQUAL, Relation.Q_INSIDE_R)
 
 
-def as_box(obj) -> Box:
-    """The half-open box of a cube, or the box itself."""
-    return obj.box if isinstance(obj, DyadicCube) else obj
-
-
 def linf_dist(a, b) -> Fraction:
     """Exact infimum l-inf distance between two half-open boxes (or cubes).
 
     Zero exactly when the closures intersect.
     """
-    a, b = as_box(a), as_box(b)
+    a, b = (x.box if isinstance(x, DyadicCube) else x for x in (a, b))
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim}-d box vs {b.dim}-d box")
     gap = _ZERO

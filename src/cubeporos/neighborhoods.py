@@ -9,12 +9,13 @@ embedding inequality is evaluated with certified per-cell masses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _mu_cell, mu_enclosure,
                        mu_points_exact_1d)
-from .enclosure import RatInterval, frac_parse, frac_str, pow_enclosure
+from .enclosure import RatInterval, frac_parse, frac_str, int_parse, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children, cube_order_key, dilate
@@ -62,7 +63,6 @@ def _covering_cubes(R: DyadicCube, n: int):
     most 3 cubes per axis are needed; the dilation is clipped to the unit
     root before covering.
     """
-    d = R.dim
     tilde = dilate(R, n)
     m = max(0, R.depth - (2 * n + 1).bit_length() + 1)
     side = Fraction(1, 1 << m)
@@ -77,17 +77,8 @@ def _covering_cubes(R: DyadicCube, n: int):
         last = -((-hi) // side) - 1  # ceil(hi/side) - 1
         last = min(last, (1 << m) - 1)
         ranges.append(range(int(first), int(last) + 1))
-    cubes = []
-
-    def rec(axis, prefix):
-        if axis == d:
-            cubes.append(DyadicCube(m, tuple(prefix)))
-            return
-        for k in ranges[axis]:
-            rec(axis + 1, prefix + [k])
-
-    rec(0, [])
-    return cubes, clipped
+    # the first axis varies slowest, the order the gamma reports list
+    return [DyadicCube(m, k) for k in itertools.product(*ranges)], clipped
 
 
 def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
@@ -206,7 +197,7 @@ class EmbeddingQuery:
                   for e in obj["coeffs"]}
         return cls.make(frac_parse(obj["p"]), frac_parse(obj["alpha"]),
                         frac_parse(obj["gamma"]), DyadicCube.from_json(obj["R"]),
-                        int(obj["J"]), coeffs)
+                        int_parse(obj["J"]), coeffs)
 
 
 @dataclass(frozen=True)
@@ -226,7 +217,7 @@ class EmbeddingReport:
 def _cell_mass(E, cube, alpha, budget, split_budget) -> RatInterval:
     """Certified mass of one cell; sharp closed form for 1-d point sets."""
     if isinstance(E, PointsModel) and E.dim == 1:
-        enc = mu_points_exact_1d(E, cube.box, alpha)
+        enc = mu_points_exact_1d(E, cube, alpha)
         if enc is None:
             raise UnresolvedMeasure(f"mass of {cube} diverges at alpha={alpha}")
         return enc

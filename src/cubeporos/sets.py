@@ -1,12 +1,14 @@
 """Verified set models: three-valued intersection and distance-interval oracles.
 
+Every oracle takes a dyadic cube of the lattice, the paper's unit of query.
 A model answers `Free` or `Intersects` only when the answer is exact; refinement
 budgets turn hard cases into `Undetermined`, never into a wrong exact answer.
 Callers that must commit treat `Undetermined` as `Intersects`, which only
 enlarges enumerated families and inflates measured constants monotonically.
 The IFS oracles share one exact integer kernel: composed hull images are
-integer numerators over a per-node denominator, compared with the query box
-by cross-multiplication, and a `Fraction` is built only for a returned value.
+integer numerators over a per-node denominator, compared with the cube's
+integer corners by cross-multiplication, and a `Fraction` is built only for a
+returned value.
 A point set finds a cube's points by bisection in a Z-order index (a linear
 quadtree), and its 1-d distances by bisection in its sorted coordinates.
 """
@@ -20,9 +22,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .enclosure import frac_parse, frac_str
+from .enclosure import frac_parse, frac_str, int_parse
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import Box, DyadicCube, as_box, linf_dist
+from .lattice import Box, DyadicCube, linf_dist
 
 DEFAULT_BUDGET = 36
 _MAX_NODES = 200_000  # hard cap on hull expansions per oracle call
@@ -37,7 +39,7 @@ class Status(Enum):
 
 class SetModel:
     """Common oracle interface; all models are immutable and pure.  Every query
-    `box` is a `Box` or a `DyadicCube`, read as its half-open box."""
+    `q` is a `DyadicCube`, read as its half-open box."""
 
     kind = "abstract"
 
@@ -49,45 +51,44 @@ class SetModel:
     def is_empty(self) -> bool:
         return False
 
-    def intersect_status(self, box: Box | DyadicCube,
-                         budget: int = DEFAULT_BUDGET) -> Status:
+    def intersect_status(self, q: DyadicCube, budget: int = DEFAULT_BUDGET) -> Status:
         raise NotImplementedError
 
-    def dist_interval(self, box: Box | DyadicCube, budget: int = DEFAULT_BUDGET):
-        """Certified [lo, hi] with lo <= dist(box, E) <= hi."""
+    def dist_interval(self, q: DyadicCube, budget: int = DEFAULT_BUDGET):
+        """Certified [lo, hi] with lo <= dist(q, E) <= hi."""
         raise NotImplementedError
 
-    def dist_below(self, box: Box | DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
-        """Three-valued threshold query: is dist(box, E) < threshold?
+    def dist_below(self, q: DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
+        """Three-valued threshold query: is dist(q, E) < threshold?
 
         True and False are certified; None means the budget ran out.  Cheaper
         than a full distance interval because refinement stops as soon as the
         comparison is decided.
         """
-        lo, hi = self.dist_interval(box, budget)
+        lo, hi = self.dist_interval(q, budget)
         if hi < threshold:
             return True
         if lo >= threshold:
             return False
         return None
 
-    def restricted(self, box: Box | DyadicCube) -> "SetModel":
-        """Model whose intersection answers agree with self on sub-boxes of `box`.
+    def restricted(self, q: DyadicCube) -> "SetModel":
+        """Model whose intersection answers agree with self on subcubes of `q`.
 
         Only valid for intersection descent; distances must use the full model.
         """
         return self
 
-    def misses_interior(self, box: Box | DyadicCube, budget: int = DEFAULT_BUDGET) -> bool:
-        """True only when E is certified not to meet the open interior of `box`."""
+    def misses_interior(self, q: DyadicCube, budget: int = DEFAULT_BUDGET) -> bool:
+        """True only when E is certified not to meet the open interior of `q`."""
         return False
 
     def to_json(self):
         raise NotImplementedError
 
-    def _check_dim(self, box: Box):
-        if box.dim != self.dim:
-            raise DimensionMismatch(f"{self.dim}-d set vs {box.dim}-d box")
+    def _check_dim(self, q: DyadicCube):
+        if q.dim != self.dim:
+            raise DimensionMismatch(f"{self.dim}-d set vs {q.dim}-d cube")
 
 
 @dataclass(frozen=True)
@@ -104,16 +105,16 @@ class EmptyModel(SetModel):
     def is_empty(self) -> bool:
         return True
 
-    def intersect_status(self, box, budget=DEFAULT_BUDGET):
+    def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return Status.FREE
 
-    def dist_interval(self, box, budget=DEFAULT_BUDGET):
+    def dist_interval(self, q, budget=DEFAULT_BUDGET):
         raise EmptySetError("distance to the empty set is undefined")
 
-    def dist_below(self, box, threshold, budget=DEFAULT_BUDGET):
+    def dist_below(self, q, threshold, budget=DEFAULT_BUDGET):
         return False
 
-    def misses_interior(self, box, budget=DEFAULT_BUDGET):
+    def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return True
 
     def to_json(self):
@@ -134,11 +135,9 @@ def _zorder(coords, spread) -> int:
     return z
 
 
-def _ends(box):
-    """The two ends of a 1-d box or cube."""
-    if isinstance(box, DyadicCube):
-        return box.lower_corner[0], box.lower_corner[0] + box.side
-    return box.lo[0], box.hi[0]
+def _ends(q):
+    """The two ends of a 1-d cube."""
+    return q.lower_corner[0], q.lower_corner[0] + q.side
 
 
 @dataclass(frozen=True)
@@ -202,42 +201,36 @@ class PointsModel(SetModel):
         xs = self._line
         return xs[max(bisect_left(xs, a) - 1, 0):bisect_right(xs, b) + 1]
 
-    def intersect_status(self, box, budget=DEFAULT_BUDGET):
-        self._check_dim(box)
-        if isinstance(box, DyadicCube):
-            meets = bool(self._cube_rows(box)[1])
-        else:
-            meets = any(box.contains_point(p) for p in self.points)
-        return Status.INTERSECTS if meets else Status.FREE
+    def intersect_status(self, q, budget=DEFAULT_BUDGET):
+        self._check_dim(q)
+        return Status.INTERSECTS if self._cube_rows(q)[1] else Status.FREE
 
-    def dist_interval(self, box, budget=DEFAULT_BUDGET):
-        self._check_dim(box)
+    def dist_interval(self, q, budget=DEFAULT_BUDGET):
+        self._check_dim(q)
         if self.dim == 1:
-            a, b = _ends(box)
+            a, b = _ends(q)
             d = min(max(a - x, x - b, _ZERO) for x in self.around(a, b))
         else:
-            d = min(linf_dist(box, Box.point(p)) for p in self.points)
+            d = min(linf_dist(q, Box.point(p)) for p in self.points)
         return (d, d)
 
-    def restricted(self, box):
-        self._check_dim(box)
-        if not isinstance(box, DyadicCube):
-            kept = tuple(p for p in self.points if box.contains_point(p))
-            return PointsModel(kept) if kept else EmptyModel(self.dim)
-        keys, kept = self._cube_rows(box)
+    def restricted(self, q):
+        self._check_dim(q)
+        keys, kept = self._cube_rows(q)
         if not kept:
             return EmptyModel(self.dim)
         sub = PointsModel(kept)
         sub.__dict__["_index"] = self._index[:2] + (keys, kept)  # the parent's slice
         return sub
 
-    def misses_interior(self, box, budget=DEFAULT_BUDGET):
-        self._check_dim(box)
+    def misses_interior(self, q, budget=DEFAULT_BUDGET):
+        self._check_dim(q)
         if self.dim == 1:
-            a, b = _ends(box)
+            a, b = _ends(q)
             return not any(a < x < b for x in self.around(a, b))
-        box = as_box(box)
-        return not any(box.open_interior_contains_point(p) for p in self.points)
+        # q's open interior is its half-open box less its lower faces
+        return not any(all(x > c for x, c in zip(p, q.lower_corner))
+                       for p in self._cube_rows(q)[1])
 
     def to_json(self):
         return {"kind": "points",
@@ -245,13 +238,13 @@ class PointsModel(SetModel):
 
 
 def _relate(node, BL, BH):
-    """Compare an IFS node's hull with the query box in integers.
+    """Compare an IFS node's hull with the query cube in integers.
 
     `node` is (P, D, LO, HI): ratio numerator, denominator, and hull corner
-    numerators over D*bd; BL, BH are the box corners over bd.  Returns
+    numerators over D*bd; BL, BH are the cube corners over bd.  Returns
     (gap, inside_closed, inside_open, meets_open): `gap` is the numerator
     over D*bd of the l-inf distance between the closures (0 exactly when
-    they meet); the flags say whether the hull lies in the closed box, lies
+    they meet); the flags say whether the hull lies in the closed cube, lies
     in its open interior, and meets its open interior.
     """
     D, LO, HI = node[1], node[2], node[3]
@@ -351,38 +344,39 @@ class IFSModel(SetModel):
                          tuple(p * b + q * (t - b) for b, t in zip(B, T))))
         return M, A, B, W, tuple(maps)
 
-    def _query(self, box):
-        """Read the query once: its corners as numerators BL, BH over one
-        denominator bd (2^depth for a cube).  Node hull numerators are kept
-        multiplied by bd, so a node with denominator D compares lo*bd/(D*bd)
-        against BL*D/(D*bd).
+    def _query(self, cube):
+        """Read the cube once: its corners as numerators BL, BH over
+        bd = 2^depth.  Node hull numerators are kept multiplied by bd, so a
+        node with denominator D compares lo*bd/(D*bd) against BL*D/(D*bd).
 
         Returns (bd, BL, BH, W*bd, root node, maps with offsets times bd).
         """
-        if isinstance(box, DyadicCube):
-            bd, BL = 1 << box.depth, box.coords
-            BH = tuple(k + 1 for k in BL)
-        else:
-            bd = lcm(*(x.denominator for x in box.lo + box.hi))
-            BL = tuple(x.numerator * (bd // x.denominator) for x in box.lo)
-            BH = tuple(x.numerator * (bd // x.denominator) for x in box.hi)
+        bd, BL = 1 << cube.depth, cube.coords
+        BH = tuple(k + 1 for k in BL)
         M, A, B, W, maps = self._kernel
         root = (1, M, tuple(a * bd for a in A), tuple(b * bd for b in B))
         maps = tuple((p, q, tuple(o * bd for o in olo), tuple(o * bd for o in ohi))
                      for p, q, olo, ohi in maps)
         return bd, BL, BH, W * bd, root, maps
 
-    def intersect_status(self, box, budget=DEFAULT_BUDGET):
-        self._check_dim(box)
-        _bd, BL, BH, _Wb, root, maps = self._query(box)
+    def _search(self, q, budget, interior) -> Status:
+        """Depth-first search for a hull image inside q's open interior.
+
+        A branch is pruned when its hull's closure misses q's closure, or,
+        with `interior`, when its hull misses q's open interior.  FREE means
+        every branch was pruned; a budget or node-cap hit makes it
+        UNDETERMINED.
+        """
+        self._check_dim(q)
+        _bd, BL, BH, _Wb, root, maps = self._query(q)
         stack = [(root, 0)]
         undetermined = False
         nodes = 0
         while stack:
             node, level = stack.pop()
             nodes += 1
-            gap, _closed, inside, _meets = _relate(node, BL, BH)
-            if gap > 0:  # closures disjoint
+            gap, _closed, inside, meets = _relate(node, BL, BH)
+            if (not meets) if interior else gap > 0:
                 continue
             if inside:
                 return Status.INTERSECTS
@@ -392,10 +386,13 @@ class IFSModel(SetModel):
             stack.extend((c, level + 1) for c in _children(node, maps))
         return Status.UNDETERMINED if undetermined else Status.FREE
 
-    def dist_interval(self, box, budget=DEFAULT_BUDGET):
+    def intersect_status(self, q, budget=DEFAULT_BUDGET):
+        return self._search(q, budget, False)
+
+    def dist_interval(self, q, budget=DEFAULT_BUDGET):
         # distances are numerators over D*bd; (n, d) pairs compare crosswise
-        self._check_dim(box)
-        bd, BL, BH, Wb, root, maps = self._query(box)
+        self._check_dim(q)
+        bd, BL, BH, Wb, root, maps = self._query(q)
         hi_n, hi_d = _relate(root, BL, BH)[0] + Wb, root[1] * bd
         lo_n, lo_d = 0, 1
         frontier = [root]
@@ -425,11 +422,11 @@ class IFSModel(SetModel):
                     hi_n, hi_d = reach, den
         return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
-    def dist_below(self, box, threshold, budget=DEFAULT_BUDGET):
-        self._check_dim(box)
+    def dist_below(self, q, threshold, budget=DEFAULT_BUDGET):
+        self._check_dim(q)
         threshold = Fraction(threshold)
         t_n, t_d = threshold.numerator, threshold.denominator
-        bd, BL, BH, Wb, root, maps = self._query(box)
+        bd, BL, BH, Wb, root, maps = self._query(q)
         frontier = [root]
         for _ in range(budget):
             keep = []
@@ -450,23 +447,8 @@ class IFSModel(SetModel):
             frontier = [c for node in keep for c in _children(node, maps)]
         return None
 
-    def misses_interior(self, box, budget=DEFAULT_BUDGET):
-        self._check_dim(box)
-        _bd, BL, BH, _Wb, root, maps = self._query(box)
-        stack = [(root, 0)]
-        nodes = 0
-        while stack:
-            node, level = stack.pop()
-            nodes += 1
-            _gap, _closed, inside, meets = _relate(node, BL, BH)
-            if not meets:
-                continue
-            if inside:
-                return False
-            if level >= budget or nodes > _MAX_NODES:
-                return False  # cannot certify
-            stack.extend((c, level + 1) for c in _children(node, maps))
-        return True
+    def misses_interior(self, q, budget=DEFAULT_BUDGET):
+        return self._search(q, budget, True) is Status.FREE
 
     def to_json(self):
         return {"kind": "ifs",
@@ -499,42 +481,42 @@ class UnionModel(SetModel):
     def is_empty(self) -> bool:
         return all(p.is_empty for p in self.parts)
 
-    def intersect_status(self, box, budget=DEFAULT_BUDGET):
+    def intersect_status(self, q, budget=DEFAULT_BUDGET):
         undetermined = False
         for p in self.parts:
-            st = p.intersect_status(box, budget)
+            st = p.intersect_status(q, budget)
             if st is Status.INTERSECTS:
                 return Status.INTERSECTS
             if st is Status.UNDETERMINED:
                 undetermined = True
         return Status.UNDETERMINED if undetermined else Status.FREE
 
-    def dist_interval(self, box, budget=DEFAULT_BUDGET):
+    def dist_interval(self, q, budget=DEFAULT_BUDGET):
         live = [p for p in self.parts if not p.is_empty]
         if not live:
             raise EmptySetError("distance to an empty union")
-        ivs = [p.dist_interval(box, budget) for p in live]
+        ivs = [p.dist_interval(q, budget) for p in live]
         return (min(lo for lo, _ in ivs), min(hi for _, hi in ivs))
 
-    def dist_below(self, box, threshold, budget=DEFAULT_BUDGET):
+    def dist_below(self, q, threshold, budget=DEFAULT_BUDGET):
         undecided = False
         for p in self.parts:
-            ans = p.dist_below(box, threshold, budget)
+            ans = p.dist_below(q, threshold, budget)
             if ans is True:
                 return True
             if ans is None:
                 undecided = True
         return None if undecided else False
 
-    def restricted(self, box):
-        kept = [p.restricted(box) for p in self.parts]
+    def restricted(self, q):
+        kept = [p.restricted(q) for p in self.parts]
         kept = [p for p in kept if not p.is_empty]
         if not kept:
             return EmptyModel(self.dim)
         return UnionModel(tuple(kept))
 
-    def misses_interior(self, box, budget=DEFAULT_BUDGET):
-        return all(p.misses_interior(box, budget) for p in self.parts)
+    def misses_interior(self, q, budget=DEFAULT_BUDGET):
+        return all(p.misses_interior(q, budget) for p in self.parts)
 
     def to_json(self):
         return {"kind": "union", "parts": [p.to_json() for p in self.parts]}
@@ -573,5 +555,5 @@ def model_from_json(obj) -> SetModel:
     if kind == "corners":
         return corner_set([DyadicCube.from_json(c) for c in obj["family"]])
     if kind == "empty":
-        return EmptyModel(int(obj["dim"]))
+        return EmptyModel(int_parse(obj["dim"]))
     raise ValueError(f"unknown set kind {kind!r}")

@@ -23,8 +23,8 @@ def free_decomposition(E, R, J, budget):
 
     Raises RootIsFree when the set certifiably misses R.
     """
-    local = E.restricted(R.box)
-    if local.intersect_status(R.box, budget) is Status.FREE:
+    local = E.restricted(R)
+    if local.intersect_status(R, budget) is Status.FREE:
         raise RootIsFree(f"{R} does not meet the set")
     free, residual, meeting = [], [], []
     stack = [(R, local)]
@@ -35,14 +35,14 @@ def free_decomposition(E, R, J, budget):
             residual.append(q)
             continue
         for c in children(q):
-            sub = model.restricted(c.box)
-            if sub.intersect_status(c.box, budget) is Status.FREE:
+            sub = model.restricted(c)
+            if sub.intersect_status(c, budget) is Status.FREE:
                 free.append(c)
             else:
                 stack.append((c, sub))
     free.sort(key=cube_order_key)
     residual.sort(key=cube_order_key)
-    free_entries = tuple((q, E.dist_interval(q.box, budget)) for q in free)
+    free_entries = tuple((q, E.dist_interval(q, budget)) for q in free)
     return free_entries, tuple(residual), meeting
 
 

@@ -2,10 +2,10 @@
 
 These are the oracles `PointsModel` answered with before its Z-order index
 and its one-dimensional bisection, and `mu_points_exact_1d` as it was before
-it read only the points near its box.  They take a point tuple and a `Box`
-(read a cube through `lattice.as_box`) and decide every point with the box
-predicates.  The property tests require the model to return exactly the same
-values.
+it read only the points near its cube.  They take a point tuple and a `Box`
+(the property tests pass a query cube's `box`) and decide every point with
+the box predicates.  The property tests require the model to return exactly
+the same values.
 """
 
 from fractions import Fraction

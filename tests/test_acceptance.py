@@ -57,7 +57,7 @@ def test_criterion_1_partition_exactness():
             depth = rng.randrange(1, 3)
             cand = DyadicCube(depth, tuple(rng.randrange(1 << depth)
                                            for _ in range(d)))
-            if E.intersect_status(cand.box) is Status.INTERSECTS:
+            if E.intersect_status(cand) is Status.INTERSECTS:
                 cube = cand
         try:
             dec = enumerate_FE(E, cube, J)
@@ -262,7 +262,7 @@ def test_criterion_8_multiplicity_inequality():
         d = rng.choice([1, 2])
         E = random_porous_model(rng, d)
         root = DyadicCube.root(d)
-        if E.intersect_status(root.box) is Status.FREE:
+        if E.intersect_status(root) is Status.FREE:
             continue
         configs.append((E, root, 5 if d == 1 else 4))
     count = 0

@@ -170,13 +170,13 @@ def test_mu_monotone_in_depth():
 
 def test_mu_exact_1d_points():
     E = PointsModel.make([(0,)])
-    enc = mu_points_exact_1d(E, Box.make([0], [1]), F(1, 2))
+    enc = mu_points_exact_1d(E, ROOT1, F(1, 2))
     assert enc.contains(2) and enc.width < F(1, 10 ** 15)
     # exponents >= 1 are outside the sharp route's domain
-    assert mu_points_exact_1d(E, Box.make([0], [1]), 1) is None
+    assert mu_points_exact_1d(E, ROOT1, 1) is None
     # two points: integral splits at the midpoint
     E2 = PointsModel.make([(0,), (1,)])
-    enc2 = mu_points_exact_1d(E2, Box.make([0], [1]), F(1, 2))
+    enc2 = mu_points_exact_1d(E2, ROOT1, F(1, 2))
     assert abs(float(enc2.lo) - 2 * math.sqrt(2)) < 1e-15
 
 
@@ -236,7 +236,7 @@ def test_codim_saturated_grid_at_low_resolution():
 @given(point_sets(dim=1, max_points=4), st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]))
 @settings(max_examples=30, deadline=None)
 def test_multiplicity_inequality_random_points(E, alpha):
-    if E.intersect_status(ROOT1.box) is Status.FREE:
+    if E.intersect_status(ROOT1) is Status.FREE:
         return
     lhs, rhs, ok = parent_multiplicity_margin(enumerate_DE(E, ROOT1, 6), alpha)
     assert ok

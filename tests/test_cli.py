@@ -124,7 +124,7 @@ COMMAND_FLAGS = {
     "analyze": {"--set", "--dim", "--depth", "--budget", "--split-budget",
                 "--search-depth", "--alpha-grid", "--tau", "--out"},
     "witness": {"--set", "--dim", "--depth", "--budget", "--search-depth", "--out"},
-    "invert": {"--family", "--depth", "--budget", "--out"},
+    "invert": {"--family", "--depth", "--out"},
     "gamma": {"--set", "--dim", "--depth", "--budget", "--split-budget",
               "--search-depth", "--alpha", "--gamma", "--p", "--seed", "--out"},
     "plotdata": {"--set", "--family", "--dim", "--depth", "--budget",
@@ -162,7 +162,7 @@ def test_help_lists_the_commands_flags(capsys, command):
 def test_unread_flag_exits_2(tmp_path, capsys, command, flag):
     values = {"--set": write_set(tmp_path), "--dim": "1",
               "--family": write_family(tmp_path, [{"depth": 0, "coords": [0]}]),
-              "--split-budget": "4", "--search-depth": "2",
+              "--budget": "4", "--split-budget": "4", "--search-depth": "2",
               "--alpha-grid": "1/2:1:1/2", "--alpha": "1/2", "--gamma": "1/1",
               "--p": "2/1", "--tau": "1/10", "--seed": "1"}
     out = tmp_path / "r.json"
@@ -189,6 +189,31 @@ def test_malformed_fraction_exits_2(tmp_path, capsys, argv, kind):
                  "--out", str(out)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _family_payload(member, J=8):
+    return {"root": {"depth": 0, "coords": [0]}, "J": J,
+            "members": [{"depth": 0, "coords": [0]}, member]}
+
+
+@pytest.mark.parametrize("command,flag,payload", [
+    ("invert", "--family", _family_payload({"depth": 1, "coords": [0.9]})),
+    ("invert", "--family", _family_payload({"depth": 1, "coords": [1]}, J=2.7)),
+    ("witness", "--set", {"kind": "corners", "family": [{"depth": 1.5, "coords": [0]}]}),
+    ("witness", "--set", {"kind": "corners", "family": [{"depth": True, "coords": [0]}]}),
+    ("witness", "--set", {"kind": "corners", "family": [{"depth": 1, "coords": ["1"]}]}),
+    ("plotdata", "--set", {"kind": "empty", "dim": 1.5}),
+    ("plotdata", "--set", {"kind": "empty", "dim": True}),
+], ids=["coord-float", "J-float", "depth-float", "depth-bool", "coord-string",
+        "dim-float", "dim-bool"])
+def test_non_integer_json_exits_2(tmp_path, capsys, command, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "r.json"
+    code = main([command, flag, str(path), "--depth", "2", "--out", str(out)])
+    assert code == 2
+    assert "expected an integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -94,7 +94,7 @@ def test_de_subset_of_dgamma(E, J, gamma):
 @settings(max_examples=60, deadline=None)
 def test_partition_identity(E, J):
     root = DyadicCube.root(E.dim)
-    if E.intersect_status(root.box) is Status.FREE:
+    if E.intersect_status(root) is Status.FREE:
         return
     dec = enumerate_FE(E, root, J)
     assert dec.free_volume() + dec.residual_volume() == root.volume
@@ -125,11 +125,11 @@ def test_parent_closure_of_de(E, J):
 @settings(max_examples=50, deadline=None)
 def test_free_maximality(E, J):
     root = DyadicCube.root(E.dim)
-    if E.intersect_status(root.box) is Status.FREE:
+    if E.intersect_status(root) is Status.FREE:
         return
     dec = enumerate_FE(E, root, J)
     for q, _ in dec.free:
-        assert E.intersect_status(parent(q).box) is not Status.FREE
+        assert E.intersect_status(parent(q)) is not Status.FREE
 
 
 def test_family_json_round_trip():
@@ -139,6 +139,10 @@ def test_family_json_round_trip():
     dec = enumerate_FE(E, ROOT1, 3)
     again = FreeDecomposition.from_json(dec.to_json())
     assert again == dec
+    # J must be a JSON integer, not a float that int() would truncate
+    for cls, obj in ((CubeFamily, fam.to_json()), (FreeDecomposition, dec.to_json())):
+        with pytest.raises(ValueError):
+            cls.from_json({**obj, "J": 3.0})
 
 
 @st.composite

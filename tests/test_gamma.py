@@ -100,14 +100,14 @@ def test_gamma_witness_wide_gamma():
     w = witness(ORIGIN, 2, 4)
     assert len(w.assignments) > 4
     for a in w.assignments:
-        assert ORIGIN.intersect_status(a.free_cube.box) is Status.FREE
+        assert ORIGIN.intersect_status(a.free_cube) is Status.FREE
     assert verify_witness(w, ORIGIN)
 
 
 def test_gamma_witness_cantor():
     w = witness(CANTOR, F(1, 2), 4, search_depth=4)
     for a in w.assignments:
-        assert CANTOR.intersect_status(a.free_cube.box) is Status.FREE
+        assert CANTOR.intersect_status(a.free_cube) is Status.FREE
 
 
 def _constant_query(p, J=30):
@@ -170,3 +170,5 @@ def test_embedding_query_json_round_trip():
     q = _constant_query(2, J=5)
     again = EmbeddingQuery.from_json(q.to_json())
     assert again == q
+    with pytest.raises(ValueError):
+        EmbeddingQuery.from_json({**q.to_json(), "J": 5.0})

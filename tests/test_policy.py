@@ -1,4 +1,5 @@
-"""Project policy: cubeporos has no runtime dependencies.
+"""Project policy: cubeporos has no runtime dependencies, and the benchmark
+tracer finds every name it wraps.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -6,7 +7,9 @@ package itself.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +39,14 @@ def test_package_imports_only_the_standard_library():
                 if top != "cubeporos" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno}: {name}")
     assert foreign == []
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py looks its wrapped names up with getattr, so a
+    # function removed from cubeporos breaks `run.py --trace 1`
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cubeporos import sets
 from cubeporos.errors import DimensionMismatch, EmptyFamilyError, EmptySetError
 from cubeporos.analysis import mu_points_exact_1d
-from cubeporos.lattice import Box, DyadicCube, as_box
+from cubeporos.lattice import Box, DyadicCube
 from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionModel,
                             cantor_middle_thirds, corner_set, model_from_json)
 import ifs_reference
@@ -21,24 +21,25 @@ CANTOR = cantor_middle_thirds()
 
 def test_points_intersect_examples():
     E = PointsModel.make([(0,)])
-    assert E.intersect_status(Box.make([F(1, 2)], [1])) is Status.FREE
-    assert E.intersect_status(Box.make([0], [F(1, 4)])) is Status.INTERSECTS
+    assert E.intersect_status(DyadicCube(1, (1,))) is Status.FREE
+    assert E.intersect_status(DyadicCube(2, (0,))) is Status.INTERSECTS
 
 
 def test_cantor_free_gap_interval(cantor):
-    # (3/8, 1/2) sits inside the removed middle third
-    assert cantor.intersect_status(Box.make([F(3, 8)], [F(1, 2)])) is Status.FREE
+    # [3/8, 1/2) sits inside the removed middle third
+    assert cantor.intersect_status(DyadicCube(3, (3,))) is Status.FREE
     assert cantor_meets_interval(F(3, 8), F(1, 2)) is False
 
 
 def test_dist_interval_examples(cantor):
     E = PointsModel.make([(0,)])
-    assert E.dist_interval(Box.point([F(1, 2)])) == (F(1, 2), F(1, 2))
+    assert E.dist_interval(DyadicCube(1, (1,))) == (F(1, 2), F(1, 2))
     E2 = PointsModel.make([(0,), (F(1, 4),)])
-    assert E2.dist_interval(Box.make([F(1, 2)], [F(5, 8)])) == (F(1, 4), F(1, 4))
+    assert E2.dist_interval(DyadicCube(3, (4,))) == (F(1, 4), F(1, 4))
     for budget in (4, 8, 12):
-        lo, hi = cantor.dist_interval(Box.point([F(1, 2)]), budget)
-        assert lo <= F(1, 6) <= hi
+        # [3/8, 1/2] lies 1/24 above the Cantor point 1/3
+        lo, hi = cantor.dist_interval(DyadicCube(3, (3,)), budget)
+        assert lo <= F(1, 24) <= hi
         assert hi - lo <= F(1, 3) ** budget
 
 
@@ -57,23 +58,23 @@ def test_corner_set_examples():
 
 def test_empty_model():
     E = EmptyModel(2)
-    assert E.intersect_status(DyadicCube.root(2).box) is Status.FREE
+    assert E.intersect_status(DyadicCube.root(2)) is Status.FREE
     with pytest.raises(EmptySetError):
-        E.dist_interval(DyadicCube.root(2).box)
+        E.dist_interval(DyadicCube.root(2))
 
 
 @pytest.mark.parametrize("E", [PointsModel.make([(0,)]), CANTOR,
                                UnionModel.make([PointsModel.make([(0,)]), CANTOR])],
                          ids=["points", "ifs", "union"])
 def test_wrong_dimension_box_raises(E):
-    for box in (Box.make([0, 0], [1, 1]), DyadicCube.root(2)):
+    q = DyadicCube.root(2)
+    with pytest.raises(DimensionMismatch):
+        E.intersect_status(q)
+    with pytest.raises(DimensionMismatch):
+        E.misses_interior(q)
+    if E.kind != "ifs":  # an IFS model is its own restriction
         with pytest.raises(DimensionMismatch):
-            E.intersect_status(box)
-        with pytest.raises(DimensionMismatch):
-            E.misses_interior(box)
-        if E.kind != "ifs":  # an IFS model is its own restriction
-            with pytest.raises(DimensionMismatch):
-                E.restricted(box)
+            E.restricted(q)
 
 
 @given(dyadic_cubes(dim=1, max_depth=7))
@@ -81,7 +82,7 @@ def test_wrong_dimension_box_raises(E):
 def test_cantor_oracle_never_contradicts_brute_force(q):
     truth = cantor_meets_interval(q.box.lo[0], q.box.hi[0], m=12)
     for budget in (2, 6, 12, 20):
-        got = CANTOR.intersect_status(q.box, budget)
+        got = CANTOR.intersect_status(q, budget)
         if truth is True:
             assert got is not Status.FREE
         elif truth is False:
@@ -91,7 +92,7 @@ def test_cantor_oracle_never_contradicts_brute_force(q):
 @given(dyadic_cubes(dim=1, max_depth=6))
 @settings(max_examples=60, deadline=None)
 def test_budget_monotonicity(q):
-    answers = [CANTOR.intersect_status(q.box, b) for b in (1, 3, 6, 10, 16)]
+    answers = [CANTOR.intersect_status(q, b) for b in (1, 3, 6, 10, 16)]
     decided = None
     for a in answers:
         if decided is not None:
@@ -106,7 +107,7 @@ def test_budget_monotonicity(q):
 def test_dist_interval_nesting_in_budget(q):
     prev = None
     for b in (2, 5, 9, 14):
-        lo, hi = CANTOR.dist_interval(q.box, b)
+        lo, hi = CANTOR.dist_interval(q, b)
         assert lo <= hi
         if prev is not None:
             plo, phi = prev
@@ -124,7 +125,7 @@ def test_corner_membership(E):
         cubes.append(DyadicCube(depth, coords))
     cs = corner_set(cubes)
     for q in cubes:
-        assert cs.intersect_status(q.box) is Status.INTERSECTS
+        assert cs.intersect_status(q) is Status.INTERSECTS
 
 
 def test_set_json_round_trip(cantor):
@@ -168,39 +169,28 @@ def rational_ifs(draw):
 
 
 @st.composite
-def query_boxes(draw, dim):
-    """A cube, a cube's box, or a box with arbitrary rational corners."""
-    kind = draw(st.sampled_from(("cube", "cube box", "box")))
-    if kind != "box":
-        q = draw(dyadic_cubes(dim=dim, max_depth=6))
-        return q if kind == "cube" else q.box
-    lo = tuple(_rational(draw, -1, 2) for _ in range(dim))
-    return Box(lo, tuple(a + _rational(draw, 0, 1) for a in lo))
-
-
-@st.composite
 def ifs_queries(draw):
     E = draw(st.one_of(st.just(CANTOR), rational_ifs()))
-    return (E, draw(query_boxes(E.dim)), draw(st.sampled_from((0, 1, 2, 3, 4, 36))),
-            _rational(draw, 0, 2))
+    return (E, draw(dyadic_cubes(dim=E.dim, max_depth=6)),
+            draw(st.sampled_from((0, 1, 2, 3, 4, 36))), _rational(draw, 0, 2))
 
 
 @given(ifs_queries())
 @settings(max_examples=300, deadline=None)
 def test_ifs_kernel_matches_fraction_walk(query):
-    E, box, budget, threshold = query
-    ref = as_box(box)
+    E, q, budget, threshold = query
+    ref = q.box
     # a small node cap bounds the reference walk's time and reaches the cap
     # branches, which both walks must take at the same node
     with mock.patch.object(sets, "_MAX_NODES", 1000):
-        assert E.intersect_status(box, budget) is \
+        assert E.intersect_status(q, budget) is \
             ifs_reference.intersect_status(E, ref, budget)
-        got = E.dist_interval(box, budget)
+        got = E.dist_interval(q, budget)
         assert got == ifs_reference.dist_interval(E, ref, budget)
         assert all(type(x) is F for x in got)
-        assert E.dist_below(box, threshold, budget) is \
+        assert E.dist_below(q, threshold, budget) is \
             ifs_reference.dist_below(E, ref, threshold, budget)
-        assert E.misses_interior(box, budget) is \
+        assert E.misses_interior(q, budget) is \
             ifs_reference.misses_interior(E, ref, budget)
 
 
@@ -229,36 +219,30 @@ def descendant(draw, q, max_extra=4):
 
 @st.composite
 def points_queries(draw):
-    """A point set, a query (a cube down to 3 levels below the index depth
-    K <= 6, its box, or an arbitrary or degenerate box), a threshold, and a
-    parent cube with a child inside it, or a second arbitrary cube."""
+    """A point set, a query cube down to 3 levels below the index depth
+    K <= 6, a threshold, and a parent cube with a child inside it, or a
+    second arbitrary cube."""
     d = draw(st.integers(1, 3))
     E = draw(boundary_points(d))
-    kind = draw(st.sampled_from(("cube", "cube box", "box")))
-    if kind == "box":
-        lo = tuple(_rational(draw, -1, 2) for _ in range(d))
-        box = Box(lo, tuple(a + _rational(draw, 0, 1) for a in lo))
-    else:
-        box = draw(dyadic_cubes(dim=d, max_depth=9))
-        box = box if kind == "cube" else box.box
+    q = draw(dyadic_cubes(dim=d, max_depth=9))
     parent = draw(dyadic_cubes(dim=d, max_depth=7))
     child = draw(st.one_of(descendant(parent), dyadic_cubes(dim=d, max_depth=9)))
-    return E, box, _rational(draw, 0, 2), parent, child
+    return E, q, _rational(draw, 0, 2), parent, child
 
 
 @given(points_queries())
 @settings(max_examples=400, deadline=None)
 def test_points_index_matches_scan(query):
-    E, box, threshold, parent, child = query
-    pts, ref = E.points, as_box(box)
-    assert E.intersect_status(box) is points_reference.intersect_status(pts, ref)
-    got = E.dist_interval(box)
+    E, q, threshold, parent, child = query
+    pts, ref = E.points, q.box
+    assert E.intersect_status(q) is points_reference.intersect_status(pts, ref)
+    got = E.dist_interval(q)
     assert got == points_reference.dist_interval(pts, ref)
     assert all(type(x) is F for x in got)
-    assert E.dist_below(box, threshold) is points_reference.dist_below(pts, ref, threshold)
-    assert E.misses_interior(box) is points_reference.misses_interior(pts, ref)
+    assert E.dist_below(q, threshold) is points_reference.dist_below(pts, ref, threshold)
+    assert E.misses_interior(q) is points_reference.misses_interior(pts, ref)
     kept = points_reference.restricted(pts, ref)
-    sub = E.restricted(box)
+    sub = E.restricted(q)
     assert set(getattr(sub, "points", ())) == set(kept)
     # a chain: restrict to the parent cube, then query or restrict to the child
     local = E.restricted(parent)
@@ -270,10 +254,9 @@ def test_points_index_matches_scan(query):
         set(points_reference.restricted(kept, child.box))
 
 
-@given(boundary_points(1), st.integers(-4, 36), st.integers(0, 16),
+@given(boundary_points(1), dyadic_cubes(dim=1, max_depth=7),
        st.sampled_from((0, F(1, 5), F(1, 2), F(3, 5), 1, F(3, 2))))
 @settings(max_examples=150, deadline=None)
-def test_mu_points_exact_1d_matches_full_scan(E, lo, width, alpha):
-    box = Box.make([F(lo, 32)], [F(lo + width, 32)])
-    assert mu_points_exact_1d(E, box, alpha) == \
-        points_reference.mu_points_exact_1d(E.points, box, alpha)
+def test_mu_points_exact_1d_matches_full_scan(E, q, alpha):
+    assert mu_points_exact_1d(E, q, alpha) == \
+        points_reference.mu_points_exact_1d(E.points, q.box, alpha)

@@ -44,7 +44,7 @@ class _Builder:
         self.assignments = {}
 
     def _status(self, model, cube):
-        return model.intersect_status(cube.box, self.budget)
+        return model.intersect_status(cube, self.budget)
 
     def assign(self, q, local, inherited, inherited_origin):
         if inherited is None:
@@ -59,7 +59,7 @@ class _Builder:
             for c in children(q):
                 if c == s_star:
                     continue
-                if self._status(local.restricted(c.box), c) is Status.FREE:
+                if self._status(local.restricted(c), c) is Status.FREE:
                     m = c
                     break
                 meeting.append(c)
@@ -72,7 +72,7 @@ class _Builder:
         if q.depth >= self.max_depth:
             return
         for c in children(q):
-            sub = local.restricted(c.box)
+            sub = local.restricted(c)
             if self._status(sub, c) is Status.FREE:
                 continue
             inh, origin = None, None
@@ -84,8 +84,8 @@ class _Builder:
 
 
 def build_witness(E, R, J, search_depth, budget):
-    local = E.restricted(R.box)
-    if local.intersect_status(R.box, budget) is Status.FREE:
+    local = E.restricted(R)
+    if local.intersect_status(R, budget) is Status.FREE:
         raise RootIsFree(f"{R} does not meet the set")
     builder = _Builder(E, search_depth, budget, R.depth + J)
     builder.assign(R, local, None, None)
@@ -109,8 +109,8 @@ def build_witness(E, R, J, search_depth, budget):
         for c in children(p):
             if c == cur:
                 continue
-            sub = E.restricted(c.box)
-            if sub.intersect_status(c.box, budget) is Status.FREE:
+            sub = E.restricted(c)
+            if sub.intersect_status(c, budget) is Status.FREE:
                 continue
             if contains(c, m_p) and c != m_p:
                 builder.assign(c, sub, m_p, p)
