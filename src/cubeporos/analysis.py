@@ -341,7 +341,7 @@ def _mu_cell(E, local, cube, alpha, levels_left, parent_meets, budget, notes):
     if levels_left > 0:
         notes.node_capped = True
     # terminal cell still meeting E
-    if cube.dim == 1 and alpha < 1 and E.misses_interior(cube, budget):
+    if cube.dim == 1 and alpha < 1 and local.misses_interior(cube, budget):
         notes.boundary_layer_cells += 1
         return _ZERO, _boundary_layer_upper(cube.side, alpha)
     notes.unresolved_cells.append(cube)

@@ -97,13 +97,18 @@ def _load_json_file(path: str, what: str):
         raise ValidationError(f"malformed JSON in {what} file {path}: {exc}")
 
 
+# what reading JSON of the wrong shape raises: a missing key, a list where an
+# object belongs, a number where a list belongs, a bad value
+_BAD_SHAPE = (AttributeError, KeyError, TypeError, ValueError, CubeporosError)
+
+
 def _load_set(config: RunConfig) -> SetModel:
     if not config.set_path:
         raise ValidationError("--set FILE is required for this command")
     obj = _load_json_file(config.set_path, "set")
     try:
         model = model_from_json(obj)
-    except (KeyError, ValueError, CubeporosError) as exc:
+    except _BAD_SHAPE as exc:
         raise ValidationError(f"bad set description at {config.set_path}: {exc}")
     if config.dim is not None and model.dim != config.dim:
         raise ValidationError(
@@ -117,7 +122,7 @@ def _load_family(config: RunConfig) -> CubeFamily:
     obj = _load_json_file(config.family_path, "family")
     try:
         return CubeFamily.from_json(obj)
-    except (KeyError, ValueError, CubeporosError) as exc:
+    except _BAD_SHAPE as exc:
         raise ValidationError(f"bad family file at {config.family_path}: {exc}")
 
 

@@ -8,7 +8,9 @@ enlarges enumerated families and inflates measured constants monotonically.
 The IFS oracles share one exact integer kernel: composed hull images are
 integer numerators over a per-node denominator, compared with the cube's
 integer corners by cross-multiplication, and a `Fraction` is built only for a
-returned value.
+returned value.  A restricted IFS model is a view that shares the kernel and
+keeps the frontier of hull images meeting its cube, built from its parent
+view's frontier; its intersection searches start there instead of the root.
 A point set finds a cube's points by bisection in a Z-order index (a linear
 quadtree), and its 1-d distances by bisection in its sorted coordinates.
 """
@@ -75,7 +77,8 @@ class SetModel:
     def restricted(self, q: DyadicCube) -> "SetModel":
         """Model whose intersection answers agree with self on subcubes of `q`.
 
-        Only valid for intersection descent; distances must use the full model.
+        Only valid for intersection queries, `intersect_status` and
+        `misses_interior`; distances must use the full model.
         """
         return self
 
@@ -156,6 +159,8 @@ class PointsModel(SetModel):
         dims = {len(p) for p in norm}
         if len(dims) != 1:
             raise DimensionMismatch("points of mixed dimension")
+        if not norm[0]:
+            raise ValueError("a point needs at least one coordinate")
         return cls(tuple(norm))
 
     @property
@@ -274,6 +279,33 @@ def _children(node, maps):
             for p, q, olo, ohi in maps]
 
 
+def _walk(stack, BL, BH, maps, budget, interior):
+    """Depth-first search from the (node, level) entries of `stack` for a hull
+    image inside the open cube with corners BL, BH.
+
+    A branch is pruned when its hull's closure misses the cube's closure, or,
+    with `interior`, when its hull misses the open interior.  FREE means every
+    branch was pruned; a budget or node-cap hit makes it UNDETERMINED.
+    Returns the status and whether the node cap was hit.
+    """
+    undetermined = capped = False
+    nodes = 0
+    while stack:
+        node, level = stack.pop()
+        nodes += 1
+        gap, _closed, inside, meets = _relate(node, BL, BH)
+        if (not meets) if interior else gap > 0:
+            continue
+        if inside:
+            return Status.INTERSECTS, capped
+        capped = nodes > _MAX_NODES
+        if level >= budget or capped:
+            undetermined = True
+            continue
+        stack.extend((c, level + 1) for c in _children(node, maps))
+    return (Status.UNDETERMINED if undetermined else Status.FREE), capped
+
+
 def _least(scored):
     """Smallest gap/den over (gap, den, node) entries, as a (num, den) pair."""
     lo_n, lo_d = scored[0][0], scored[0][1]
@@ -297,6 +329,7 @@ class IFSModel(SetModel):
     hull: Box
 
     kind = "ifs"
+    _view = None  # (cube, deepest level examined, frontier) on a restricted view
 
     @classmethod
     def make(cls, maps, hull: Box) -> "IFSModel":
@@ -359,32 +392,63 @@ class IFSModel(SetModel):
                      for p, q, olo, ohi in maps)
         return bd, BL, BH, W * bd, root, maps
 
-    def _search(self, q, budget, interior) -> Status:
-        """Depth-first search for a hull image inside q's open interior.
+    def _from_view(self, q):
+        """This view's frontier rescaled to q's depth and the deepest level its
+        builds examined, or None unless this is a view of a cube holding q."""
+        if self._view is None:
+            return None
+        cube, deepest, frontier = self._view
+        s = q.depth - cube.depth
+        if s < 0 or any(k >> s != c for k, c in zip(q.coords, cube.coords)):
+            return None
+        if s:
+            frontier = [((P, D, tuple(x << s for x in LO), tuple(x << s for x in HI)), level)
+                        for (P, D, LO, HI), level in frontier]
+        return frontier, deepest
 
-        A branch is pruned when its hull's closure misses q's closure, or,
-        with `interior`, when its hull misses q's open interior.  FREE means
-        every branch was pruned; a budget or node-cap hit makes it
-        UNDETERMINED.
+    def restricted(self, q):
+        """A view for descent inside q: on q's subcubes its intersection
+        answers equal the root search's unless that search hits the node cap,
+        and then are never less decided.
+
+        It keeps the frontier of hull nodes whose closures meet q's closure,
+        expanded from this model's frontier (or the root) until each is no
+        wider than q, so every hull image a search inside q can decide on
+        lies below it.  A build that would pass the node cap gives the
+        unrestricted model.
         """
         self._check_dim(q)
-        _bd, BL, BH, _Wb, root, maps = self._query(q)
-        stack = [(root, 0)]
-        undetermined = False
-        nodes = 0
-        while stack:
-            node, level = stack.pop()
+        _bd, BL, BH, Wb, root, maps = self._query(q)
+        todo, deepest = self._from_view(q) or ([(root, 0)], 0)
+        todo, frontier, nodes = list(todo), [], 0
+        while todo and nodes < _MAX_NODES:
             nodes += 1
-            gap, _closed, inside, meets = _relate(node, BL, BH)
-            if (not meets) if interior else gap > 0:
+            node, level = todo.pop()
+            if _relate(node, BL, BH)[0] > 0:
                 continue
-            if inside:
-                return Status.INTERSECTS
-            if level >= budget or nodes > _MAX_NODES:
-                undetermined = True
-                continue
-            stack.extend((c, level + 1) for c in _children(node, maps))
-        return Status.UNDETERMINED if undetermined else Status.FREE
+            if node[0] * Wb <= node[1]:
+                frontier.append((node, level))
+            else:
+                deepest = max(deepest, level + 1)
+                todo.extend((c, level + 1) for c in _children(node, maps))
+        sub = IFSModel(self.maps, self.hull)
+        sub.__dict__.update(_kernel=self._kernel,
+                            _view=None if todo else (q, deepest, tuple(frontier)))
+        return sub
+
+    def _search(self, q, budget, interior) -> Status:
+        """Depth-first search for a hull image inside q's open interior, from
+        the view's frontier when that gives the root search's answer: the
+        frontier is there, holds q, was built no deeper than `budget`, and
+        its search stays under the node cap."""
+        self._check_dim(q)
+        _bd, BL, BH, _Wb, root, maps = self._query(q)
+        start = self._from_view(q)
+        if start is not None and budget >= start[1]:
+            status, capped = _walk(list(start[0]), BL, BH, maps, budget, interior)
+            if not capped:
+                return status
+        return _walk([(root, 0)], BL, BH, maps, budget, interior)[0]
 
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return self._search(q, budget, False)
@@ -555,5 +619,8 @@ def model_from_json(obj) -> SetModel:
     if kind == "corners":
         return corner_set([DyadicCube.from_json(c) for c in obj["family"]])
     if kind == "empty":
-        return EmptyModel(int_parse(obj["dim"]))
+        dim = int_parse(obj["dim"])
+        if dim < 1:
+            raise ValueError(f"an empty set needs dim >= 1, got {dim}")
+        return EmptyModel(dim)
     raise ValueError(f"unknown set kind {kind!r}")

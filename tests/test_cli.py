@@ -217,6 +217,23 @@ def test_non_integer_json_exits_2(tmp_path, capsys, command, flag, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,payload", [
+    ("witness", "--set", [1, 2]),
+    ("invert", "--family", _family_payload({"depth": 0, "coords": 0})),
+    ("plotdata", "--set", {"kind": "empty", "dim": -1}),
+    ("plotdata", "--set", {"kind": "points", "points": [[]]}),
+], ids=["set-list", "coords-int", "empty-dim-negative", "points-no-coordinate"])
+def test_wrong_shape_json_exits_2(tmp_path, capsys, command, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "r.json"
+    code = main([command, flag, str(path), "--depth", "2", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "plotdata"])
 def test_alpha_grid_outside_0_d_exits_2(tmp_path, capsys, command):
     out = tmp_path / "r.json"

@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeporos import sets
@@ -13,7 +13,7 @@ from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionMode
                             cantor_middle_thirds, corner_set, model_from_json)
 import ifs_reference
 import points_reference
-from conftest import cantor_meets_interval, dyadic_cubes, point_sets
+from conftest import cantor_meets_interval, dyadic_cubes, point_sets, small_ifs
 
 F = Fraction
 CANTOR = cantor_middle_thirds()
@@ -72,9 +72,8 @@ def test_wrong_dimension_box_raises(E):
         E.intersect_status(q)
     with pytest.raises(DimensionMismatch):
         E.misses_interior(q)
-    if E.kind != "ifs":  # an IFS model is its own restriction
-        with pytest.raises(DimensionMismatch):
-            E.restricted(q)
+    with pytest.raises(DimensionMismatch):
+        E.restricted(q)
 
 
 @given(dyadic_cubes(dim=1, max_depth=7))
@@ -135,6 +134,12 @@ def test_set_json_round_trip(cantor):
                   EmptyModel(2)):
         again = model_from_json(model.to_json())
         assert again == model
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_empty_set_json_needs_a_dimension(dim):
+    with pytest.raises(ValueError, match="dim >= 1"):
+        model_from_json({"kind": "empty", "dim": dim})
 
 
 def test_corners_json_kind():
@@ -260,3 +265,73 @@ def test_points_index_matches_scan(query):
 def test_mu_points_exact_1d_matches_full_scan(E, q, alpha):
     assert mu_points_exact_1d(E, q, alpha) == \
         points_reference.mu_points_exact_1d(E.points, q.box, alpha)
+
+
+@st.composite
+def ifs_views(draw):
+    """A small IFS, a chain of 0-5 nested cubes, each up to 2 levels below the
+    last, a query cube up to 2 levels below the chain's end, and a budget."""
+    E = draw(small_ifs(draw(st.integers(1, 2))))
+    chain = [DyadicCube.root(E.dim)]
+    for _ in range(draw(st.integers(0, 5))):
+        chain.append(draw(descendant(chain[-1], max_extra=2)))
+    return E, chain, draw(descendant(chain[-1], max_extra=2)), \
+        draw(st.sampled_from((0, 1, 2, 3, 4, 36)))
+
+
+def _root_search(E, q, budget, interior):
+    """The root model's search answer, and whether it hit the node cap."""
+    _bd, BL, BH, _Wb, root, maps = E._query(q)
+    return sets._walk([(root, 0)], BL, BH, maps, budget, interior)
+
+
+# On [0, 1/2) the root search pops the last map's branch first and finds an
+# image inside within a few hundred nodes.  The view's frontier search pops the
+# first map's branch first: x/2 + 1/2 touches 1/2 through 4^L words and never
+# lies inside, so it hits a 1,000-node cap and must fall back to the root.
+_HALF = (F(1, 2), (F(0),))
+CAP_TRAP = IFSModel.make([(F(1, 2), (F(1, 2),)), _HALF, _HALF, _HALF,
+                          (F(1, 8), (F(0),)), (F(1, 4), (F(3, 8),))], Box.make([0], [1]))
+
+
+@given(ifs_views())
+@example((CAP_TRAP, [DyadicCube.root(1), DyadicCube(1, (0,))], DyadicCube(1, (0,)), 36))
+@settings(max_examples=300, deadline=None)
+def test_ifs_view_answers_as_the_root_model(query):
+    E, chain, q, budget = query
+    # the small cap makes some root searches hit it, where a view may only
+    # answer more decidedly
+    with mock.patch.object(sets, "_MAX_NODES", 1000):
+        view = E
+        for cube in chain:
+            view = view.restricted(cube)
+        assert view == E and view._kernel is E._kernel
+        ref, capped = _root_search(E, q, budget, False)
+        assert ref is E.intersect_status(q, budget)
+        got = view.intersect_status(q, budget)
+        assert got is ref or (capped and ref is Status.UNDETERMINED)
+        ref, capped = _root_search(E, q, budget, True)
+        assert (ref is Status.FREE) is E.misses_interior(q, budget)
+        got = view.misses_interior(q, budget)
+        assert got is (ref is Status.FREE) or (capped and ref is Status.UNDETERMINED)
+
+
+def test_ifs_view_shares_the_kernel_and_json():
+    q = DyadicCube(3, (2,))
+    view = CANTOR.restricted(q)
+    assert type(view) is IFSModel and view._kernel is CANTOR._kernel
+    assert view == CANTOR and view.to_json() == CANTOR.to_json()
+    assert view.restricted(DyadicCube(4, (5,)))._kernel is CANTOR._kernel
+    # a cube outside the view's is answered, and restricted to, from the root
+    far = DyadicCube(4, (15,))
+    assert view.intersect_status(far) is Status.INTERSECTS
+    assert view.restricted(far).intersect_status(far) is Status.INTERSECTS
+
+
+def test_ifs_view_build_over_the_node_cap_is_unrestricted():
+    q = DyadicCube(6, (21,))  # [21/64, 22/64) holds the Cantor point 1/3
+    with mock.patch.object(sets, "_MAX_NODES", 3):
+        view = CANTOR.restricted(q)
+    assert view._view is None and view._kernel is CANTOR._kernel
+    assert view.intersect_status(q) is CANTOR.intersect_status(q)
+    assert view.restricted(q)._view is not None
