@@ -260,6 +260,8 @@ def cmd_gamma(config: RunConfig) -> int:
         raise ValidationError("--gamma P/Q is required")
     if config.gamma <= 0:
         raise ValidationError(f"--gamma must be positive, got {config.gamma}")
+    if config.p < 1:
+        raise ValidationError(f"--p must be >= 1, got {config.p}")
     d = E.dim
     root = DyadicCube.root(d)
     alpha = config.alpha if config.alpha is not None else Fraction(1, 2)
@@ -380,8 +382,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        for flag, value in (("--depth", config.depth),
-                            ("--search-depth", config.search_depth)):
+        for flag in ("--depth", "--budget", "--split-budget", "--search-depth"):
+            value = getattr(config, flag[2:].replace("-", "_"))
             if value is not None and value < 0:
                 raise ValidationError(f"{flag} must be >= 0, got {value}")
         return COMMANDS[config.command][0](config)

@@ -79,9 +79,6 @@ class Box:
                 return False
         return True
 
-    def open_interior_contains_point(self, p) -> bool:
-        return all(a < x < b for a, b, x in zip(self.lo, self.hi, p))
-
     def to_json(self):
         return {"lo": [frac_str(x) for x in self.lo],
                 "hi": [frac_str(x) for x in self.hi]}

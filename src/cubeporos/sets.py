@@ -11,6 +11,8 @@ integer corners by cross-multiplication, and a `Fraction` is built only for a
 returned value.  A restricted IFS model is a view that shares the kernel and
 keeps the frontier of hull images meeting its cube, built from its parent
 view's frontier; its intersection searches start there instead of the root.
+An IFS distance interval is read from all hull images of its budget's level,
+with the subtrees of settled images read from per-level extreme tables.
 A point set finds a cube's points by bisection in a Z-order index (a linear
 quadtree), and its 1-d distances by bisection in its sorted coordinates.
 """
@@ -57,7 +59,10 @@ class SetModel:
         raise NotImplementedError
 
     def dist_interval(self, q: DyadicCube, budget: int = DEFAULT_BUDGET):
-        """Certified [lo, hi] with lo <= dist(q, E) <= hi."""
+        """Certified [lo, hi] with lo <= dist(q, E) <= hi.  Exact on a point
+        set.  An IFS answers (0, 0) when a hull image above level `budget` lies
+        in q's closure, else (min gap, min gap + largest side) over the
+        level-`budget` hull images, or a wider interval at `_MAX_NODES`."""
         raise NotImplementedError
 
     def dist_below(self, q: DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
@@ -306,13 +311,19 @@ def _walk(stack, BL, BH, maps, budget, interior):
     return (Status.UNDETERMINED if undetermined else Status.FREE), capped
 
 
-def _least(scored):
-    """Smallest gap/den over (gap, den, node) entries, as a (num, den) pair."""
-    lo_n, lo_d = scored[0][0], scored[0][1]
-    for gap, den, _node in scored:
-        if gap * lo_d < lo_n * den:
-            lo_n, lo_d = gap, den
-    return lo_n, lo_d
+def _settled(node, BL, BH, gap):
+    """The (axis k, side) along which a node with gap > 0 lies beyond the cube
+    (side 0 above, 1 below) by at least its separation plus its side along
+    every other axis, or None: every image below it is nearest along k."""
+    D, LO, HI = node[1], node[2], node[3]
+    found = None
+    for k, (lo, hi, bl, bh) in enumerate(zip(LO, HI, BL, BH)):
+        above, below = lo - bh * D, bl * D - hi
+        if found is None and gap in (above, below):
+            found = k, int(below == gap)
+        elif max(above, below, 0) + hi - lo > gap:
+            return None
+    return found
 
 
 @dataclass(frozen=True)
@@ -377,6 +388,31 @@ class IFSModel(SetModel):
                          tuple(p * b + q * (t - b) for b, t in zip(B, T))))
         return M, A, B, W, tuple(maps)
 
+    @cached_property
+    def _tables(self):
+        """Q, the lcm of the ratio denominators; per axis and side the maps'
+        steps for `_extremes`; and its levels so far, shared with every view."""
+        M, A, B, W, maps = self._kernel
+        Q = lcm(*(q for _p, q, _olo, _ohi in maps))
+        steps = tuple((tuple((Q // q * p, Q // q * olo[k]) for p, q, olo, _ohi in maps),
+                       tuple((Q // q * p, Q // q * -ohi[k]) for p, q, _olo, ohi in maps))
+                      for k in range(len(A)))
+        return Q, steps, [(1, tuple(((0, W), (0, W)) for _ in A))]
+
+    def _extremes(self, n):
+        """The table levels 0..n at least.  Level m is Q^m and per axis how far
+        the level-m images reach in from the hull's faces, over M*Q^m: side 0
+        the least lo - A and lo + width - A, side 1 the least B - hi and B - hi
+        + width.  Level m is f_i of level m-1 (Hutchinson 1981), so an entry
+        is min_i (r_i z + e_i), z the entry before, e_i f_i's face offset."""
+        Q, steps, levels = self._tables
+        while len(levels) <= n:
+            Qm, rows = levels[-1]
+            levels.append((Qm * Q, tuple(tuple(
+                tuple(min(c * z + e * Qm for c, e in step) for z in pair)
+                for pair, step in zip(row, axis)) for row, axis in zip(rows, steps))))
+        return levels
+
     def _query(self, cube):
         """Read the cube once: its corners as numerators BL, BH over
         bd = 2^depth.  Node hull numerators are kept multiplied by bd, so a
@@ -432,7 +468,7 @@ class IFSModel(SetModel):
                 deepest = max(deepest, level + 1)
                 todo.extend((c, level + 1) for c in _children(node, maps))
         sub = IFSModel(self.maps, self.hull)
-        sub.__dict__.update(_kernel=self._kernel,
+        sub.__dict__.update(_kernel=self._kernel, _tables=self._tables,
                             _view=None if todo else (q, deepest, tuple(frontier)))
         return sub
 
@@ -454,36 +490,46 @@ class IFSModel(SetModel):
         return self._search(q, budget, False)
 
     def dist_interval(self, q, budget=DEFAULT_BUDGET):
-        # distances are numerators over D*bd; (n, d) pairs compare crosswise
+        """Level-order search that adds a settled image's least level-`budget`
+        gap and reach from `_extremes` instead of expanding it.  Distances are
+        (numerator, denominator) pairs, compared crosswise."""
         self._check_dim(q)
         bd, BL, BH, Wb, root, maps = self._query(q)
+        levels = self._extremes(budget)
         hi_n, hi_d = _relate(root, BL, BH)[0] + Wb, root[1] * bd
-        lo_n, lo_d = 0, 1
+        lo_n, lo_d = hi_n, hi_d  # least settled gap; the answer's is never above hi
         frontier = [root]
-        for _ in range(budget):
-            scored = []
+        for level in range(budget + 1):
+            Qn, rows = levels[budget - level]
+            scored = []  # the unsettled images of this level
             for node in frontier:
                 gap, closed, _inside, _meets = _relate(node, BL, BH)
-                if closed:
+                if closed and level < budget:
                     # the hull carries an attractor point inside the closure
                     return (Fraction(0), Fraction(0))
                 den = node[1] * bd
-                reach = gap + node[0] * Wb
+                if gap * hi_d > hi_n * den:
+                    continue  # no image below it comes as close as hi
+                settled = _settled(node, BL, BH, gap) if gap > 0 else None
+                if settled is None:
+                    scored.append((gap, den, node))
+                    reach = gap + node[0] * Wb
+                else:
+                    k, side = settled
+                    least, least_reach = rows[k][side]
+                    s, g = node[0] * bd, gap * Qn
+                    gap, reach, den = g + s * least, g + s * least_reach, den * Qn
+                    if gap * lo_d < lo_n * den:
+                        lo_n, lo_d = gap, den
                 if reach * hi_d < hi_n * den:
                     hi_n, hi_d = reach, den
-                scored.append((gap, den, node))
-            lo_n, lo_d = _least(scored)
-            survivors = [node for gap, den, node in scored if gap * hi_d <= hi_n * den]
-            if len(survivors) * len(maps) > _MAX_NODES:
-                return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
-            frontier = [c for node in survivors for c in _children(node, maps)]
-        scored = [(_relate(node, BL, BH)[0], node[1] * bd, node) for node in frontier]
-        if scored:
-            lo_n, lo_d = _least(scored)
-            for gap, den, node in scored:
-                reach = gap + node[0] * Wb
-                if reach * hi_d < hi_n * den:
-                    hi_n, hi_d = reach, den
+            frontier = [node for gap, den, node in scored if gap * hi_d <= hi_n * den]
+            if level == budget or not frontier or len(frontier) * len(maps) > _MAX_NODES:
+                break
+            frontier = [c for node in frontier for c in _children(node, maps)]
+        for gap, den, _node in scored:
+            if gap * lo_d < lo_n * den:
+                lo_n, lo_d = gap, den
         return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
     def dist_below(self, q, threshold, budget=DEFAULT_BUDGET):

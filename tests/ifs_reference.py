@@ -5,7 +5,10 @@ They walk the same tree in the same order with the same level, budget and
 node-cap rules (the cap is read from `sets._MAX_NODES` at call time, as the
 kernel reads it), building every hull image as a `Box` of Fractions and
 deciding it with the box predicates below.  The property tests require the
-kernel to return exactly the same values.
+kernel to return exactly the same values, except that `dist_interval` may
+return an interval inside the walk's where the walk hits the node cap.
+`all_images_dist_interval` states what `dist_interval` computes, by
+enumerating every hull image.
 """
 
 from fractions import Fraction
@@ -76,6 +79,7 @@ def intersect_status(E, box, budget):
 
 
 def dist_interval(E, box, budget):
+    """The level-order walk's interval, and whether it hit the node cap."""
     zero = Fraction(0)
     frontier = [_identity(E)]
     diam0 = E.hull.max_side
@@ -86,7 +90,7 @@ def dist_interval(E, box, budget):
         for ratio, shift in frontier:
             hull = _image(E, ratio, shift)
             if inside_closed(box, hull):
-                return (zero, zero)
+                return (zero, zero), False
             d = linf_dist(box, hull)
             reach = d + ratio * diam0
             if reach < best_hi:
@@ -95,7 +99,7 @@ def dist_interval(E, box, budget):
         lo = min(d for d, _r, _s in scored)
         survivors = [(r, s) for d, r, s in scored if d <= best_hi]
         if len(survivors) * len(E.maps) > sets._MAX_NODES:
-            return (lo, best_hi)
+            return (lo, best_hi), True
         nxt = []
         for ratio, shift in survivors:
             nxt.extend(_compose(E, ratio, shift))
@@ -107,7 +111,21 @@ def dist_interval(E, box, budget):
             reach = d + r * diam0
             if reach < best_hi:
                 best_hi = reach
-    return (lo, best_hi)
+    return (lo, best_hi), False
+
+
+def all_images_dist_interval(E, box, budget):
+    """(0, 0) when a hull image above level `budget` lies in the closed box,
+    else the least gap and the least gap + width over every level-`budget`
+    hull image, width being the image's largest side."""
+    zero = Fraction(0)
+    level = [_identity(E)]
+    for _ in range(budget):
+        if any(inside_closed(box, _image(E, r, s)) for r, s in level):
+            return (zero, zero)
+        level = [c for r, s in level for c in _compose(E, r, s)]
+    gaps = [(linf_dist(box, _image(E, r, s)), r) for r, s in level]
+    return (min(g for g, _r in gaps), min(g + r * E.hull.max_side for g, r in gaps))
 
 
 def dist_below(E, box, threshold, budget):

@@ -37,7 +37,7 @@ def restricted(points, box: Box) -> tuple:
 
 
 def misses_interior(points, box: Box) -> bool:
-    return not any(box.open_interior_contains_point(p) for p in points)
+    return not any(all(a < x < b for a, b, x in zip(box.lo, box.hi, p)) for p in points)
 
 
 def mu_points_exact_1d(points, box: Box, alpha) -> RatInterval | None:

@@ -143,7 +143,7 @@ def source_args(tmp_path, command):
 
 @pytest.mark.parametrize("command,flag", sorted(
     (command, flag) for command, flags in COMMAND_FLAGS.items()
-    for flag in ("--depth", "--search-depth") if flag in flags))
+    for flag in ("--depth", "--budget", "--split-budget", "--search-depth") if flag in flags))
 def test_negative_depth_exits_2(tmp_path, capsys, command, flag):
     code = main([command, *source_args(tmp_path, command), flag, "-1",
                  "--out", str(tmp_path / "r.json")])
@@ -273,6 +273,16 @@ def test_non_positive_gamma_exits_2(tmp_path, capsys, gamma):
                  "--depth", "3", "--out", str(tmp_path / "g.json")])
     assert code == 2
     assert "error: --gamma must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["0", "1/2", "-1"])
+def test_p_below_one_exits_2(tmp_path, capsys, p):
+    out = tmp_path / "g.json"
+    code = main(["gamma", "--set", write_set(tmp_path), "--gamma", "1/1", f"--p={p}",
+                 "--depth", "3", "--out", str(out)])
+    assert code == 2
+    assert "error: --p must be >= 1" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any family is computed
 
 
 def test_analyze_cantor_flags_unresolved_mass(tmp_path):

@@ -1,5 +1,6 @@
-"""Project policy: cubeporos has no runtime dependencies, and the benchmark
-tracer finds every name it wraps.
+"""Project policy: cubeporos has no runtime dependencies, its certified
+modules use no floating point, and the benchmark tracer finds every name it
+wraps.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -39,6 +40,32 @@ def test_package_imports_only_the_standard_library():
                 if top != "cubeporos" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno}: {name}")
     assert foreign == []
+
+
+# analysis.py reports its codimension estimate as floats; every other module
+# decides in exact integers and rationals
+FLOAT_REPORTING = {"analysis.py"}
+INTEGER_MATH = {"lcm", "gcd", "isqrt", "comb"}
+
+
+def test_no_floats_in_certified_modules():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in FLOAT_REPORTING:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                found.append(f"{where}: float literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{where}: float")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where}: math.{a.name}" for a in node.names
+                          if a.name not in INTEGER_MATH]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "math" and node.attr not in INTEGER_MATH:
+                found.append(f"{where}: math.{node.attr}")
+    assert found == []
 
 
 def test_benchmark_tracer_installs():

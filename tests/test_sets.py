@@ -41,6 +41,9 @@ def test_dist_interval_examples(cantor):
         lo, hi = cantor.dist_interval(DyadicCube(3, (3,)), budget)
         assert lo <= F(1, 24) <= hi
         assert hi - lo <= F(1, 3) ** budget
+    # the level-order walk stops at a 1,000-node cap here (see SEGMENT)
+    with mock.patch.object(sets, "_MAX_NODES", 1000):
+        assert SEGMENT.dist_interval(DyadicCube(1, (0, 1))) == (F(1, 2) - F(1, 2**36), F(1, 2))
 
 
 def test_corner_set_examples():
@@ -99,19 +102,6 @@ def test_budget_monotonicity(q):
             assert a is decided
         elif a is not Status.UNDETERMINED:
             decided = a
-
-
-@given(dyadic_cubes(dim=1, max_depth=6))
-@settings(max_examples=40, deadline=None)
-def test_dist_interval_nesting_in_budget(q):
-    prev = None
-    for b in (2, 5, 9, 14):
-        lo, hi = CANTOR.dist_interval(q, b)
-        assert lo <= hi
-        if prev is not None:
-            plo, phi = prev
-            assert lo >= plo and hi <= phi
-        prev = (lo, hi)
 
 
 @given(point_sets())
@@ -180,23 +170,70 @@ def ifs_queries(draw):
             draw(st.sampled_from((0, 1, 2, 3, 4, 36))), _rational(draw, 0, 2))
 
 
+# The segment [0, 1] x {0}: its level-m images all lie 1/2 - 2^-m below the
+# cube [0, 1/2) x [1/2, 1), so the level-order walk keeps all 2^m of them and
+# hits a 1,000-node cap at level 9.  From level 2 on every image but the
+# rightmost is settled along the second axis, and the search goes on to 36.
+SEGMENT = IFSModel.make([(F(1, 2), (F(0), F(0))), (F(1, 2), (F(1, 2), F(0)))],
+                        Box.make([0, 0], [1, 1]))
+
+
 @given(ifs_queries())
+@example((SEGMENT, DyadicCube(1, (0, 1)), 36, F(1, 2)))
 @settings(max_examples=300, deadline=None)
 def test_ifs_kernel_matches_fraction_walk(query):
     E, q, budget, threshold = query
     ref = q.box
     # a small node cap bounds the reference walk's time and reaches the cap
-    # branches, which both walks must take at the same node
+    # branches, which both walks must take at the same node; where the
+    # level-order walk stops at the cap, the distance search, which expands
+    # no settled image, may go deeper and answer inside the walk's interval
     with mock.patch.object(sets, "_MAX_NODES", 1000):
         assert E.intersect_status(q, budget) is \
             ifs_reference.intersect_status(E, ref, budget)
         got = E.dist_interval(q, budget)
-        assert got == ifs_reference.dist_interval(E, ref, budget)
+        (lo, hi), capped = ifs_reference.dist_interval(E, ref, budget)
+        if capped:
+            assert lo <= got[0] <= got[1] <= hi
+        else:
+            assert got == (lo, hi)
         assert all(type(x) is F for x in got)
         assert E.dist_below(q, threshold, budget) is \
             ifs_reference.dist_below(E, ref, threshold, budget)
         assert E.misses_interior(q, budget) is \
             ifs_reference.misses_interior(E, ref, budget)
+
+
+def with_cube(models):
+    return models.flatmap(
+        lambda E: st.tuples(st.just(E), dyadic_cubes(dim=E.dim, max_depth=6)))
+
+
+RANDOM_IFS = st.one_of(rational_ifs(), st.integers(1, 2).flatmap(small_ifs))
+
+
+@given(with_cube(RANDOM_IFS), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_dist_interval_is_the_all_images_extreme(query, budget):
+    # exact under the default node cap: settled images and pruning change
+    # how the search gets there, not what it returns
+    E, q = query
+    assert E.dist_interval(q, budget) == \
+        ifs_reference.all_images_dist_interval(E, q.box, budget)
+
+
+@given(with_cube(st.one_of(st.just(CANTOR), RANDOM_IFS)))
+@settings(max_examples=100, deadline=None)
+def test_dist_interval_nesting_in_budget(query):
+    E, q = query
+    prev = None
+    for b in (0, 2, 5, 9, 14):
+        lo, hi = E.dist_interval(q, b)
+        assert lo <= hi
+        if prev is not None:
+            plo, phi = prev
+            assert lo >= plo and hi <= phi
+        prev = (lo, hi)
 
 
 # point coordinates: dyadic and non-dyadic (thirds, sixths), on the boundary
