@@ -31,6 +31,10 @@ from .sparse import build_witness, verify_witness
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+# an IFS keeps distance tables for every level up to --budget, each level's
+# integers longer by about log2 of the ratio denominators' lcm
+MAX_BUDGET = 1000
+MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
 
 
 class ValidationError(Exception):
@@ -79,12 +83,11 @@ def _parse_grid(spec: str) -> tuple:
         raise argparse.ArgumentTypeError(f"must be LO:HI:STEP, got {spec!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad alpha grid {spec!r}")
-    grid = []
-    a = lo
-    while a <= hi:
-        grid.append(a)
-        a += step
-    return tuple(grid)
+    n = (hi - lo) // step + 1
+    if n > MAX_GRID:
+        raise argparse.ArgumentTypeError(
+            f"alpha grid {spec!r} has {n} entries, more than {MAX_GRID}")
+    return tuple(lo + i * step for i in range(n))
 
 
 def _load_json_file(path: str, what: str):
@@ -386,6 +389,8 @@ def main(argv=None) -> int:
             value = getattr(config, flag[2:].replace("-", "_"))
             if value is not None and value < 0:
                 raise ValidationError(f"{flag} must be >= 0, got {value}")
+        if config.budget > MAX_BUDGET:
+            raise ValidationError(f"--budget must be <= {MAX_BUDGET}, got {config.budget}")
         return COMMANDS[config.command][0](config)
     except (ValidationError, EmptySetError, EmptyFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

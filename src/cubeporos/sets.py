@@ -5,14 +5,15 @@ A model answers `Free` or `Intersects` only when the answer is exact; refinement
 budgets turn hard cases into `Undetermined`, never into a wrong exact answer.
 Callers that must commit treat `Undetermined` as `Intersects`, which only
 enlarges enumerated families and inflates measured constants monotonically.
-The IFS oracles share one exact integer kernel: composed hull images are
-integer numerators over a per-node denominator, compared with the cube's
-integer corners by cross-multiplication, and a `Fraction` is built only for a
-returned value.  A restricted IFS model is a view that shares the kernel and
-keeps the frontier of hull images meeting its cube, built from its parent
-view's frontier; its intersection searches start there instead of the root.
-An IFS distance interval is read from all hull images of its budget's level,
-with the subtrees of settled images read from per-level extreme tables.
+The IFS oracles share one exact integer kernel: a hull image is a node
+(P, D, LO), integer numerators over its own denominator that hold at every
+query depth, compared with a depth-j cube's integer corners by shifting and
+cross-multiplication; a `Fraction` is built only for a returned value.  A
+restricted IFS model is a view that shares the kernel and keeps the frontier
+of hull images meeting its cube, built from its parent view's frontier; its
+intersection searches start there instead of the root.  An IFS distance
+interval is read from all hull images of its budget's level, with the
+subtrees of settled images read from per-level extreme tables.
 A point set finds a cube's points by bisection in a Z-order index (a linear
 quadtree), and its 1-d distances by bisection in its sorted coordinates.
 """
@@ -68,10 +69,12 @@ class SetModel:
     def dist_below(self, q: DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
         """Three-valued threshold query: is dist(q, E) < threshold?
 
-        True and False are certified; None means the budget ran out.  Cheaper
-        than a full distance interval because refinement stops as soon as the
-        comparison is decided.
+        On every model it is the reading of `dist_interval`: True when its
+        upper end is below the threshold, False when its lower end reaches
+        it, None (the budget ran out) otherwise; the empty set is never near.
         """
+        if self.is_empty:
+            return False
         lo, hi = self.dist_interval(q, budget)
         if hi < threshold:
             return True
@@ -118,9 +121,6 @@ class EmptyModel(SetModel):
 
     def dist_interval(self, q, budget=DEFAULT_BUDGET):
         raise EmptySetError("distance to the empty set is undefined")
-
-    def dist_below(self, q, threshold, budget=DEFAULT_BUDGET):
-        return False
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return True
@@ -247,22 +247,25 @@ class PointsModel(SetModel):
                 "points": [[frac_str(x) for x in p] for p in self.points]}
 
 
-def _relate(node, BL, BH):
-    """Compare an IFS node's hull with the query cube in integers.
+def _relate(node, S, BL, j):
+    """Compare an IFS node's hull with the depth-j query cube in integers.
 
-    `node` is (P, D, LO, HI): ratio numerator, denominator, and hull corner
-    numerators over D*bd; BL, BH are the cube corners over bd.  Returns
-    (gap, inside_closed, inside_open, meets_open): `gap` is the numerator
-    over D*bd of the l-inf distance between the closures (0 exactly when
-    they meet); the flags say whether the hull lies in the closed cube, lies
-    in its open interior, and meets its open interior.
+    `node` is (P, D, LO): the hull image's corners are LO/D and
+    (LO + P*S)/D, S the kernel's integer hull sides, at every cube depth;
+    the cube's are BL/2^j and (BL + 1)/2^j, compared as lo << j against
+    BL*D.  Returns (gap, inside_closed, inside_open, meets_open): `gap` is
+    the numerator over D*2^j of the l-inf distance between the closures (0
+    exactly when they meet); the flags say whether the hull lies in the
+    closed cube, lies in its open interior, and meets its open interior.
     """
-    D, LO, HI = node[1], node[2], node[3]
+    P, D, LO = node
     gap = 0
     closed = opened = meets = True
-    for lo, hi, bl, bh in zip(LO, HI, BL, BH):
+    for lo, s, bl in zip(LO, S, BL):
+        hi = (lo + P * s) << j
+        lo <<= j
         bl *= D
-        bh *= D
+        bh = bl + D
         g = lo - bh if lo - bh > bl - hi else bl - hi
         if g > gap:
             gap = g
@@ -277,16 +280,14 @@ def _relate(node, BL, BH):
 
 def _children(node, maps):
     """The nodes of `node` composed with every map, in map order."""
-    P, D, LO, HI = node
-    return [(P * p, D * q,
-             tuple(lo * q + P * o for lo, o in zip(LO, olo)),
-             tuple(hi * q + P * o for hi, o in zip(HI, ohi)))
-            for p, q, olo, ohi in maps]
+    P, D, LO = node
+    return [(P * p, D * q, tuple(lo * q + P * o for lo, o in zip(LO, off)))
+            for p, q, off in maps]
 
 
-def _walk(stack, BL, BH, maps, budget, interior):
+def _walk(stack, S, maps, BL, j, budget, interior):
     """Depth-first search from the (node, level) entries of `stack` for a hull
-    image inside the open cube with corners BL, BH.
+    image inside the open depth-j cube at BL.
 
     A branch is pruned when its hull's closure misses the cube's closure, or,
     with `interior`, when its hull misses the open interior.  FREE means every
@@ -298,7 +299,7 @@ def _walk(stack, BL, BH, maps, budget, interior):
     while stack:
         node, level = stack.pop()
         nodes += 1
-        gap, _closed, inside, meets = _relate(node, BL, BH)
+        gap, _closed, inside, meets = _relate(node, S, BL, j)
         if (not meets) if interior else gap > 0:
             continue
         if inside:
@@ -311,17 +312,21 @@ def _walk(stack, BL, BH, maps, budget, interior):
     return (Status.UNDETERMINED if undetermined else Status.FREE), capped
 
 
-def _settled(node, BL, BH, gap):
-    """The (axis k, side) along which a node with gap > 0 lies beyond the cube
-    (side 0 above, 1 below) by at least its separation plus its side along
-    every other axis, or None: every image below it is nearest along k."""
-    D, LO, HI = node[1], node[2], node[3]
+def _settled(node, S, BL, j, gap):
+    """The (axis k, side) along which a node with gap > 0 lies beyond the
+    depth-j cube (side 0 above, 1 below) by at least its separation plus its
+    side along every other axis, or None: every image below it is nearest
+    along k."""
+    P, D, LO = node
     found = None
-    for k, (lo, hi, bl, bh) in enumerate(zip(LO, HI, BL, BH)):
-        above, below = lo - bh * D, bl * D - hi
+    for k, (lo, s, bl) in enumerate(zip(LO, S, BL)):
+        w = P * s << j
+        lo <<= j
+        bl *= D
+        above, below = lo - bl - D, bl - lo - w
         if found is None and gap in (above, below):
             found = k, int(below == gap)
-        elif max(above, below, 0) + hi - lo > gap:
+        elif max(above, below, 0) + w > gap:
             return None
     return found
 
@@ -365,46 +370,46 @@ class IFSModel(SetModel):
 
     @cached_property
     def _kernel(self):
-        """The model in integers, computed once.
+        """The model in integers, computed once: (root, S, W, maps).
 
-        Hull corners are numerators A, B over one denominator M (the lcm of
-        the hull and shift denominators) and W is the largest hull side over
-        M.  Map x -> (p/q)x + t sends a node's hull corners lo, hi over D to
-        lo*q + P*off_lo and hi*q + P*off_hi over D*q, where P is the node's
-        ratio numerator and off_lo, off_hi are the map's corner offsets over
-        q*M, listed here per map as (p, q, off_lo, off_hi).
+        Hull corners are A and A + S over one denominator M (the lcm of the
+        hull and shift denominators), and W is the largest side max(S).  A
+        node (P, D, LO) is the image f_w(H) with lower corner LO/D and ratio
+        P*M/D; the root is (1, M, A).  Map x -> (p/q)x + t sends it to
+        (P*p, D*q, LO*q + P*off), off being the map's lower-corner offset
+        p*A + q*(t*M - A) over q*M; each map is listed as (p, q, off).  The
+        upper corner is (LO + P*S)/D, as a similarity moves both corners
+        alike.
         """
         coords = self.hull.lo + self.hull.hi + tuple(t for _r, ts in self.maps for t in ts)
         M = lcm(*(x.denominator for x in coords))
         A = tuple(int(a * M) for a in self.hull.lo)
-        B = tuple(int(b * M) for b in self.hull.hi)
-        W = max(b - a for a, b in zip(A, B))
-        maps = []
-        for r, ts in self.maps:
-            p, q = r.numerator, r.denominator
-            T = tuple(int(t * M) for t in ts)
-            maps.append((p, q,
-                         tuple(p * a + q * (t - a) for a, t in zip(A, T)),
-                         tuple(p * b + q * (t - b) for b, t in zip(B, T))))
-        return M, A, B, W, tuple(maps)
+        S = tuple(int(b * M) - a for a, b in zip(A, self.hull.hi))
+        maps = tuple((r.numerator, r.denominator,
+                      tuple(r.numerator * a + r.denominator * (int(t * M) - a)
+                            for a, t in zip(A, ts)))
+                     for r, ts in self.maps)
+        return (1, M, A), S, max(S), maps
 
     @cached_property
     def _tables(self):
         """Q, the lcm of the ratio denominators; per axis and side the maps'
         steps for `_extremes`; and its levels so far, shared with every view."""
-        M, A, B, W, maps = self._kernel
-        Q = lcm(*(q for _p, q, _olo, _ohi in maps))
-        steps = tuple((tuple((Q // q * p, Q // q * olo[k]) for p, q, olo, _ohi in maps),
-                       tuple((Q // q * p, Q // q * -ohi[k]) for p, q, _olo, ohi in maps))
-                      for k in range(len(A)))
-        return Q, steps, [(1, tuple(((0, W), (0, W)) for _ in A))]
+        _root, S, W, maps = self._kernel
+        Q = lcm(*(q for _p, q, _off in maps))
+        steps = tuple((tuple((Q // q * p, Q // q * off[k]) for p, q, off in maps),
+                       tuple((Q // q * p, Q // q * ((q - p) * S[k] - off[k]))
+                             for p, q, off in maps))
+                      for k in range(len(S)))
+        return Q, steps, [(1, tuple(((0, W), (0, W)) for _ in S))]
 
     def _extremes(self, n):
         """The table levels 0..n at least.  Level m is Q^m and per axis how far
         the level-m images reach in from the hull's faces, over M*Q^m: side 0
         the least lo - A and lo + width - A, side 1 the least B - hi and B - hi
-        + width.  Level m is f_i of level m-1 (Hutchinson 1981), so an entry
-        is min_i (r_i z + e_i), z the entry before, e_i f_i's face offset."""
+        + width, B = A + S.  Level m is f_i of level m-1 (Hutchinson 1981), so
+        an entry is min_i (r_i z + e_i), z the entry before, e_i f_i's face
+        offset."""
         Q, steps, levels = self._tables
         while len(levels) <= n:
             Qm, rows = levels[-1]
@@ -413,33 +418,15 @@ class IFSModel(SetModel):
                 for pair, step in zip(row, axis)) for row, axis in zip(rows, steps))))
         return levels
 
-    def _query(self, cube):
-        """Read the cube once: its corners as numerators BL, BH over
-        bd = 2^depth.  Node hull numerators are kept multiplied by bd, so a
-        node with denominator D compares lo*bd/(D*bd) against BL*D/(D*bd).
-
-        Returns (bd, BL, BH, W*bd, root node, maps with offsets times bd).
-        """
-        bd, BL = 1 << cube.depth, cube.coords
-        BH = tuple(k + 1 for k in BL)
-        M, A, B, W, maps = self._kernel
-        root = (1, M, tuple(a * bd for a in A), tuple(b * bd for b in B))
-        maps = tuple((p, q, tuple(o * bd for o in olo), tuple(o * bd for o in ohi))
-                     for p, q, olo, ohi in maps)
-        return bd, BL, BH, W * bd, root, maps
-
     def _from_view(self, q):
-        """This view's frontier rescaled to q's depth and the deepest level its
-        builds examined, or None unless this is a view of a cube holding q."""
+        """This view's frontier and the deepest level its builds examined, or
+        None unless this is a view of a cube holding q."""
         if self._view is None:
             return None
         cube, deepest, frontier = self._view
         s = q.depth - cube.depth
         if s < 0 or any(k >> s != c for k, c in zip(q.coords, cube.coords)):
             return None
-        if s:
-            frontier = [((P, D, tuple(x << s for x in LO), tuple(x << s for x in HI)), level)
-                        for (P, D, LO, HI), level in frontier]
         return frontier, deepest
 
     def restricted(self, q):
@@ -454,15 +441,16 @@ class IFSModel(SetModel):
         unrestricted model.
         """
         self._check_dim(q)
-        _bd, BL, BH, Wb, root, maps = self._query(q)
+        root, S, W, maps = self._kernel
+        BL, j = q.coords, q.depth
         todo, deepest = self._from_view(q) or ([(root, 0)], 0)
         todo, frontier, nodes = list(todo), [], 0
         while todo and nodes < _MAX_NODES:
             nodes += 1
             node, level = todo.pop()
-            if _relate(node, BL, BH)[0] > 0:
+            if _relate(node, S, BL, j)[0] > 0:
                 continue
-            if node[0] * Wb <= node[1]:
+            if node[0] * W << j <= node[1]:
                 frontier.append((node, level))
             else:
                 deepest = max(deepest, level + 1)
@@ -478,13 +466,14 @@ class IFSModel(SetModel):
         frontier is there, holds q, was built no deeper than `budget`, and
         its search stays under the node cap."""
         self._check_dim(q)
-        _bd, BL, BH, _Wb, root, maps = self._query(q)
+        root, S, _W, maps = self._kernel
+        BL, j = q.coords, q.depth
         start = self._from_view(q)
         if start is not None and budget >= start[1]:
-            status, capped = _walk(list(start[0]), BL, BH, maps, budget, interior)
+            status, capped = _walk(list(start[0]), S, maps, BL, j, budget, interior)
             if not capped:
                 return status
-        return _walk([(root, 0)], BL, BH, maps, budget, interior)[0]
+        return _walk([(root, 0)], S, maps, BL, j, budget, interior)[0]
 
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return self._search(q, budget, False)
@@ -494,30 +483,31 @@ class IFSModel(SetModel):
         gap and reach from `_extremes` instead of expanding it.  Distances are
         (numerator, denominator) pairs, compared crosswise."""
         self._check_dim(q)
-        bd, BL, BH, Wb, root, maps = self._query(q)
+        root, S, W, maps = self._kernel
+        BL, j = q.coords, q.depth
         levels = self._extremes(budget)
-        hi_n, hi_d = _relate(root, BL, BH)[0] + Wb, root[1] * bd
+        hi_n, hi_d = _relate(root, S, BL, j)[0] + (W << j), root[1] << j
         lo_n, lo_d = hi_n, hi_d  # least settled gap; the answer's is never above hi
         frontier = [root]
         for level in range(budget + 1):
             Qn, rows = levels[budget - level]
             scored = []  # the unsettled images of this level
             for node in frontier:
-                gap, closed, _inside, _meets = _relate(node, BL, BH)
+                gap, closed, _inside, _meets = _relate(node, S, BL, j)
                 if closed and level < budget:
                     # the hull carries an attractor point inside the closure
                     return (Fraction(0), Fraction(0))
-                den = node[1] * bd
+                den = node[1] << j
                 if gap * hi_d > hi_n * den:
                     continue  # no image below it comes as close as hi
-                settled = _settled(node, BL, BH, gap) if gap > 0 else None
+                settled = _settled(node, S, BL, j, gap) if gap > 0 else None
                 if settled is None:
                     scored.append((gap, den, node))
-                    reach = gap + node[0] * Wb
+                    reach = gap + (node[0] * W << j)
                 else:
                     k, side = settled
                     least, least_reach = rows[k][side]
-                    s, g = node[0] * bd, gap * Qn
+                    s, g = node[0] << j, gap * Qn
                     gap, reach, den = g + s * least, g + s * least_reach, den * Qn
                     if gap * lo_d < lo_n * den:
                         lo_n, lo_d = gap, den
@@ -531,31 +521,6 @@ class IFSModel(SetModel):
             if gap * lo_d < lo_n * den:
                 lo_n, lo_d = gap, den
         return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
-
-    def dist_below(self, q, threshold, budget=DEFAULT_BUDGET):
-        self._check_dim(q)
-        threshold = Fraction(threshold)
-        t_n, t_d = threshold.numerator, threshold.denominator
-        bd, BL, BH, Wb, root, maps = self._query(q)
-        frontier = [root]
-        for _ in range(budget):
-            keep = []
-            for node in frontier:
-                gap, closed, _inside, _meets = _relate(node, BL, BH)
-                if closed:
-                    return True
-                limit = t_n * node[1] * bd  # threshold over D*bd, times t_d
-                if gap * t_d >= limit:
-                    continue  # this branch can never come closer
-                if (gap + node[0] * Wb) * t_d < limit:
-                    return True
-                keep.append(node)
-            if not keep:
-                return False
-            if len(keep) * len(maps) > _MAX_NODES:
-                return None
-            frontier = [c for node in keep for c in _children(node, maps)]
-        return None
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return self._search(q, budget, True) is Status.FREE
@@ -607,16 +572,6 @@ class UnionModel(SetModel):
             raise EmptySetError("distance to an empty union")
         ivs = [p.dist_interval(q, budget) for p in live]
         return (min(lo for lo, _ in ivs), min(hi for _, hi in ivs))
-
-    def dist_below(self, q, threshold, budget=DEFAULT_BUDGET):
-        undecided = False
-        for p in self.parts:
-            ans = p.dist_below(q, threshold, budget)
-            if ans is True:
-                return True
-            if ans is None:
-                undecided = True
-        return None if undecided else False
 
     def restricted(self, q):
         kept = [p.restricted(q) for p in self.parts]

@@ -8,7 +8,9 @@ deciding it with the box predicates below.  The property tests require the
 kernel to return exactly the same values, except that `dist_interval` may
 return an interval inside the walk's where the walk hits the node cap.
 `all_images_dist_interval` states what `dist_interval` computes, by
-enumerating every hull image.
+enumerating every hull image; the kernel's `dist_below` is its three-valued
+reading, and must agree with the threshold walk `dist_below` wherever that
+walk decides.
 """
 
 from fractions import Fraction
@@ -129,6 +131,9 @@ def all_images_dist_interval(E, box, budget):
 
 
 def dist_below(E, box, threshold, budget):
+    """The level-order threshold walk.  Only for threshold > 0: it answers
+    True whenever a hull image lies in the closed box, which is wrong for a
+    threshold <= 0, as no distance is below 0."""
     threshold = Fraction(threshold)
     frontier = [_identity(E)]
     diam0 = E.hull.max_side

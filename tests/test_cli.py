@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,30 @@ def test_negative_depth_exits_2(tmp_path, capsys, command, flag):
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert f"error: {flag} must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(
+    command for command, flags in COMMAND_FLAGS.items() if "--budget" in flags))
+def test_budget_above_1000_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    code = main([command, "--set", write_set(tmp_path, kind="cantor"), "--budget", "1001",
+                 "--out", str(out)])
+    assert code == 2
+    assert "error: --budget must be <= 1000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "plotdata"])
+def test_huge_alpha_grid_exits_2_before_building_it(tmp_path, capsys, command):
+    # 10^9 + 1 entries: counted, not built
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = main([command, "--set", write_set(tmp_path), "--alpha-grid", "0:1:1/1000000000",
+                 "--out", str(out)])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "has 1000000001 entries, more than 1000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))

@@ -9,8 +9,8 @@ from cubeporos import sets
 from cubeporos.errors import DimensionMismatch, EmptyFamilyError, EmptySetError
 from cubeporos.analysis import mu_points_exact_1d
 from cubeporos.lattice import Box, DyadicCube
-from cubeporos.sets import (EmptyModel, IFSModel, PointsModel, Status, UnionModel,
-                            cantor_middle_thirds, corner_set, model_from_json)
+from cubeporos.sets import (DEFAULT_BUDGET, EmptyModel, IFSModel, PointsModel, Status,
+                            UnionModel, cantor_middle_thirds, corner_set, model_from_json)
 import ifs_reference
 import points_reference
 from conftest import cantor_meets_interval, dyadic_cubes, point_sets, small_ifs
@@ -77,6 +77,21 @@ def test_wrong_dimension_box_raises(E):
         E.misses_interior(q)
     with pytest.raises(DimensionMismatch):
         E.restricted(q)
+    with pytest.raises(DimensionMismatch):
+        E.dist_interval(q)
+    with pytest.raises(DimensionMismatch):
+        E.dist_below(q, 1)
+
+
+@pytest.mark.parametrize("E", [PointsModel.make([(0,)]), CANTOR,
+                               UnionModel.make([PointsModel.make([(0,)]), CANTOR]),
+                               EmptyModel(1)],
+                         ids=["points", "ifs", "union", "empty"])
+@pytest.mark.parametrize("threshold", [0, -1])
+def test_non_positive_threshold_is_never_near(E, threshold):
+    # no distance is below 0, even where a hull image lies in the cube
+    for budget in (0, 1, DEFAULT_BUDGET):
+        assert E.dist_below(DyadicCube(0, (0,)), threshold, budget) is False
 
 
 @given(dyadic_cubes(dim=1, max_depth=7))
@@ -167,7 +182,7 @@ def rational_ifs(draw):
 def ifs_queries(draw):
     E = draw(st.one_of(st.just(CANTOR), rational_ifs()))
     return (E, draw(dyadic_cubes(dim=E.dim, max_depth=6)),
-            draw(st.sampled_from((0, 1, 2, 3, 4, 36))), _rational(draw, 0, 2))
+            draw(st.sampled_from((0, 1, 2, 3, 4, 36))))
 
 
 # The segment [0, 1] x {0}: its level-m images all lie 1/2 - 2^-m below the
@@ -179,10 +194,10 @@ SEGMENT = IFSModel.make([(F(1, 2), (F(0), F(0))), (F(1, 2), (F(1, 2), F(0)))],
 
 
 @given(ifs_queries())
-@example((SEGMENT, DyadicCube(1, (0, 1)), 36, F(1, 2)))
+@example((SEGMENT, DyadicCube(1, (0, 1)), 36))
 @settings(max_examples=300, deadline=None)
 def test_ifs_kernel_matches_fraction_walk(query):
-    E, q, budget, threshold = query
+    E, q, budget = query
     ref = q.box
     # a small node cap bounds the reference walk's time and reaches the cap
     # branches, which both walks must take at the same node; where the
@@ -198,8 +213,6 @@ def test_ifs_kernel_matches_fraction_walk(query):
         else:
             assert got == (lo, hi)
         assert all(type(x) is F for x in got)
-        assert E.dist_below(q, threshold, budget) is \
-            ifs_reference.dist_below(E, ref, threshold, budget)
         assert E.misses_interior(q, budget) is \
             ifs_reference.misses_interior(E, ref, budget)
 
@@ -212,14 +225,21 @@ def with_cube(models):
 RANDOM_IFS = st.one_of(rational_ifs(), st.integers(1, 2).flatmap(small_ifs))
 
 
-@given(with_cube(RANDOM_IFS), st.integers(0, 4))
+@given(with_cube(RANDOM_IFS), st.integers(0, 4),
+       st.fractions(min_value=F(1, 64), max_value=2, max_denominator=64))
 @settings(max_examples=300, deadline=None)
-def test_dist_interval_is_the_all_images_extreme(query, budget):
+def test_dist_interval_is_the_all_images_extreme(query, budget, threshold):
     # exact under the default node cap: settled images and pruning change
     # how the search gets there, not what it returns
     E, q = query
-    assert E.dist_interval(q, budget) == \
-        ifs_reference.all_images_dist_interval(E, q.box, budget)
+    lo, hi = ifs_reference.all_images_dist_interval(E, q.box, budget)
+    assert E.dist_interval(q, budget) == (lo, hi)
+    near = E.dist_below(q, threshold, budget)
+    assert near is (True if hi < threshold else False if lo >= threshold else None)
+    # gap never falls and gap + width never rises below an image, so where
+    # the threshold walk decides, the interval decides the same way
+    walk = ifs_reference.dist_below(E, q.box, threshold, budget)
+    assert walk is None or near is walk
 
 
 @given(with_cube(st.one_of(st.just(CANTOR), RANDOM_IFS)))
@@ -318,8 +338,8 @@ def ifs_views(draw):
 
 def _root_search(E, q, budget, interior):
     """The root model's search answer, and whether it hit the node cap."""
-    _bd, BL, BH, _Wb, root, maps = E._query(q)
-    return sets._walk([(root, 0)], BL, BH, maps, budget, interior)
+    root, S, _W, maps = E._kernel
+    return sets._walk([(root, 0)], S, maps, q.coords, q.depth, budget, interior)
 
 
 # On [0, 1/2) the root search pops the last map's branch first and finds an
