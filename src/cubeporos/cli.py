@@ -25,15 +25,12 @@ from .generators import random_coefficients, rng_from_seed
 from .inverse import invert
 from .lattice import DyadicCube
 from .neighborhoods import EmbeddingQuery, embedding_check, gamma_carleson, gamma_witness
-from .sets import DEFAULT_BUDGET, SetModel, Status, model_from_json
+from .sets import DEFAULT_BUDGET, MAX_BUDGET, SetModel, Status, model_from_json
 from .sparse import build_witness, verify_witness
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-# an IFS keeps distance tables for every level up to --budget, each level's
-# integers longer by about log2 of the ratio denominators' lcm
-MAX_BUDGET = 1000
 MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
 
 

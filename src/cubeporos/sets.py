@@ -13,7 +13,9 @@ restricted IFS model is a view that shares the kernel and keeps the frontier
 of hull images meeting its cube, built from its parent view's frontier; its
 intersection searches start there instead of the root.  An IFS distance
 interval is read from all hull images of its budget's level, with the
-subtrees of settled images read from per-level extreme tables.
+subtrees of settled images read from per-level extreme tables; the search
+yields a nested certified interval per level, and a threshold query stops
+at the first that decides it.
 A point set finds a cube's points by bisection in a Z-order index (a linear
 quadtree), and its 1-d distances by bisection in its sorted coordinates.
 """
@@ -32,6 +34,11 @@ from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
 from .lattice import Box, DyadicCube, linf_dist
 
 DEFAULT_BUDGET = 36
+# The largest budget the command line takes.  An IFS keeps distance tables for
+# levels 0..budget, level m holding 4 integers per axis of about m*log2(Q) bits
+# (Q the lcm of the ratio denominators): about 2*d*budget^2*log2(Q) bits in
+# all: 0.4 MB for the Cantor set at this bound, growing with its square.
+MAX_BUDGET = 1_000
 _MAX_NODES = 200_000  # hard cap on hull expansions per oracle call
 _ZERO = Fraction(0)
 
@@ -64,7 +71,14 @@ class SetModel:
         set.  An IFS answers (0, 0) when a hull image above level `budget` lies
         in q's closure, else (min gap, min gap + largest side) over the
         level-`budget` hull images, or a wider interval at `_MAX_NODES`."""
-        raise NotImplementedError
+        *_, last = self._bounds(q, budget)
+        return last
+
+    def _bounds(self, q: DyadicCube, budget: int):
+        """Certified intervals for dist(q, E) from one search, each inside the
+        one before, the last being `dist_interval`.  A model defines this or
+        `dist_interval`."""
+        yield self.dist_interval(q, budget)
 
     def dist_below(self, q: DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
         """Three-valued threshold query: is dist(q, E) < threshold?
@@ -72,14 +86,16 @@ class SetModel:
         On every model it is the reading of `dist_interval`: True when its
         upper end is below the threshold, False when its lower end reaches
         it, None (the budget ran out) otherwise; the empty set is never near.
+        It stops the search at the first of its nested intervals that decides,
+        which decides the same way as the last.
         """
         if self.is_empty:
             return False
-        lo, hi = self.dist_interval(q, budget)
-        if hi < threshold:
-            return True
-        if lo >= threshold:
-            return False
+        for lo, hi in self._bounds(q, budget):
+            if hi < threshold:
+                return True
+            if lo >= threshold:
+                return False
         return None
 
     def restricted(self, q: DyadicCube) -> "SetModel":
@@ -478,10 +494,13 @@ class IFSModel(SetModel):
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return self._search(q, budget, False)
 
-    def dist_interval(self, q, budget=DEFAULT_BUDGET):
+    def _bounds(self, q, budget):
         """Level-order search that adds a settled image's least level-`budget`
-        gap and reach from `_extremes` instead of expanding it.  Distances are
-        (numerator, denominator) pairs, compared crosswise."""
+        gap and reach from `_extremes` instead of expanding it.  Each level
+        yields the least gap of the settled and unsettled images and the least
+        reach so far; gap never falls and reach never rises below an image
+        (Hutchinson 1981), so each interval lies inside the one before.
+        Distances are (numerator, denominator) pairs, compared crosswise."""
         self._check_dim(q)
         root, S, W, maps = self._kernel
         BL, j = q.coords, q.depth
@@ -496,7 +515,8 @@ class IFSModel(SetModel):
                 gap, closed, _inside, _meets = _relate(node, S, BL, j)
                 if closed and level < budget:
                     # the hull carries an attractor point inside the closure
-                    return (Fraction(0), Fraction(0))
+                    yield (_ZERO, _ZERO)
+                    return
                 den = node[1] << j
                 if gap * hi_d > hi_n * den:
                     continue  # no image below it comes as close as hi
@@ -514,13 +534,14 @@ class IFSModel(SetModel):
                 if reach * hi_d < hi_n * den:
                     hi_n, hi_d = reach, den
             frontier = [node for gap, den, node in scored if gap * hi_d <= hi_n * den]
+            low_n, low_d = lo_n, lo_d
+            for gap, den, _node in scored:
+                if gap * low_d < low_n * den:
+                    low_n, low_d = gap, den
+            yield (Fraction(low_n, low_d), Fraction(hi_n, hi_d))
             if level == budget or not frontier or len(frontier) * len(maps) > _MAX_NODES:
-                break
+                return
             frontier = [c for node in frontier for c in _children(node, maps)]
-        for gap, den, _node in scored:
-            if gap * lo_d < lo_n * den:
-                lo_n, lo_d = gap, den
-        return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return self._search(q, budget, True) is Status.FREE
@@ -566,12 +587,22 @@ class UnionModel(SetModel):
                 undetermined = True
         return Status.UNDETERMINED if undetermined else Status.FREE
 
-    def dist_interval(self, q, budget=DEFAULT_BUDGET):
-        live = [p for p in self.parts if not p.is_empty]
-        if not live:
+    def _bounds(self, q, budget):
+        """The parts' searches in step, each interval the least ends of the
+        parts' latest ones."""
+        runs = [p._bounds(q, budget) for p in self.parts if not p.is_empty]
+        if not runs:
             raise EmptySetError("distance to an empty union")
-        ivs = [p.dist_interval(q, budget) for p in live]
-        return (min(lo for lo, _ in ivs), min(hi for _, hi in ivs))
+        latest = [next(run) for run in runs]
+        while True:
+            yield (min(lo for lo, _ in latest), min(hi for _, hi in latest))
+            moved = False
+            for i, run in enumerate(runs):
+                iv = next(run, None)
+                if iv is not None:
+                    latest[i], moved = iv, True
+            if not moved:
+                return
 
     def restricted(self, q):
         kept = [p.restricted(q) for p in self.parts]

@@ -182,7 +182,7 @@ def rational_ifs(draw):
 def ifs_queries(draw):
     E = draw(st.one_of(st.just(CANTOR), rational_ifs()))
     return (E, draw(dyadic_cubes(dim=E.dim, max_depth=6)),
-            draw(st.sampled_from((0, 1, 2, 3, 4, 36))))
+            draw(st.sampled_from((0, 1, 2, 3, 4, 36))), _rational(draw, 0, 2) + F(1, 64))
 
 
 # The segment [0, 1] x {0}: its level-m images all lie 1/2 - 2^-m below the
@@ -194,15 +194,16 @@ SEGMENT = IFSModel.make([(F(1, 2), (F(0), F(0))), (F(1, 2), (F(1, 2), F(0)))],
 
 
 @given(ifs_queries())
-@example((SEGMENT, DyadicCube(1, (0, 1)), 36))
+@example((SEGMENT, DyadicCube(1, (0, 1)), 36, F(1, 2)))
 @settings(max_examples=300, deadline=None)
 def test_ifs_kernel_matches_fraction_walk(query):
-    E, q, budget = query
+    E, q, budget, threshold = query
     ref = q.box
     # a small node cap bounds the reference walk's time and reaches the cap
     # branches, which both walks must take at the same node; where the
     # level-order walk stops at the cap, the distance search, which expands
-    # no settled image, may go deeper and answer inside the walk's interval
+    # no settled image, may go deeper and answer inside the walk's interval,
+    # and where the threshold walk decides, the search decides the same way
     with mock.patch.object(sets, "_MAX_NODES", 1000):
         assert E.intersect_status(q, budget) is \
             ifs_reference.intersect_status(E, ref, budget)
@@ -213,6 +214,8 @@ def test_ifs_kernel_matches_fraction_walk(query):
         else:
             assert got == (lo, hi)
         assert all(type(x) is F for x in got)
+        walk = ifs_reference.dist_below(E, ref, threshold, budget)
+        assert walk is None or E.dist_below(q, threshold, budget) is walk
         assert E.misses_interior(q, budget) is \
             ifs_reference.misses_interior(E, ref, budget)
 
@@ -254,6 +257,39 @@ def test_dist_interval_nesting_in_budget(query):
             plo, phi = prev
             assert lo >= plo and hi <= phi
         prev = (lo, hi)
+
+
+@given(with_cube(st.one_of(st.just(CANTOR), RANDOM_IFS)), st.sampled_from((0, 3, 36)))
+@settings(max_examples=100, deadline=None)
+def test_search_intervals_nest_down_to_dist_interval(query, budget):
+    # dist_below stops at the first of these that decides, so each must lie
+    # inside the one before and the last must be dist_interval
+    E, q = query
+    corner = PointsModel.make([E.hull.lo])
+    (elo, ehi), (clo, chi) = E.dist_interval(q, budget), corner.dist_interval(q, budget)
+    for model, last in ((E, (elo, ehi)),
+                        (UnionModel.make([corner, E]), (min(elo, clo), min(ehi, chi)))):
+        ivs = list(model._bounds(q, budget))
+        assert ivs[-1] == model.dist_interval(q, budget) == last
+        for (plo, phi), (lo, hi) in zip(ivs, ivs[1:]):
+            assert plo <= lo <= hi <= phi
+
+
+# C x {1/2}: every hull image straddles the line y = 1/2, so on a cube with a
+# face on it no image lies in the closed cube or is settled, and the search
+# keeps them all until the node cap; the threshold is decided at level 2
+C_HALF = IFSModel.make([(F(1, 3), (F(0), F(1, 3))), (F(1, 3), (F(2, 3), F(1, 3)))],
+                       Box.make([0, 0], [1, 1]))
+
+
+@pytest.mark.parametrize("E", [C_HALF, UnionModel.make([C_HALF, PointsModel.make([(1, 1)])])],
+                         ids=["ifs", "union"])
+def test_dist_below_stops_at_the_first_deciding_level(E):
+    q = DyadicCube(3, (2, 4))
+    relate = mock.Mock(wraps=sets._relate)
+    with mock.patch.object(sets, "_relate", relate):
+        assert E.dist_below(q, q.side) is True
+    assert relate.call_count < 100
 
 
 # point coordinates: dyadic and non-dyadic (thirds, sixths), on the boundary
