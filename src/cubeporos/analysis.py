@@ -5,6 +5,10 @@ contributes 2^(-j(d-alpha)); each such power is carried as a certified
 rational enclosure.  Weighted-measure integrals are bracketed from a free
 decomposition: free cubes give two-sided distance bounds, cells still
 meeting the set are refined and, failing that, honestly reported unbounded.
+Every mass reads one depth-first traversal that yields the bounds of each
+cell where the refinement stops, summed by one fold whose upper end is None
+once any cell's is; a caller that needs a finite mass stops at the first
+unbounded cell.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from fractions import Fraction
 
 from .enclosure import RatInterval, pow2_enclosure, pow_enclosure, sum_intervals
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
-from .families import CubeFamily, enumerate_DE, free_split
-from .lattice import DyadicCube, children, contains, cube_order_key, parent
+from .families import CubeFamily, enumerate_DE
+from .lattice import DyadicCube, children, contains, cube_order_key
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, Status
 
 DEFAULT_SPLIT_BUDGET = 20
@@ -302,11 +306,6 @@ def _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes):
         # a point of E lies in the parent, at most 2*side away in l-inf
         up = min(up, 2 * cube.side)
     lower = vol * pow_enclosure(up, -alpha).lo
-    if parent_meets:
-        # keep the lower bound never worse than volume * (2*side)^(-alpha)
-        floor_term = vol * pow2_enclosure(-alpha * (cube.depth + 1)).lo
-        if floor_term > lower:
-            lower = floor_term
     if lo_d > 0:
         notes.point_bound_cells += 1
         return lower, vol * pow_enclosure(lo_d, -alpha).hi
@@ -317,35 +316,59 @@ def _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes):
     return lower, None
 
 
-def _mu_cell(E, local, cube, alpha, levels_left, parent_meets, budget, notes):
-    st = local.intersect_status(cube, budget)
-    if st is Status.FREE:
-        return _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes)
-    if alpha == 0:
-        # weight is identically 1: a meeting cell contributes [0, |cell|]
-        if levels_left == 0:
-            return _ZERO, cube.volume
-    if levels_left > 0 and notes.refined_cells < MU_SPLIT_NODE_CAP:
-        notes.refined_cells += 1
-        lower = _ZERO
-        upper = _ZERO
-        # an undetermined cell may miss E: only a certified meet caps the
-        # children's distances at 2*side
-        meets = st is Status.INTERSECTS
-        for c in children(cube):
-            sub = local.restricted(c)
-            l, u = _mu_cell(E, sub, c, alpha, levels_left - 1, meets, budget, notes)
-            lower += l
-            upper = None if (upper is None or u is None) else upper + u
-        return lower, upper
-    if levels_left > 0:
-        notes.node_capped = True
-    # terminal cell still meeting E
-    if cube.dim == 1 and alpha < 1 and local.misses_interior(cube, budget):
-        notes.boundary_layer_cells += 1
-        return _ZERO, _boundary_layer_upper(cube.side, alpha)
-    notes.unresolved_cells.append(cube)
-    return _ZERO, None
+def _mu_cells(E, R, alpha, levels, budget, notes):
+    """The one mass traversal: (cell, free, lower, upper) for every cell of R
+    where the refinement stops, depth first in canonical order.
+
+    A free cell is bounded through its distance interval.  A cell meeting E
+    is refined while `levels` allow and the refined cells stay under
+    `MU_SPLIT_NODE_CAP`; a terminal one gets lower bound 0 and the boundary
+    layer bound or None.  A child's view is built from its parent's when the
+    child is visited.
+    """
+    stack = [(R, E, levels, False)]
+    while stack:
+        cube, outer, left, parent_meets = stack.pop()
+        local = outer.restricted(cube)
+        st = local.intersect_status(cube, budget)
+        if st is Status.FREE:
+            yield (cube, True) + _free_cell_bounds(E, cube, alpha, parent_meets,
+                                                   budget, notes)
+        elif alpha == 0 and left == 0:
+            # weight is identically 1: a meeting cell contributes [0, |cell|]
+            yield cube, False, _ZERO, cube.volume
+        elif left > 0 and notes.refined_cells < MU_SPLIT_NODE_CAP:
+            notes.refined_cells += 1
+            # an undetermined cell may miss E: only a certified meet caps the
+            # children's distances at 2*side
+            meets = st is Status.INTERSECTS
+            stack.extend((c, local, left - 1, meets) for c in reversed(children(cube)))
+        else:
+            notes.node_capped = notes.node_capped or left > 0
+            if cube.dim == 1 and alpha < 1 and local.misses_interior(cube, budget):
+                notes.boundary_layer_cells += 1
+                yield cube, False, _ZERO, _boundary_layer_upper(cube.side, alpha)
+            else:
+                notes.unresolved_cells.append(cube)
+                yield cube, False, _ZERO, None
+
+
+def _fold(bounds):
+    """Sum of (lower, upper) bounds; the upper end is None once any is."""
+    lower = upper = _ZERO
+    for lo, up in bounds:
+        lower += lo
+        upper = None if upper is None or up is None else upper + up
+    return lower, upper
+
+
+def _mu_checks(E, R, alpha, budget) -> Fraction:
+    alpha = _check_alpha(alpha, R.dim, allow_d=False)
+    if E.is_empty:
+        raise EmptySetError("weighted measure against an empty set")
+    if E.restricted(R).intersect_status(R, budget) is Status.FREE:
+        raise RootIsFree(f"{R} does not meet the set")
+    return alpha
 
 
 def mu_enclosure(E: SetModel, R: DyadicCube, alpha, J: int,
@@ -358,15 +381,10 @@ def mu_enclosure(E: SetModel, R: DyadicCube, alpha, J: int,
     A cell that stays unresolved makes the upper end None rather than a
     fabricated constant.
     """
-    alpha = _check_alpha(alpha, R.dim, allow_d=False)
-    if E.is_empty:
-        raise EmptySetError("weighted measure against an empty set")
-    local = E.restricted(R)
-    if local.intersect_status(R, budget) is Status.FREE:
-        raise RootIsFree(f"{R} does not meet the set")
+    alpha = _mu_checks(E, R, alpha, budget)
     notes = MuNotes()
-    lower, upper = _mu_cell(E, local, R, alpha, J + split_budget, False,
-                            budget, notes)
+    lower, upper = _fold(cell[2:] for cell in _mu_cells(E, R, alpha, J + split_budget,
+                                                        budget, notes))
     return MeasureEnclosure(alpha, R, J, split_budget, lower, upper, notes)
 
 
@@ -432,27 +450,6 @@ class WeightedCarlesonReport:
         return self.ratio_lower <= x and (self.ratio_upper is None or x <= self.ratio_upper)
 
 
-def _mu_decomposition_terms(E, DE, alpha, budget, split_budget):
-    """Per-free-cube mass bounds plus residual-cell bounds of a meeting family."""
-    free, residual = free_split(DE)
-    entries = []
-    notes = MuNotes()
-    parent_meets = {}  # parent cube -> E certified to meet it
-    for q in free:
-        p = parent(q)
-        if p not in parent_meets:
-            parent_meets[p] = E.intersect_status(p, budget) is Status.INTERSECTS
-        lower, upper = _free_cell_bounds(E, q, alpha, parent_meets[p], budget, notes)
-        entries.append((q, lower, upper, True))
-    for q in residual:
-        # a residual cell meets E or is undetermined, so it is never bounded
-        # as a free cell and needs no parent flag
-        local = E.restricted(q)
-        lower, upper = _mu_cell(E, local, q, alpha, split_budget, False, budget, notes)
-        entries.append((q, lower, upper, False))
-    return entries
-
-
 def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,
                           family: CubeFamily,
                           budget: int = DEFAULT_BUDGET,
@@ -462,8 +459,9 @@ def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,
     When the family is exactly the E-meeting family of R, the result is
     cross-checked against the depth-weighted free-cube identity: each free
     cube's mass is counted once per meeting ancestor, residual cells J+1 times.
+    The denominator and the identity's right side read one traversal of R.
     """
-    alpha = _check_alpha(alpha, R.dim, allow_d=False)
+    alpha = _mu_checks(E, R, alpha, budget)
     for q in family.members:
         if not contains(R, q):
             raise ValueError(f"family member {q} is not inside {R}")
@@ -471,13 +469,14 @@ def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,
             raise ValueError(f"family member {q} deeper than truncation depth")
         if E.intersect_status(q, budget) is Status.FREE:
             raise ValueError(f"family member {q} does not meet the set")
-    num_lo = _ZERO
-    num_hi = _ZERO
-    for q in family.members:
-        enc = mu_enclosure(E, q, alpha, R.depth + J - q.depth, budget, split_budget)
-        num_lo += enc.lower
-        num_hi = None if (num_hi is None or enc.upper is None) else num_hi + enc.upper
-    den = mu_enclosure(E, R, alpha, J, budget, split_budget)
+    num_lo, num_hi = _fold(
+        (enc.lower, enc.upper) for enc in
+        (mu_enclosure(E, q, alpha, R.depth + J - q.depth, budget, split_budget)
+         for q in family.members))
+    notes = MuNotes()
+    cells = list(_mu_cells(E, R, alpha, J + split_budget, budget, notes))
+    den = MeasureEnclosure(alpha, R, J, split_budget,
+                           *_fold(cell[2:] for cell in cells), notes)
     ratio_lo = num_lo / den.upper if den.upper is not None else _ZERO
     ratio_hi = None if (num_hi is None or den.lower == 0) else num_hi / den.lower
 
@@ -486,15 +485,15 @@ def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,
     consistent = None
     lhs = rhs = None
     if checked:
-        entries = _mu_decomposition_terms(E, DE, alpha, budget, split_budget)
-        rhs_lo = _ZERO
-        rhs_hi = _ZERO
-        for q, lower, upper, is_free in entries:
-            weight = (q.depth - R.depth) if is_free else (J + 1)
-            rhs_lo += lower * weight
-            rhs_hi = None if (rhs_hi is None or upper is None) else rhs_hi + upper * weight
+        def weighted(q, free, lower, upper):
+            # a free cell at offset k <= J lies in its k meeting ancestors;
+            # any other point of R lies in at most J+1 members, and a cell
+            # that is not free has lower bound 0
+            k = q.depth - R.depth
+            w = k if free and k <= J else J + 1
+            return lower * w, None if upper is None else upper * w
         lhs = (num_lo, num_hi)
-        rhs = (rhs_lo, rhs_hi)
+        rhs = _fold(weighted(*cell) for cell in cells)
         lo_l, hi_l = lhs
         lo_r, hi_r = rhs
         consistent = (hi_l is None or lo_r <= hi_l) and (hi_r is None or lo_l <= hi_r)

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _mu_cell, mu_enclosure,
-                       mu_points_exact_1d)
+from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _check_alpha, _mu_cells,
+                       mu_enclosure, mu_points_exact_1d)
 from .enclosure import RatInterval, frac_parse, frac_str, int_parse, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
@@ -215,18 +215,17 @@ class EmbeddingReport:
 
 
 def _cell_mass(E, cube, alpha, budget, split_budget) -> RatInterval:
-    """Certified mass of one cell; sharp closed form for 1-d point sets."""
+    """Certified mass of one cell; sharp closed form for 1-d point sets.  The
+    mass traversal stops at the first unbounded cell, which decides it."""
     if isinstance(E, PointsModel) and E.dim == 1:
-        enc = mu_points_exact_1d(E, cube, alpha)
-        if enc is None:
-            raise UnresolvedMeasure(f"mass of {cube} diverges at alpha={alpha}")
-        return enc
-    notes = MuNotes()
-    local = E.restricted(cube)
-    lower, upper = _mu_cell(E, local, cube, alpha, split_budget, False,
-                            budget, notes)
-    if upper is None:
-        raise UnresolvedMeasure(f"no finite certified mass for cell {cube}")
+        return mu_points_exact_1d(E, cube, alpha)
+
+    lower = upper = _ZERO
+    for _cell, _free, lo, up in _mu_cells(E, cube, alpha, split_budget, budget, MuNotes()):
+        if up is None:
+            raise UnresolvedMeasure(f"no finite certified mass for cell {cube}")
+        lower += lo
+        upper += up
     return RatInterval(lower, upper)
 
 
@@ -256,6 +255,7 @@ def embedding_check(E: SetModel, query: EmbeddingQuery, family: CubeFamily,
     for q in query.coeffs:
         if q not in family:
             raise ValueError(f"coefficient cube {q} is not a family member")
+    _check_alpha(query.alpha, query.root.dim, allow_d=False)
 
     # ancestors-or-equals of coefficient cubes: the only places the stack
     # can still change deeper down

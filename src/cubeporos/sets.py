@@ -159,11 +159,6 @@ def _zorder(coords, spread) -> int:
     return z
 
 
-def _ends(q):
-    """The two ends of a 1-d cube."""
-    return q.lower_corner[0], q.lower_corner[0] + q.side
-
-
 @dataclass(frozen=True)
 class PointsModel(SetModel):
     """Finite rational point set; every oracle answer is exact."""
@@ -234,7 +229,8 @@ class PointsModel(SetModel):
     def dist_interval(self, q, budget=DEFAULT_BUDGET):
         self._check_dim(q)
         if self.dim == 1:
-            a, b = _ends(q)
+            a = q.lower_corner[0]
+            b = a + q.side
             d = min(max(a - x, x - b, _ZERO) for x in self.around(a, b))
         else:
             d = min(linf_dist(q, Box.point(p)) for p in self.points)
@@ -251,9 +247,6 @@ class PointsModel(SetModel):
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         self._check_dim(q)
-        if self.dim == 1:
-            a, b = _ends(q)
-            return not any(a < x < b for x in self.around(a, b))
         # q's open interior is its half-open box less its lower faces
         return not any(all(x > c for x, c in zip(p, q.lower_corner))
                        for p in self._cube_rows(q)[1])

@@ -1,21 +1,25 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeporos import analysis, sets
 from cubeporos.analysis import (codim_estimate, parent_multiplicity_margin, de_sum,
                                 dynkin_sum, dynkin_sweep, largest_free_cube,
                                 mu_enclosure, mu_points_exact_1d,
                                 porosity_scan, weighted_carleson_sum)
 from cubeporos.enclosure import pow2_enclosure
-from cubeporos.errors import AlphaOutOfRange, RootIsFree
+from cubeporos.errors import AlphaOutOfRange, RootIsFree, UnresolvedMeasure
 from cubeporos.families import enumerate_DE
 from cubeporos.lattice import Box, DyadicCube
+from cubeporos.neighborhoods import _cell_mass
 from cubeporos.sets import IFSModel, PointsModel, Status, cantor_middle_thirds
-from conftest import point_sets
+from conftest import dyadic_cubes, point_sets, small_ifs
+import mu_reference
 
 F = Fraction
 CANTOR = cantor_middle_thirds()
@@ -23,6 +27,10 @@ ROOT1 = DyadicCube.root(1)
 ORIGIN = PointsModel.make([(0,)])
 
 mpmath.mp.dps = 40
+
+
+def mp(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def geometric_sum(ratio: mpmath.mpf, first_k: int, last_k: int) -> mpmath.mpf:
@@ -178,6 +186,71 @@ def test_mu_exact_1d_points():
     E2 = PointsModel.make([(0,), (1,)])
     enc2 = mu_points_exact_1d(E2, ROOT1, F(1, 2))
     assert abs(float(enc2.lo) - 2 * math.sqrt(2)) < 1e-15
+
+
+@st.composite
+def mu_cases(draw):
+    """A set, a cube and an exponent in [0, d)."""
+    d = draw(st.integers(1, 2))
+    E = draw(st.one_of(point_sets(dim=d, max_points=5), small_ifs(d),
+                       st.just(CANTOR) if d == 1 else st.nothing()))
+    R = draw(dyadic_cubes(dim=d, max_depth=3))
+    alpha = draw(st.sampled_from([F(k, 4) for k in range(4 * d)]))
+    return E, R, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu_cases(), st.integers(0, 4), st.sampled_from([0, 1, 2, 3, 4, 36]),
+       st.integers(0, 4), st.sampled_from([1, 7, 50, analysis.MU_SPLIT_NODE_CAP]))
+def test_mu_enclosure_matches_recursive_reference(case, J, budget, split_budget, cap):
+    # the oracles' node cap keeps overlapping random IFS quick at budget 36
+    E, R, alpha = case
+    with mock.patch.object(sets, "_MAX_NODES", 1000), \
+            mock.patch.object(analysis, "MU_SPLIT_NODE_CAP", cap):
+        if E.restricted(R).intersect_status(R, budget) is Status.FREE:
+            with pytest.raises(RootIsFree):
+                mu_enclosure(E, R, alpha, J, budget, split_budget)
+            return
+        enc = mu_enclosure(E, R, alpha, J, budget, split_budget)
+        lower, upper, notes = mu_reference.mu_enclosure(E, R, alpha, J, budget,
+                                                        split_budget)
+    assert (enc.lower, enc.upper) == (lower, upper)
+    assert enc.notes == notes
+
+
+def test_cell_mass_stops_at_the_first_unbounded_cell(monkeypatch):
+    # Cantor's mass diverges at alpha = 1/2 > codim; the leftmost depth-20
+    # cell is the first unbounded one, reached after 21 status queries
+    calls = []
+    status = IFSModel.intersect_status
+
+    def counted(self, q, budget=36):
+        calls.append(q)
+        return status(self, q, budget)
+
+    monkeypatch.setattr(IFSModel, "intersect_status", counted)
+    with pytest.raises(UnresolvedMeasure):
+        _cell_mass(CANTOR, ROOT1, F(1, 2), 36, 20)
+    assert len(calls) <= 2 * 20 + 1
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1, 2)])
+@pytest.mark.parametrize("cap", [1, 3, 7, 12, 20])
+def test_weighted_carleson_sum_under_a_small_node_cap(monkeypatch, cap, alpha):
+    monkeypatch.setattr(analysis, "MU_SPLIT_NODE_CAP", cap)
+    J = 6
+    fam = enumerate_DE(ORIGIN, ROOT1, J)
+    rep = weighted_carleson_sum(ORIGIN, ROOT1, alpha, J, fam)
+    assert rep.identity_checked and rep.identity_consistent
+    assert rep.denominator.notes.node_capped
+    # the mass of [0, 2^-k) is 2^(-k(1-alpha)) / (1-alpha); the members are
+    # k = 0..J, and the right side of the identity encloses the same sum
+    one_m = 1 - mpmath.mpf(alpha.numerator) / alpha.denominator
+    numerator = sum(mpmath.mpf(2) ** (-k * one_m) for k in range(J + 1)) / one_m
+    assert mp(rep.numerator_lower) <= numerator <= mp(rep.numerator_upper)
+    assert mp(rep.denominator.lower) <= 1 / one_m <= mp(rep.denominator.upper)
+    lo_r, hi_r = rep.identity_rhs
+    assert mp(lo_r) <= numerator <= mp(hi_r)
 
 
 def test_weighted_carleson_sum_chain():

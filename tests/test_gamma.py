@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from cubeporos.errors import AlphaOutOfRange
 from cubeporos.families import enumerate_DE, enumerate_Dgamma
 from cubeporos.lattice import DyadicCube, contains
 from cubeporos.neighborhoods import (EmbeddingQuery, _covering_cubes, embedding_check,
@@ -164,6 +165,15 @@ def test_embedding_rejects_family_of_another_root_or_depth():
                   enumerate_Dgamma(ORIGIN, DyadicCube(1, (0,)), F(1, 4), 5)):
         with pytest.raises(ValueError):
             embedding_check(ORIGIN, q, other)
+
+
+def test_embedding_rejects_alpha_at_the_dimension_before_any_mass():
+    # the mass of a cell holding the origin diverges at alpha = 1 = d; the
+    # query is rejected for its exponent, not for its first cell
+    fam = enumerate_Dgamma(ORIGIN, ROOT1, F(1, 4), 4)
+    q = EmbeddingQuery.make(1, 1, F(1, 4), ROOT1, 4, {ROOT1: F(1)})
+    with pytest.raises(AlphaOutOfRange):
+        embedding_check(ORIGIN, q, fam)
 
 
 def test_embedding_query_json_round_trip():
