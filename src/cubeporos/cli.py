@@ -22,10 +22,11 @@ from .errors import (CubeporosError, EmptyFamilyError, EmptySetError,
                      NotParentClosed, PorosityFailure, UnresolvedMeasure)
 from .families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from .generators import random_coefficients, rng_from_seed
-from .inverse import invert
+from .inverse import default_depth, invert
 from .lattice import DyadicCube
 from .neighborhoods import EmbeddingQuery, embedding_check, gamma_carleson, gamma_witness
-from .sets import DEFAULT_BUDGET, MAX_BUDGET, SetModel, Status, model_from_json
+from .sets import (DEFAULT_BUDGET, MAX_BUDGET, MAX_DEPTH_BITS, SetModel, Status,
+                   model_from_json)
 from .sparse import build_witness, verify_witness
 
 EXIT_OK = 0
@@ -116,6 +117,14 @@ def _load_set(config: RunConfig) -> SetModel:
     return model
 
 
+def _check_depth(depth: int, d: int):
+    """Refuse, before any enumeration, a depth whose cells need more than
+    MAX_DEPTH_BITS bits of denominator."""
+    if depth * d > MAX_DEPTH_BITS:
+        raise ValidationError(f"depth {depth} times dimension {d} exceeds "
+                              f"{MAX_DEPTH_BITS}")
+
+
 def _load_family(config: RunConfig) -> CubeFamily:
     if not config.family_path:
         raise ValidationError("--family FILE is required for this command")
@@ -177,6 +186,7 @@ def cmd_analyze(config: RunConfig) -> int:
     if E.is_empty:
         raise ValidationError("cannot analyze an empty set")
     d = E.dim
+    _check_depth(config.depth, d)
     root = DyadicCube.root(d)
     grid = _alpha_grid(config, d)
     J = config.depth
@@ -208,10 +218,16 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_BUDGET if failure else EXIT_OK
 
 
+def _report_porosity_failure(exc: PorosityFailure, config: RunConfig):
+    print(f"porosity failure at {exc.cube}: no free cube within "
+          f"--search-depth {config.search_depth}", file=sys.stderr)
+
+
 def cmd_witness(config: RunConfig) -> int:
     E = _load_set(config)
     if E.is_empty:
         raise ValidationError("cannot build a witness for an empty set")
+    _check_depth(config.depth, E.dim)
     root = DyadicCube.root(E.dim)
     try:
         witness = build_witness(E, root, config.depth, config.search_depth,
@@ -222,7 +238,7 @@ def cmd_witness(config: RunConfig) -> int:
             "error": "porosity-failure",
             "cube": exc.cube.to_json(),
         })
-        print(f"porosity failure at {exc.cube}", file=sys.stderr)
+        _report_porosity_failure(exc, config)
         return EXIT_BUDGET
     verdict = verify_witness(witness, E, config.budget)
     payload = witness.to_json()
@@ -234,6 +250,9 @@ def cmd_witness(config: RunConfig) -> int:
 
 def cmd_invert(config: RunConfig) -> int:
     family = _load_family(config)
+    if family.members:
+        J = config.depth if config.depth is not None else default_depth(family)
+        _check_depth(J, family.root.dim)
     try:
         _E, report = invert(family, config.depth)
     except NotParentClosed as exc:
@@ -263,6 +282,7 @@ def cmd_gamma(config: RunConfig) -> int:
     if config.p < 1:
         raise ValidationError(f"--p must be >= 1, got {config.p}")
     d = E.dim
+    _check_depth(config.depth, d)
     root = DyadicCube.root(d)
     alpha = config.alpha if config.alpha is not None else Fraction(1, 2)
     if not 0 < alpha < d:
@@ -281,6 +301,8 @@ def cmd_gamma(config: RunConfig) -> int:
     except (PorosityFailure, UnresolvedMeasure) as exc:
         payload["witness"] = {"error": str(exc)}
         code = EXIT_BUDGET
+        if isinstance(exc, PorosityFailure):
+            _report_porosity_failure(exc, config)
 
     rng = rng_from_seed(config.seed)
     coeffs = random_coefficients(rng, family)
@@ -304,6 +326,7 @@ def cmd_plotdata(config: RunConfig) -> int:
     if config.set_path:
         E = _load_set(config)
         if not E.is_empty:
+            _check_depth(config.depth, E.dim)
             root = DyadicCube.root(E.dim)
             grid = _alpha_grid(config, E.dim)
             J_list = _analysis_J_list(config.depth)

@@ -9,6 +9,14 @@ family is certified against the explicit bound
 by splitting each tested root's mass into family members (S1) and corner
 chains (S2 = S3 + S4): chain cubes below an in-root owner (S3) and the
 single chain through the root itself (S4).
+
+The measured constant and every split come from one pass over the corner
+family in canonical order.  A non-member whose coordinates are all even
+(and whose depth is positive) shares its parent's lower corner, so it is
+owned by its parent if that is in the family and otherwise by the parent's
+owner; any other non-member has no owner.  Masses are integer counts of
+depth-J cells, summed bottom-up by the packing kernel, so a root's constant
+and splits are each one `Fraction`.
 """
 
 from __future__ import annotations
@@ -102,36 +110,25 @@ def carleson_bound(xi: Fraction, d: int) -> Fraction:
     return xi + factor + factor * xi
 
 
-def _chain_owner(q: DyadicCube, S: CubeFamily) -> DyadicCube | None:
-    """Smallest member of S that contains q and shares q's lower corner.
-
-    Walks up while the corner is preserved (all coordinates even).
-    """
-    depth, coords = q.depth, q.coords
-    while depth > 0 and all(k % 2 == 0 for k in coords):
-        depth -= 1
-        coords = tuple(k >> 1 for k in coords)
-        probe = DyadicCube(depth, coords)
-        if probe in S:
-            return probe
-    return None
+def default_depth(S: CubeFamily) -> int:
+    """The J `invert` takes when none is given: the deepest member's depth + 8;
+    deeper chain tails contribute less than 2^(-8d) of a cube each and only
+    lower the measured constant."""
+    return max(q.depth for q in S.members) + 8
 
 
 def invert(S: CubeFamily, J: int | None = None) -> tuple:
     """Corner set of S plus the certified packing report of its meeting family.
 
-    J defaults to (deepest member depth) + 8; deeper chain tails contribute
-    less than 2^(-8d) of a cube each and only lower the measured constant.
-    Returns (PointsModel, InverseReport).
+    J defaults to `default_depth(S)`.  Returns (PointsModel, InverseReport).
     """
     if not S.members:
         raise EmptyFamilyError("cannot invert an empty family")
     ok, offender = check_parent_closed(S)
     if not ok:
         raise NotParentClosed(offender)
-    max_depth = max(q.depth for q in S.members)
     if J is None:
-        J = max_depth + 8
+        J = default_depth(S)
     xi = carleson_constant(S).xi_hat
     E = corner_set(S.members)
 
@@ -140,32 +137,43 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
     # every member holds its own corner, so this fails only for members
     # deeper than J
     corner_membership_ok = all(q in DE for q in S.members)
-    measured_report = carleson_constant(DE)
-    measured = measured_report.xi_hat
 
-    # split every corner-family member: in S, or on the chain of its owner
-    members, others, owned = [], [], []
+    # each cube weighs its depth-J cells; a non-member's weight is also placed
+    # at its owner, which contains it and so lies inside a root containing it
+    # exactly when it is at least as deep as that root (s3)
+    in_family = S._index
+    in_S, all_DE, owned = [], [], []
+    owners = {}  # non-member key -> its owner's key, or None
     coverage_ok = True
     for q in DE.members:
-        if q in S:
-            members.append((q, q.volume))
+        key = (q.depth, q.coords)
+        w = 1 << d * (J - q.depth)
+        all_DE.append((key, w))
+        if key in in_family:
+            in_S.append((key, w))
             continue
-        others.append((q, q.volume))
-        owner = _chain_owner(q, S)
+        owner = None
+        if q.depth and not any(k & 1 for k in q.coords):
+            up = (q.depth - 1, tuple([k >> 1 for k in q.coords]))
+            owner = up if up in in_family else owners[up]
+        owners[key] = owner
         if owner is None:
             coverage_ok = False
         else:
-            # owner contains q, so it lies inside a root containing q
-            # exactly when it is at least as deep as that root
-            owned.append((owner, q.volume))
-    s1, s2, s3 = subtree_sums(members), subtree_sums(others), subtree_sums(owned)
+            owned.append((owner, w))
+    total, s1, s3 = subtree_sums(all_DE), subtree_sums(in_S), subtree_sums(owned)
 
-    splits = []
-    for r, _ratio in measured_report.per_root:
-        key = (r.depth, r.coords)
-        in_s2, in_s3 = s2.get(key, _ZERO), s3.get(key, _ZERO)
-        splits.append(RootSplit(r, s1.get(key, _ZERO), in_s2, in_s3, in_s2 - in_s3))
+    # the tested roots are the members of DE, the lattice root first
+    unit = 1 << d * J
+    splits, peak = [], 0
+    for q in DE.members:
+        key = (q.depth, q.coords)
+        in_all, in_s1, in_s3 = total[key], s1.get(key, 0), s3.get(key, 0)
+        peak = max(peak, in_all << d * q.depth)
+        in_s2 = in_all - in_s1
+        splits.append(RootSplit(q, Fraction(in_s1, unit), Fraction(in_s2, unit),
+                                Fraction(in_s3, unit), Fraction(in_s2 - in_s3, unit)))
 
-    report = InverseReport(xi, carleson_bound(xi, d), measured, J,
+    report = InverseReport(xi, carleson_bound(xi, d), Fraction(peak, unit), J,
                            tuple(splits), coverage_ok, corner_membership_ok)
     return E, report

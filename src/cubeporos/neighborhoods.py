@@ -101,14 +101,17 @@ def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
     n = minimal_exceeding_integer(gamma)
 
     d = R.dim
-    root0 = DyadicCube.root(d)
-    DE = enumerate_DE(E, root0, R.depth + J, budget)
-    mass = subtree_sums((q, q.volume) for q in DE.members)
+    B = R.depth + J
+    DE = enumerate_DE(E, DyadicCube.root(d), B, budget)
+    # integer counts of depth-B cells; a covering cube's ratio is its count
+    # over its own cells, compared over the common 2^(dB) as count << d*depth
+    mass = subtree_sums(((q.depth, q.coords), 1 << d * (B - q.depth))
+                        for q in DE.members)
 
     covering_counts = []
     # floor at 1: the comparison constant of a meeting family never drops
     # below 1, while a clipped covering measurement can undershoot
-    base_constant = _ONE
+    best = 1 << d * B
     clipped_any = False
     test_roots = {R} | set(family.members)
     for r in sorted(test_roots, key=cube_order_key):
@@ -116,9 +119,8 @@ def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
         clipped_any = clipped_any or clipped
         covering_counts.append(len(cover))
         for ri in cover:
-            ratio = mass.get((ri.depth, ri.coords), _ZERO) / ri.volume
-            if ratio > base_constant:
-                base_constant = ratio
+            best = max(best, mass.get((ri.depth, ri.coords), 0) << d * ri.depth)
+    base_constant = Fraction(best, 1 << d * B)
     bound = base_constant * (gamma + 1) ** d * Fraction(6) ** d
     return GammaReport(gamma, n, len(family.members), measured, base_constant,
                        bound, tuple(covering_counts), max(covering_counts),

@@ -17,7 +17,8 @@ subtrees of settled images read from per-level extreme tables; the search
 yields a nested certified interval per level, and a threshold query stops
 at the first that decides it.
 A point set finds a cube's points by bisection in a Z-order index (a linear
-quadtree), and its 1-d distances by bisection in its sorted coordinates.
+quadtree), and its 1-d distances by bisection in its sorted coordinates; a
+restricted point set holds its cube's slice and answers that cube at once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ DEFAULT_BUDGET = 36
 # (Q the lcm of the ratio denominators): about 2*d*budget^2*log2(Q) bits in
 # all: 0.4 MB for the Cantor set at this bound, growing with its square.
 MAX_BUDGET = 1_000
+# The largest depth times dimension the command line enumerates to: a depth-J
+# cube's volume has the denominator 2^(dJ), the power the packing kernel
+# builds to count a family's depth-J cells.
+MAX_DEPTH_BITS = 1_000
 _MAX_NODES = 200_000  # hard cap on hull expansions per oracle call
 _ZERO = Fraction(0)
 
@@ -166,6 +171,7 @@ class PointsModel(SetModel):
     points: tuple  # distinct sorted d-tuples of Fraction (key order if cube-restricted)
 
     kind = "points"
+    _cut = None  # the cube a restricted model holds exactly the points of
 
     @classmethod
     def make(cls, pts) -> "PointsModel":
@@ -224,6 +230,8 @@ class PointsModel(SetModel):
 
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         self._check_dim(q)
+        if q == self._cut:  # its points, never none, are those inside q
+            return Status.INTERSECTS
         return Status.INTERSECTS if self._cube_rows(q)[1] else Status.FREE
 
     def dist_interval(self, q, budget=DEFAULT_BUDGET):
@@ -242,7 +250,8 @@ class PointsModel(SetModel):
         if not kept:
             return EmptyModel(self.dim)
         sub = PointsModel(kept)
-        sub.__dict__["_index"] = self._index[:2] + (keys, kept)  # the parent's slice
+        sub.__dict__.update(_index=self._index[:2] + (keys, kept),  # the parent's slice
+                            _cut=q)
         return sub
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):

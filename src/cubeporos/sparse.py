@@ -20,8 +20,6 @@ from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children, contains, cube_order_key, parent
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class CarlesonReport:
@@ -37,38 +35,46 @@ class CarlesonReport:
 
 
 def subtree_sums(weighted) -> dict:
-    """Total weight inside each cube, from (cube, weight) pairs.
+    """Total integer weight inside each cube, from ((depth, coords), weight)
+    pairs.
 
-    One bottom-up pass, level by level: each node's sum is added into its
-    parent.  Returns (depth, coords) -> total weight for every given cube and
-    all of its ancestors.
+    The packing kernel weighs a depth-j cube as its count of depth-B cells,
+    1 << d*(B - j), B the deepest depth in play, so every mass is an integer
+    over 2^(dB).  One bottom-up pass, level by level: each node's sum is added
+    into its parent.  Returns (depth, coords) -> total weight for every given
+    cube and all of its ancestors.
     """
     levels = {}
-    for q, w in weighted:
-        level = levels.setdefault(q.depth, {})
-        level[q.coords] = level.get(q.coords, _ZERO) + w
+    for (depth, coords), w in weighted:
+        level = levels.setdefault(depth, {})
+        level[coords] = level.get(coords, 0) + w
     sums = {}
     for depth in range(max(levels, default=-1), -1, -1):
         up = levels.setdefault(depth - 1, {})
         for coords, w in levels.get(depth, {}).items():
             sums[(depth, coords)] = w
             if depth:
-                p = tuple(k >> 1 for k in coords)
-                up[p] = up.get(p, _ZERO) + w
+                p = tuple([k >> 1 for k in coords])
+                up[p] = up.get(p, 0) + w
     return sums
 
 
 def carleson_constant(S: CubeFamily) -> CarlesonReport:
     """Exact packing ratios sum(|Q| : Q in S, Q inside R') / |R'| per test root.
 
-    Tests every member of S plus the family root.
+    Tests every member of S plus the family root.  Masses are integer counts
+    of the deepest cells, so a root's ratio is its count over its own cells.
     """
     if not S.members:
         raise EmptyFamilyError("Carleson constant of an empty family")
+    d = S.root.dim
+    B = max(S.root.depth, max(q.depth for q in S.members))
+    mass = subtree_sums(((q.depth, q.coords), 1 << d * (B - q.depth))
+                        for q in S.members)
     roots = set(S.members)
     roots.add(S.root)
-    mass = subtree_sums((q, q.volume) for q in S.members)
-    per_root = tuple((r, mass.get((r.depth, r.coords), _ZERO) / r.volume)
+    per_root = tuple((r, Fraction(mass.get((r.depth, r.coords), 0),
+                                  1 << d * (B - r.depth)))
                      for r in sorted(roots, key=cube_order_key))
     xi_hat = max(x for _, x in per_root)
     return CarlesonReport(len(S.members), per_root, xi_hat)

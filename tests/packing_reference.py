@@ -1,0 +1,121 @@
+"""Reference packing: the `Fraction` kernel the library used before its
+integer cell counts and one-pass chain split.
+
+`subtree_sums` adds each cube's exact volume into its ancestors,
+`carleson_constant` divides by each root's volume, `invert` finds every
+non-member's chain owner by walking up from it, and `gamma_carleson` reads
+its covering masses from the same `Fraction` sums.  The property tests
+require the library to give reports equal to these field for field.
+"""
+
+from fractions import Fraction
+
+from cubeporos.families import enumerate_DE
+from cubeporos.inverse import (InverseReport, RootSplit, carleson_bound,
+                               check_parent_closed, default_depth)
+from cubeporos.lattice import DyadicCube, cube_order_key
+from cubeporos.neighborhoods import (GammaReport, _covering_cubes,
+                                     minimal_exceeding_integer)
+from cubeporos.sets import DEFAULT_BUDGET, corner_set
+from cubeporos.sparse import CarlesonReport
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def subtree_sums(weighted) -> dict:
+    """(depth, coords) -> total weight inside that cube, from (cube, weight)
+    pairs, for every given cube and its ancestors."""
+    levels = {}
+    for q, w in weighted:
+        level = levels.setdefault(q.depth, {})
+        level[q.coords] = level.get(q.coords, _ZERO) + w
+    sums = {}
+    for depth in range(max(levels, default=-1), -1, -1):
+        up = levels.setdefault(depth - 1, {})
+        for coords, w in levels.get(depth, {}).items():
+            sums[(depth, coords)] = w
+            if depth:
+                p = tuple(k >> 1 for k in coords)
+                up[p] = up.get(p, _ZERO) + w
+    return sums
+
+
+def carleson_constant(S) -> CarlesonReport:
+    roots = set(S.members)
+    roots.add(S.root)
+    mass = subtree_sums((q, q.volume) for q in S.members)
+    per_root = tuple((r, mass.get((r.depth, r.coords), _ZERO) / r.volume)
+                     for r in sorted(roots, key=cube_order_key))
+    return CarlesonReport(len(S.members), per_root, max(x for _, x in per_root))
+
+
+def _chain_owner(q, S):
+    """Smallest member of S that contains q and shares q's lower corner:
+    walks up while the corner is preserved (all coordinates even)."""
+    depth, coords = q.depth, q.coords
+    while depth > 0 and all(k % 2 == 0 for k in coords):
+        depth -= 1
+        coords = tuple(k >> 1 for k in coords)
+        probe = DyadicCube(depth, coords)
+        if probe in S:
+            return probe
+    return None
+
+
+def invert(S, J=None):
+    """(corner set, InverseReport) of a non-empty parent-closed family."""
+    assert check_parent_closed(S)[0]
+    if J is None:
+        J = default_depth(S)
+    xi = carleson_constant(S).xi_hat
+    E = corner_set(S.members)
+    d = S.root.dim
+    DE = enumerate_DE(E, DyadicCube.root(d), J)
+    corner_membership_ok = all(q in DE for q in S.members)
+    measured_report = carleson_constant(DE)
+
+    members, others, owned = [], [], []
+    coverage_ok = True
+    for q in DE.members:
+        if q in S:
+            members.append((q, q.volume))
+            continue
+        others.append((q, q.volume))
+        owner = _chain_owner(q, S)
+        if owner is None:
+            coverage_ok = False
+        else:
+            owned.append((owner, q.volume))
+    s1, s2, s3 = subtree_sums(members), subtree_sums(others), subtree_sums(owned)
+    splits = []
+    for r, _ratio in measured_report.per_root:
+        key = (r.depth, r.coords)
+        in_s2, in_s3 = s2.get(key, _ZERO), s3.get(key, _ZERO)
+        splits.append(RootSplit(r, s1.get(key, _ZERO), in_s2, in_s3, in_s2 - in_s3))
+    return E, InverseReport(xi, carleson_bound(xi, d), measured_report.xi_hat, J,
+                            tuple(splits), coverage_ok, corner_membership_ok)
+
+
+def gamma_carleson(E, family, gamma, budget=DEFAULT_BUDGET) -> GammaReport:
+    gamma = Fraction(gamma)
+    R, J = family.root, family.J
+    measured = carleson_constant(family).xi_hat
+    n = minimal_exceeding_integer(gamma)
+    d = R.dim
+    DE = enumerate_DE(E, DyadicCube.root(d), R.depth + J, budget)
+    mass = subtree_sums((q, q.volume) for q in DE.members)
+    covering_counts = []
+    base_constant = _ONE
+    clipped_any = False
+    for r in sorted({R} | set(family.members), key=cube_order_key):
+        cover, clipped = _covering_cubes(r, n)
+        clipped_any = clipped_any or clipped
+        covering_counts.append(len(cover))
+        for ri in cover:
+            base_constant = max(base_constant,
+                                mass.get((ri.depth, ri.coords), _ZERO) / ri.volume)
+    bound = base_constant * (gamma + 1) ** d * Fraction(6) ** d
+    return GammaReport(gamma, n, len(family.members), measured, base_constant,
+                       bound, tuple(covering_counts), max(covering_counts),
+                       clipped_any)

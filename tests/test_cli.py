@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -71,7 +72,7 @@ def test_witness_origin(tmp_path):
     assert payload["verified"] is True
 
 
-def test_witness_saturated_set_exits_3(tmp_path):
+def test_witness_saturated_set_exits_3(tmp_path, capsys):
     pts = [[f"{k}/16"] for k in range(16)]
     path = tmp_path / "full.json"
     path.write_text(json.dumps({"kind": "points", "points": pts}))
@@ -82,6 +83,7 @@ def test_witness_saturated_set_exits_3(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["error"] == "porosity-failure"
     assert "cube" in payload
+    assert "no free cube within --search-depth 2" in capsys.readouterr().err
 
 
 def test_invert_chain(tmp_path):
@@ -308,6 +310,55 @@ def test_p_below_one_exits_2(tmp_path, capsys, p):
     assert code == 2
     assert "error: --p must be >= 1" in capsys.readouterr().err
     assert not out.exists()  # rejected before any family is computed
+
+
+@pytest.mark.parametrize("command", ["analyze", "gamma", "plotdata", "witness"])
+def test_depth_times_dim_above_1000_exits_2_before_enumerating(tmp_path, capsys, command):
+    # a depth-501 cube of the plane has volume 2^-1002
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"kind": "points", "points": [["1/3", "0/1"]]}))
+    extra = ["--gamma", "1/1"] if command == "gamma" else []
+    start = time.perf_counter()
+    code = main([command, "--set", str(path), "--depth", "501", *extra,
+                 "--out", str(tmp_path / "r.json")])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "error: depth 501 times dimension 2 exceeds 1000" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
+
+
+def test_invert_default_depth_times_dim_above_1000_exits_2(tmp_path, capsys):
+    # a 3-d chain to depth 327: the default J = 335 needs 3 * 335 = 1005 bits
+    members = [{"depth": j, "coords": [0, 0, 0]} for j in range(328)]
+    family = tmp_path / "chain.json"
+    family.write_text(json.dumps({"root": {"depth": 0, "coords": [0, 0, 0]},
+                                  "J": 327, "provenance": "USER", "members": members}))
+    out = tmp_path / "inv.json"
+    assert main(["invert", "--family", str(family), "--out", str(out)]) == 2
+    assert "error: depth 335 times dimension 3 exceeds 1000" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["invert", "--family", str(family), "--depth", "333",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["J"] == 333
+
+
+def test_gamma_names_the_search_depth_that_ran_out(tmp_path, capsys):
+    # 64 dyadic points over 2^16, two in each stratum [s/32, (s+1)/32): the
+    # witness is built against the gamma family's corner set, which is dense
+    # at depth 6
+    rng = random.Random(1)
+    nums = sorted(s * 2048 + x for s in range(32) for x in rng.sample(range(2048), 2))
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"kind": "points", "points": [[f"{n}/65536"] for n in nums]}))
+    out = tmp_path / "g.json"
+    code = main(["gamma", "--set", str(path), "--gamma", "3/2", "--depth", "10",
+                 "--search-depth", "6", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert re.search(r"porosity failure at Q\(j=\d+, k=\(\d+,\)\): no free cube "
+                     r"within --search-depth 6", err)
+    witness = json.loads(out.read_text())["witness"]
+    assert set(witness) == {"error"}
 
 
 def test_analyze_cantor_flags_unresolved_mass(tmp_path):
