@@ -1,8 +1,11 @@
 """Command-line front end: parse set/family files, run analyses, emit reports.
 
-Exit codes: 0 success, 2 validation error (malformed input, violated
-precondition), 3 mathematical budget failure (porosity search or measure
-resolution gave up; a partial report is still written).
+Exit codes: 0 success, 2 for every library error (malformed input, violated
+precondition), 3 for the two budget failures (porosity search or measure
+resolution gave up; a partial report is still written).  `main` alone turns
+a library error into its exit code, its one stderr line and, for a failure
+at a named cube, a partial report; only `gamma` catches the budget failures
+that let the rest of its report stand.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from fractions import Fraction
 from .analysis import (DEFAULT_SPLIT_BUDGET, codim_estimate, dynkin_sweep,
                        mu_enclosure, porosity_scan)
 from .enclosure import frac_parse, frac_str
-from .errors import (CubeporosError, EmptyFamilyError, EmptySetError,
-                     NotParentClosed, PorosityFailure, UnresolvedMeasure)
+from .errors import (CubeporosError, NotParentClosed, PorosityFailure,
+                     UnresolvedMeasure)
 from .families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from .generators import random_coefficients, rng_from_seed
 from .inverse import default_depth, invert
@@ -33,9 +36,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
+# the library errors that exit 3; every other one exits 2
+BUDGET_FAILURES = (PorosityFailure, UnresolvedMeasure)
+# the failures at a named cube that leave a partial report
+PARTIAL_REPORTS = {PorosityFailure: "porosity-failure",
+                   NotParentClosed: "not-parent-closed"}
 
 
-class ValidationError(Exception):
+class ValidationError(CubeporosError):
     pass
 
 
@@ -86,6 +94,15 @@ def _parse_grid(spec: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"alpha grid {spec!r} has {n} entries, more than {MAX_GRID}")
     return tuple(lo + i * step for i in range(n))
+
+
+def _failure_line(exc: CubeporosError, config: RunConfig) -> str:
+    """The one stderr line of a library error."""
+    if isinstance(exc, PorosityFailure):
+        return (f"porosity failure at {exc.cube}: no free cube within "
+                f"--search-depth {config.search_depth}")
+    kind = "budget failure" if isinstance(exc, UnresolvedMeasure) else "error"
+    return f"{kind}: {exc}"
 
 
 def _load_json_file(path: str, what: str):
@@ -175,10 +192,11 @@ def _alpha_grid(config: RunConfig, d: int) -> tuple:
 
 
 def _analysis_J_list(J: int):
-    cand = sorted({max(1, J - 6), max(1, J - 4), max(1, J - 2), J})
-    if len(cand) < 2:
-        cand = sorted({max(1, J - 1), J})
-    return cand
+    """Depths J-6, J-4, J-2 and J, floored at 1; J = 0 and J = 1 read [0, 1],
+    the two depths a growth rate needs."""
+    if J <= 1:
+        return [0, 1]
+    return sorted({max(1, J - 6), max(1, J - 4), max(1, J - 2), J})
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -218,28 +236,13 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_BUDGET if failure else EXIT_OK
 
 
-def _report_porosity_failure(exc: PorosityFailure, config: RunConfig):
-    print(f"porosity failure at {exc.cube}: no free cube within "
-          f"--search-depth {config.search_depth}", file=sys.stderr)
-
-
 def cmd_witness(config: RunConfig) -> int:
     E = _load_set(config)
     if E.is_empty:
         raise ValidationError("cannot build a witness for an empty set")
     _check_depth(config.depth, E.dim)
     root = DyadicCube.root(E.dim)
-    try:
-        witness = build_witness(E, root, config.depth, config.search_depth,
-                                config.budget)
-    except PorosityFailure as exc:
-        _dump_json(config.out, {
-            "config": config.to_json(),
-            "error": "porosity-failure",
-            "cube": exc.cube.to_json(),
-        })
-        _report_porosity_failure(exc, config)
-        return EXIT_BUDGET
+    witness = build_witness(E, root, config.depth, config.search_depth, config.budget)
     verdict = verify_witness(witness, E, config.budget)
     payload = witness.to_json()
     payload["verified"] = bool(verdict)
@@ -250,21 +253,11 @@ def cmd_witness(config: RunConfig) -> int:
 
 def cmd_invert(config: RunConfig) -> int:
     family = _load_family(config)
+    J = config.depth
     if family.members:
-        J = config.depth if config.depth is not None else default_depth(family)
+        J = default_depth(family) if J is None else J
         _check_depth(J, family.root.dim)
-    try:
-        _E, report = invert(family, config.depth)
-    except NotParentClosed as exc:
-        _dump_json(config.out, {
-            "config": config.to_json(),
-            "error": "not-parent-closed",
-            "cube": exc.cube.to_json(),
-        })
-        print(f"family not parent-closed at {exc.cube}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except EmptyFamilyError as exc:
-        raise ValidationError(str(exc))
+    _E, report = invert(family, J)
     payload = report.to_json()
     payload["config"] = config.to_json()
     _dump_json(config.out, payload)
@@ -290,19 +283,17 @@ def cmd_gamma(config: RunConfig) -> int:
     payload = {"config": config.to_json()}
     code = EXIT_OK
     family = enumerate_Dgamma(E, root, config.gamma, config.depth, config.budget)
-    try:
-        report = gamma_carleson(E, family, config.gamma, config.budget)
-        payload["gamma_report"] = report.to_json()
-    except EmptyFamilyError as exc:
-        raise ValidationError(str(exc))
+    payload["gamma_report"] = gamma_carleson(E, family, config.gamma,
+                                             config.budget).to_json()
+    # a budget failure of the witness or the embedding leaves the rest of
+    # the report standing
     try:
         witness = gamma_witness(E, family, config.search_depth, config.budget)
         payload["witness"] = witness.to_json()
-    except (PorosityFailure, UnresolvedMeasure) as exc:
+    except BUDGET_FAILURES as exc:
         payload["witness"] = {"error": str(exc)}
+        print(_failure_line(exc, config), file=sys.stderr)
         code = EXIT_BUDGET
-        if isinstance(exc, PorosityFailure):
-            _report_porosity_failure(exc, config)
 
     rng = rng_from_seed(config.seed)
     coeffs = random_coefficients(rng, family)
@@ -313,6 +304,7 @@ def cmd_gamma(config: RunConfig) -> int:
         payload["embedding"] = {"query": query.to_json(), "report": emb.to_json()}
     except UnresolvedMeasure as exc:
         payload["embedding"] = {"query": query.to_json(), "error": str(exc)}
+        print(_failure_line(exc, config), file=sys.stderr)
         code = EXIT_BUDGET
     _dump_json(config.out, payload)
     return code
@@ -412,12 +404,13 @@ def main(argv=None) -> int:
         if config.budget > MAX_BUDGET:
             raise ValidationError(f"--budget must be <= {MAX_BUDGET}, got {config.budget}")
         return COMMANDS[config.command][0](config)
-    except (ValidationError, EmptySetError, EmptyFamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (PorosityFailure, UnresolvedMeasure) as exc:
-        print(f"budget failure: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except CubeporosError as exc:
+        print(_failure_line(exc, config), file=sys.stderr)
+        error = PARTIAL_REPORTS.get(type(exc))
+        if error is not None:
+            _dump_json(config.out, {"config": config.to_json(), "error": error,
+                                    "cube": exc.cube.to_json()})
+        return EXIT_BUDGET if isinstance(exc, BUDGET_FAILURES) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

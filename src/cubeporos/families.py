@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .enclosure import frac_parse, frac_str, int_parse
-from .errors import EmptySetError, RootIsFree
+from .errors import DimensionMismatch, EmptySetError, RootIsFree
 from .lattice import DyadicCube, children, cube_order_key
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
@@ -59,9 +59,13 @@ class CubeFamily:
 
     @classmethod
     def from_json(cls, obj) -> "CubeFamily":
-        return cls.make(DyadicCube.from_json(obj["root"]),
-                        [DyadicCube.from_json(c) for c in obj["members"]],
-                        int_parse(obj["J"]), obj.get("provenance", PROVENANCE_USER))
+        root = DyadicCube.from_json(obj["root"])
+        members = [DyadicCube.from_json(c) for c in obj["members"]]
+        for q in members:
+            if q.dim != root.dim:
+                raise DimensionMismatch(f"{q.dim}-d member {q} of a {root.dim}-d family")
+        return cls.make(root, members, int_parse(obj["J"]),
+                        obj.get("provenance", PROVENANCE_USER))
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _check_alpha, _mu_cells,
 from .enclosure import RatInterval, frac_parse, frac_str, int_parse, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
-from .lattice import DyadicCube, children, cube_order_key, dilate
+from .lattice import DyadicCube, children, cube_order_key
 from .sets import (DEFAULT_BUDGET, PointsModel, SetModel, Status, UnionModel,
                    corner_set)
 from .sparse import SparseWitness, build_witness, carleson_constant, subtree_sums
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -60,25 +59,19 @@ def _covering_cubes(R: DyadicCube, n: int):
     """Dyadic cubes of comparable size covering the clipped dilation of R.
 
     Side 2^-m is chosen with dilated_side/2 <= 2^-m < dilated_side, so at
-    most 3 cubes per axis are needed; the dilation is clipped to the unit
-    root before covering.
+    most 3 cubes per axis are needed.  In units of R's side the dilation
+    spans [k - n, k + n + 1) on each axis; it is clipped to the unit root
+    before covering.
     """
-    tilde = dilate(R, n)
     m = max(0, R.depth - (2 * n + 1).bit_length() + 1)
-    side = Fraction(1, 1 << m)
+    t, top = R.depth - m, 1 << R.depth
     clipped = False
     ranges = []
-    for lo, hi in zip(tilde.lo, tilde.hi):
-        if lo < 0 or hi > 1:
-            clipped = True
-        lo = max(lo, _ZERO)
-        hi = min(hi, _ONE)
-        first = lo // side
-        last = -((-hi) // side) - 1  # ceil(hi/side) - 1
-        last = min(last, (1 << m) - 1)
-        ranges.append(range(int(first), int(last) + 1))
+    for k in R.coords:
+        clipped = clipped or k < n or k + n + 1 > top
+        ranges.append(range(max(k - n, 0) >> t, ((min(k + n + 1, top) - 1) >> t) + 1))
     # the first axis varies slowest, the order the gamma reports list
-    return [DyadicCube(m, k) for k in itertools.product(*ranges)], clipped
+    return [DyadicCube(m, c) for c in itertools.product(*ranges)], clipped
 
 
 def gamma_carleson(E: SetModel, family: CubeFamily, gamma,

@@ -4,18 +4,19 @@ integer cell counts and one-pass chain split.
 `subtree_sums` adds each cube's exact volume into its ancestors,
 `carleson_constant` divides by each root's volume, `invert` finds every
 non-member's chain owner by walking up from it, and `gamma_carleson` reads
-its covering masses from the same `Fraction` sums.  The property tests
+its covering masses from the same `Fraction` sums over the covering cubes
+that `covering_cubes` finds by clipping the `Fraction` dilation box.  The property tests
 require the library to give reports equal to these field for field.
 """
 
+import itertools
 from fractions import Fraction
 
 from cubeporos.families import enumerate_DE
 from cubeporos.inverse import (InverseReport, RootSplit, carleson_bound,
                                check_parent_closed, default_depth)
-from cubeporos.lattice import DyadicCube, cube_order_key
-from cubeporos.neighborhoods import (GammaReport, _covering_cubes,
-                                     minimal_exceeding_integer)
+from cubeporos.lattice import DyadicCube, cube_order_key, dilate
+from cubeporos.neighborhoods import GammaReport, minimal_exceeding_integer
 from cubeporos.sets import DEFAULT_BUDGET, corner_set
 from cubeporos.sparse import CarlesonReport
 
@@ -97,6 +98,27 @@ def invert(S, J=None):
                             tuple(splits), coverage_ok, corner_membership_ok)
 
 
+def covering_cubes(R, n):
+    """Dyadic cubes of side 2^-m, dilated_side/2 <= 2^-m < dilated_side,
+    covering the dilation of R clipped to the unit root; and whether it was
+    clipped."""
+    tilde = dilate(R, n)
+    m = max(0, R.depth - (2 * n + 1).bit_length() + 1)
+    side = Fraction(1, 1 << m)
+    clipped = False
+    ranges = []
+    for lo, hi in zip(tilde.lo, tilde.hi):
+        if lo < 0 or hi > 1:
+            clipped = True
+        lo = max(lo, _ZERO)
+        hi = min(hi, _ONE)
+        first = lo // side
+        last = -((-hi) // side) - 1  # ceil(hi/side) - 1
+        last = min(last, (1 << m) - 1)
+        ranges.append(range(int(first), int(last) + 1))
+    return [DyadicCube(m, k) for k in itertools.product(*ranges)], clipped
+
+
 def gamma_carleson(E, family, gamma, budget=DEFAULT_BUDGET) -> GammaReport:
     gamma = Fraction(gamma)
     R, J = family.root, family.J
@@ -109,7 +131,7 @@ def gamma_carleson(E, family, gamma, budget=DEFAULT_BUDGET) -> GammaReport:
     base_constant = _ONE
     clipped_any = False
     for r in sorted({R} | set(family.members), key=cube_order_key):
-        cover, clipped = _covering_cubes(r, n)
+        cover, clipped = covering_cubes(r, n)
         clipped_any = clipped_any or clipped
         covering_counts.append(len(cover))
         for ri in cover:

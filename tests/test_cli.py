@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -111,15 +114,119 @@ def test_invert_depth_defaults_to_deepest_member_plus_8(tmp_path):
     assert json.loads(out.read_text())["J"] == 0
 
 
-def test_invert_non_parent_closed_exits_2(tmp_path):
+def test_invert_non_parent_closed_exits_2(tmp_path, capsys):
     members = [{"depth": 0, "coords": [0]}, {"depth": 2, "coords": [1]}]
     out = tmp_path / "inv.json"
     code = main(["invert", "--family", write_family(tmp_path, members),
                  "--out", str(out)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: family is not parent-closed at Q(j=2, k=(1,))\n"
     payload = json.loads(out.read_text())
     assert payload["error"] == "not-parent-closed"
     assert payload["cube"] == {"depth": 2, "coords": [1]}
+
+
+def test_analyze_depth_1_measures_growth_from_depth_0(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--set", write_set(tmp_path), "--depth", "1",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["codim"]["J_list"] == [0, 1]
+
+
+MIXED_DIMENSION_FAMILY = {"root": {"depth": 0, "coords": [0]}, "J": 4,
+                          "members": [{"depth": 0, "coords": [0, 0]},
+                                      {"depth": 1, "coords": [1, 0]}]}
+
+
+@pytest.mark.parametrize("command", ["invert", "plotdata"])
+def test_mixed_dimension_family_exits_2_on_reading(tmp_path, capsys, command):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(MIXED_DIMENSION_FAMILY))
+    out = tmp_path / "r.json"
+    assert main([command, "--family", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad family file at {path}: 2-d member" in err
+    assert sorted(os.listdir(tmp_path)) == ["family.json"]
+
+
+def test_gamma_names_the_embedding_budget_that_failed(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    code = main(["gamma", "--set", write_set(tmp_path, kind="cantor"), "--gamma", "2/1",
+                 "--depth", "6", "--out", str(out)])
+    assert code == 3
+    cell = "no finite certified mass for cell Q(j=6, k=(0,))"
+    assert capsys.readouterr().err == f"budget failure: {cell}\n"
+    assert json.loads(out.read_text())["embedding"]["error"] == cell
+
+
+# edge inputs, each run under every command that reads it: sets that miss
+# [0,1)^d or touch its faces, empty parts, and families that are not
+# parent-closed below the lattice root, mix dimensions or have no members
+SWEEP_SETS = {
+    "point-1": {"kind": "points", "points": [["1/1"]]},
+    "point-0": {"kind": "points", "points": [["0/1"]]},
+    "point-negative": {"kind": "points", "points": [["-1/2"]]},
+    "point-upper-face-2d": {"kind": "points", "points": [["1/3", "1/1"]]},
+    "point-2d": {"kind": "points", "points": [["1/3", "1/5"]]},
+    "cantor": {"kind": "ifs",
+               "maps": [{"ratio": "1/3", "shift": ["0/1"]},
+                        {"ratio": "1/3", "shift": ["2/3"]}],
+               "hull": {"lo": ["0/1"], "hi": ["1/1"]}},
+    "ifs-beyond-1": {"kind": "ifs", "maps": [{"ratio": "1/2", "shift": ["1/1"]}],
+                     "hull": {"lo": ["1/1"], "hi": ["2/1"]}},
+    "union-empty-and-point": {"kind": "union",
+                              "parts": [{"kind": "empty", "dim": 1},
+                                        {"kind": "points", "points": [["1/3"]]}]},
+    "union-of-empty": {"kind": "union", "parts": [{"kind": "empty", "dim": 1}]},
+    "corners": {"kind": "corners", "family": [{"depth": 1, "coords": [1]}]},
+}
+SWEEP_FAMILIES = {
+    "mixed-dimension": MIXED_DIMENSION_FAMILY,
+    "deeper-root": {"root": {"depth": 1, "coords": [1]}, "J": 4,
+                    "members": [{"depth": 1, "coords": [1]}, {"depth": 2, "coords": [2]}]},
+    "member-outside-root": {"root": {"depth": 1, "coords": [0]}, "J": 4,
+                            "members": [{"depth": 1, "coords": [0]},
+                                        {"depth": 1, "coords": [1]}]},
+    "no-members": {"root": {"depth": 0, "coords": [0]}, "J": 4, "members": []},
+}
+SWEEP_RUNS = (
+    [(name, "--set", [command, "--depth", str(depth)]
+      + (["--gamma", "1/2"] if command == "gamma" else []))
+     for name in SWEEP_SETS for command in ("analyze", "witness", "plotdata", "gamma")
+     for depth in (0, 1, 3)]
+    + [(name, "--family", argv) for name in SWEEP_FAMILIES
+       for argv in (["invert"], ["invert", "--depth", "0"], ["plotdata"])])
+
+
+@pytest.mark.parametrize("name,flag,argv", SWEEP_RUNS,
+                         ids=[f"{name}-{'-'.join(argv)}" for name, _, argv in SWEEP_RUNS])
+def test_edge_inputs_exit_without_a_traceback(tmp_path, capsys, name, flag, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps((SWEEP_SETS if flag == "--set" else SWEEP_FAMILIES)[name]))
+    out = tmp_path / "r.json"
+    code = main([*argv, flag, str(path), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        err = capsys.readouterr().err
+        if "not parent-closed" in err:
+            assert json.loads(out.read_text())["error"] == "not-parent-closed"
+        else:
+            assert sorted(os.listdir(tmp_path)) == ["input.json"], err
+
+
+def test_module_run_on_a_set_missing_the_unit_cube_exits_2(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(SWEEP_SETS["point-1"]))
+    run = subprocess.run([sys.executable, "-m", "cubeporos.cli", "analyze", "--set",
+                          str(path), "--out", str(tmp_path / "r.json")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ")
 
 
 # the flags each command reads

@@ -9,6 +9,7 @@ therefore invisible here; dropping the walk to the parent's owner, or
 reading S4 as S3, is not.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from cubeporos.families import CubeFamily, enumerate_Dgamma
 from cubeporos.generators import random_parent_closed_family, rng_from_seed
 from cubeporos.inverse import invert
 from cubeporos.lattice import DyadicCube
-from cubeporos.neighborhoods import gamma_carleson
+from cubeporos.neighborhoods import _covering_cubes, gamma_carleson
 from cubeporos.sparse import carleson_constant
 
 # gamma-family depth per dimension: a d >= 2 distance scans every point
@@ -76,3 +77,16 @@ def test_carleson_constant_below_a_deeper_root(seed, d, data):
         pass
     else:
         raise AssertionError("a family below a deeper root is not parent-closed")
+
+
+def test_integer_covering_cubes_match_the_fraction_dilation():
+    # every cube of d = 1, 2, 3 to depths 6, 6, 4, under each dilation count
+    cases = 0
+    for d, depth in ((1, 6), (2, 6), (3, 4)):
+        for j in range(depth + 1):
+            for coords in itertools.product(range(1 << j), repeat=d):
+                R = DyadicCube(j, coords)
+                for n in (1, 2, 3, 4, 7):
+                    assert _covering_cubes(R, n) == ref.covering_cubes(R, n), (R, n)
+                    cases += 1
+    assert cases == 51_345
