@@ -20,7 +20,7 @@ from fractions import Fraction
 from .enclosure import RatInterval, pow2_enclosure, pow_enclosure, sum_intervals
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
 from .families import CubeFamily, enumerate_DE
-from .lattice import DyadicCube, children, contains, cube_order_key
+from .lattice import DyadicCube, children, contains
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, Status
 
 DEFAULT_SPLIT_BUDGET = 20
@@ -78,7 +78,7 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
             for c in children(q):
                 sub = model.restricted(c)
                 if sub.intersect_status(c, budget) is Status.FREE:
-                    if best is None or cube_order_key(c) < cube_order_key(best):
+                    if best is None or c < best:
                         best = c
                 else:
                     nxt.append((c, sub))
@@ -107,7 +107,7 @@ def free_cube_table(E: SetModel, DE: CubeFamily, search_depth: int,
             table[q] = largest_free_cube(E, q, search_depth, budget)
             continue
         picks = [table[c] if c in DE else c for c in children(q)]
-        m = min((p for p in picks if p is not None), key=cube_order_key, default=None)
+        m = min((p for p in picks if p is not None), default=None)
         table[q] = m if m is not None and m.depth <= q.depth + search_depth else None
     return table
 
@@ -132,7 +132,7 @@ def porosity_scan(E: SetModel, depth: int, J: int,
             absent.append(q)
             records.append(PorosityRecord(q, None, None))
             continue
-        ratio = q.volume / m.volume
+        ratio = Fraction(1 << q.dim * (m.depth - q.depth))
         records.append(PorosityRecord(q, m, ratio))
         if eta_hat is None or ratio > eta_hat:
             eta_hat = ratio

@@ -28,8 +28,7 @@ from .generators import random_coefficients, rng_from_seed
 from .inverse import default_depth, invert
 from .lattice import DyadicCube
 from .neighborhoods import EmbeddingQuery, embedding_check, gamma_carleson, gamma_witness
-from .sets import (DEFAULT_BUDGET, MAX_BUDGET, MAX_DEPTH_BITS, SetModel, Status,
-                   model_from_json)
+from .sets import DEFAULT_BUDGET, MAX_BUDGET, MAX_DEPTH_BITS, SetModel, model_from_json
 from .sparse import build_witness, verify_witness
 
 EXIT_OK = 0
@@ -215,21 +214,18 @@ def cmd_analyze(config: RunConfig) -> int:
     family = enumerate_DE(E, root, J_list[-1], config.budget)
     codim = codim_estimate([family], grid, J_list, config.tau)
 
-    failure = bool(scan.absent)
-    mu_json = None
-    if E.intersect_status(root, config.budget) is not Status.FREE:
-        alpha_mid = grid[len(grid) // 2]
-        if alpha_mid >= d:
-            alpha_mid = grid[0] if grid[0] < d else Fraction(1, 2) * d
-        mu = mu_enclosure(E, root, alpha_mid, J, config.budget, config.split_budget)
-        mu_json = mu.to_json()
-        failure = failure or not mu.bounded
+    # the root meets E: codim_estimate has required a non-empty family
+    alpha_mid = grid[len(grid) // 2]
+    if alpha_mid >= d:
+        alpha_mid = grid[0] if grid[0] < d else Fraction(1, 2) * d
+    mu = mu_enclosure(E, root, alpha_mid, J, config.budget, config.split_budget)
+    failure = bool(scan.absent) or not mu.bounded
 
     report = {
         "config": config.to_json(),
         "porosity": scan.to_json(),
         "codim": codim.to_json(),
-        "mu": mu_json,
+        "mu": mu.to_json(),
     }
     _dump_json(config.out, report)
     _write_csv(_csv_path(config.out), SWEEP_HEADER, _sweep_rows(family, grid, J_list))

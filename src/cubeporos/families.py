@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .enclosure import frac_parse, frac_str, int_parse
 from .errors import DimensionMismatch, EmptySetError, RootIsFree
-from .lattice import DyadicCube, children, cube_order_key
+from .lattice import DyadicCube, children
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
 PROVENANCE_DE = "DE"
@@ -32,15 +32,15 @@ class CubeFamily:
 
     @classmethod
     def make(cls, root, cubes, J, provenance=PROVENANCE_USER) -> "CubeFamily":
-        members = tuple(sorted(set(cubes), key=cube_order_key))
+        members = tuple(sorted(set(cubes)))
         return cls(root, members, J, provenance)
 
     @cached_property
     def _index(self):
-        return frozenset((q.depth, q.coords) for q in self.members)
+        return frozenset(self.members)
 
     def __contains__(self, q: DyadicCube) -> bool:
-        return (q.depth, q.coords) in self._index
+        return q in self._index
 
     def __len__(self) -> int:
         return len(self.members)
@@ -64,6 +64,8 @@ class CubeFamily:
         for q in members:
             if q.dim != root.dim:
                 raise DimensionMismatch(f"{q.dim}-d member {q} of a {root.dim}-d family")
+            if q.depth < root.depth or q.ancestor_at(root.depth) != root:
+                raise ValueError(f"member {q} is not inside the root {root}")
         return cls.make(root, members, int_parse(obj["J"]),
                         obj.get("provenance", PROVENANCE_USER))
 
@@ -137,7 +139,7 @@ def free_split(family: CubeFamily) -> tuple:
     bottom = family.root.depth + family.J
     free = [c for q in family.members if q.depth < bottom
             for c in children(q) if c not in family]
-    free.sort(key=cube_order_key)
+    free.sort()
     return free, [q for q in family.members if q.depth == bottom]
 
 

@@ -143,20 +143,19 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
     # exactly when it is at least as deep as that root (s3)
     in_family = S._index
     in_S, all_DE, owned = [], [], []
-    owners = {}  # non-member key -> its owner's key, or None
+    owners = {}  # non-member -> its owner, or None
     coverage_ok = True
     for q in DE.members:
-        key = (q.depth, q.coords)
         w = 1 << d * (J - q.depth)
-        all_DE.append((key, w))
-        if key in in_family:
-            in_S.append((key, w))
+        all_DE.append((q, w))
+        if q in in_family:
+            in_S.append((q, w))
             continue
         owner = None
         if q.depth and not any(k & 1 for k in q.coords):
             up = (q.depth - 1, tuple([k >> 1 for k in q.coords]))
             owner = up if up in in_family else owners[up]
-        owners[key] = owner
+        owners[q] = owner
         if owner is None:
             coverage_ok = False
         else:
@@ -167,8 +166,7 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
     unit = 1 << d * J
     splits, peak = [], 0
     for q in DE.members:
-        key = (q.depth, q.coords)
-        in_all, in_s1, in_s3 = total[key], s1.get(key, 0), s3.get(key, 0)
+        in_all, in_s1, in_s3 = total[q], s1.get(q, 0), s3.get(q, 0)
         peak = max(peak, in_all << d * q.depth)
         in_s2 = in_all - in_s1
         splits.append(RootSplit(q, Fraction(in_s1, unit), Fraction(in_s2, unit),

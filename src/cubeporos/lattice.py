@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from operator import itemgetter
 
 from .enclosure import frac_parse, frac_str, int_parse
 from .errors import DimensionMismatch, RootHasNoParent
@@ -89,22 +89,31 @@ class Box:
                    tuple(frac_parse(x) for x in obj["hi"]))
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """Half-open dyadic cube: product of [k_i 2^-j, (k_i+1) 2^-j) in [0,1)^d."""
+class DyadicCube(tuple):
+    """Half-open dyadic cube: product of [k_i 2^-j, (k_i+1) 2^-j) in [0,1)^d.
 
-    depth: int
-    coords: tuple
+    The cube is the tuple (depth, coords) itself: it hashes and compares as
+    that tuple, and tuple order is the canonical cube order."""
 
-    def __post_init__(self):
-        if self.depth < 0:
+    __slots__ = ()
+
+    def __new__(cls, depth: int, coords: tuple):
+        if depth < 0:
             raise ValueError("cube depth must be >= 0")
-        if not self.coords:
+        if not coords:
             raise ValueError("cube needs at least one coordinate")
-        top = 1 << self.depth
-        for k in self.coords:
+        top = 1 << depth
+        for k in coords:
             if not 0 <= k < top:
-                raise ValueError(f"coordinate {k} outside lattice at depth {self.depth}")
+                raise ValueError(f"coordinate {k} outside lattice at depth {depth}")
+        return tuple.__new__(cls, (depth, coords))
+
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild through the validating __new__
+        return DyadicCube, tuple(self)
+
+    depth = property(itemgetter(0))
+    coords = property(itemgetter(1))
 
     @classmethod
     def root(cls, dim: int) -> "DyadicCube":
@@ -114,20 +123,20 @@ class DyadicCube:
     def dim(self) -> int:
         return len(self.coords)
 
-    @cached_property
+    @property
     def side(self) -> Fraction:
         return Fraction(1, 1 << self.depth)
 
-    @cached_property
+    @property
     def volume(self) -> Fraction:
         return Fraction(1, 1 << (self.depth * self.dim))
 
-    @cached_property
+    @property
     def lower_corner(self) -> tuple:
         s = self.side
         return tuple(k * s for k in self.coords)
 
-    @cached_property
+    @property
     def box(self) -> Box:
         s = self.side
         return Box(tuple(k * s for k in self.coords),
@@ -146,12 +155,16 @@ class DyadicCube:
     def from_json(cls, obj) -> "DyadicCube":
         return cls(int_parse(obj["depth"]), tuple(int_parse(k) for k in obj["coords"]))
 
+    def __repr__(self):
+        return f"DyadicCube(depth={self.depth!r}, coords={self.coords!r})"
+
     def __str__(self):
         return f"Q(j={self.depth}, k={self.coords})"
 
 
 def cube_order_key(q: DyadicCube):
-    """Canonical total order: depth ascending, then coords lexicographic."""
+    """Canonical total order: depth ascending, then coords lexicographic,
+    which is the cube's own tuple order."""
     return (q.depth, q.coords)
 
 

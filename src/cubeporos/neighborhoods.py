@@ -18,7 +18,7 @@ from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _check_alpha, _mu_cells,
 from .enclosure import RatInterval, frac_parse, frac_str, int_parse, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
-from .lattice import DyadicCube, children, cube_order_key
+from .lattice import DyadicCube, children
 from .sets import (DEFAULT_BUDGET, PointsModel, SetModel, Status, UnionModel,
                    corner_set)
 from .sparse import SparseWitness, build_witness, carleson_constant, subtree_sums
@@ -98,8 +98,7 @@ def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
     DE = enumerate_DE(E, DyadicCube.root(d), B, budget)
     # integer counts of depth-B cells; a covering cube's ratio is its count
     # over its own cells, compared over the common 2^(dB) as count << d*depth
-    mass = subtree_sums(((q.depth, q.coords), 1 << d * (B - q.depth))
-                        for q in DE.members)
+    mass = subtree_sums((q, 1 << d * (B - q.depth)) for q in DE.members)
 
     covering_counts = []
     # floor at 1: the comparison constant of a meeting family never drops
@@ -107,12 +106,12 @@ def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
     best = 1 << d * B
     clipped_any = False
     test_roots = {R} | set(family.members)
-    for r in sorted(test_roots, key=cube_order_key):
+    for r in sorted(test_roots):
         cover, clipped = _covering_cubes(r, n)
         clipped_any = clipped_any or clipped
         covering_counts.append(len(cover))
         for ri in cover:
-            best = max(best, mass.get((ri.depth, ri.coords), 0) << d * ri.depth)
+            best = max(best, mass.get(ri, 0) << d * ri.depth)
     base_constant = Fraction(best, 1 << d * B)
     bound = base_constant * (gamma + 1) ** d * Fraction(6) ** d
     return GammaReport(gamma, n, len(family.members), measured, base_constant,
@@ -183,8 +182,7 @@ class EmbeddingQuery:
                 "gamma": frac_str(self.gamma), "R": self.root.to_json(),
                 "J": self.J,
                 "coeffs": [{"q": q.to_json(), "a": frac_str(a)}
-                           for q, a in sorted(self.coeffs.items(),
-                                              key=lambda kv: cube_order_key(kv[0]))]}
+                           for q, a in sorted(self.coeffs.items())]}
 
     @classmethod
     def from_json(cls, obj) -> "EmbeddingQuery":
@@ -254,38 +252,24 @@ def embedding_check(E: SetModel, query: EmbeddingQuery, family: CubeFamily,
 
     # ancestors-or-equals of coefficient cubes: the only places the stack
     # can still change deeper down
-    coeff_prefixes = set()
-    for q in query.coeffs:
-        cur = q
-        while True:
-            coeff_prefixes.add((cur.depth, cur.coords))
-            if cur.depth == query.root.depth:
-                break
-            cur = cur.ancestor_at(cur.depth - 1)
+    coeff_prefixes = {q.ancestor_at(j) for q in query.coeffs
+                      for j in range(query.root.depth, q.depth + 1)}
 
-    def has_coeff_below_or_at(q):
-        return (q.depth, q.coords) in coeff_prefixes
-
-    cells = []  # (cube, stack sum, stack sup) with the stack constant on cube
-
-    def descend(q, total, peak):
+    # (cube, stack sum, stack sup) with the stack constant on cube, in
+    # preorder; only a prefix's children can hold a coefficient
+    cells = []
+    stack = [(query.root, _ZERO, _ZERO)] if query.coeffs else []
+    while stack:
+        q, total, peak = stack.pop()
         a = query.coeffs.get(q, _ZERO)
         total += a
         if a > peak:
             peak = a
-        kids = children(q)
-        if not any(has_coeff_below_or_at(c) for c in kids):
-            if total > 0:
-                cells.append((q, total, peak))
-            return
-        for c in kids:
-            if has_coeff_below_or_at(c):
-                descend(c, total, peak)
-            elif total > 0:
-                cells.append((c, total, peak))
-
-    if query.coeffs:
-        descend(query.root, _ZERO, _ZERO)
+        kids = children(q) if q in coeff_prefixes else []
+        if any(c in coeff_prefixes for c in kids):
+            stack.extend((c, total, peak) for c in reversed(kids))
+        elif total > 0:
+            cells.append((q, total, peak))
 
     lhs_p = RatInterval.point(0)
     rhs_p = RatInterval.point(0)

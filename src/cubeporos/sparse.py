@@ -17,7 +17,7 @@ from .analysis import free_cube_table
 from .enclosure import frac_str
 from .errors import EmptyFamilyError, PorosityFailure, RootIsFree
 from .families import CubeFamily, enumerate_DE
-from .lattice import DyadicCube, children, contains, cube_order_key, parent
+from .lattice import DyadicCube, children, contains, parent
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
 
@@ -35,8 +35,8 @@ class CarlesonReport:
 
 
 def subtree_sums(weighted) -> dict:
-    """Total integer weight inside each cube, from ((depth, coords), weight)
-    pairs.
+    """Total integer weight inside each cube, from (cube, weight) pairs; a
+    plain (depth, coords) tuple serves as a cube.
 
     The packing kernel weighs a depth-j cube as its count of depth-B cells,
     1 << d*(B - j), B the deepest depth in play, so every mass is an integer
@@ -69,13 +69,11 @@ def carleson_constant(S: CubeFamily) -> CarlesonReport:
         raise EmptyFamilyError("Carleson constant of an empty family")
     d = S.root.dim
     B = max(S.root.depth, max(q.depth for q in S.members))
-    mass = subtree_sums(((q.depth, q.coords), 1 << d * (B - q.depth))
-                        for q in S.members)
+    mass = subtree_sums((q, 1 << d * (B - q.depth)) for q in S.members)
     roots = set(S.members)
     roots.add(S.root)
-    per_root = tuple((r, Fraction(mass.get((r.depth, r.coords), 0),
-                                  1 << d * (B - r.depth)))
-                     for r in sorted(roots, key=cube_order_key))
+    per_root = tuple((r, Fraction(mass.get(r, 0), 1 << d * (B - r.depth)))
+                     for r in sorted(roots))
     xi_hat = max(x for _, x in per_root)
     return CarlesonReport(len(S.members), per_root, xi_hat)
 
@@ -85,6 +83,11 @@ class WitnessAssignment:
     cube: DyadicCube
     free_cube: DyadicCube
     inherited_from: DyadicCube | None   # ancestor whose free cube this cube carried
+
+    @property
+    def ratio(self) -> int:
+        """|Q| / |M(Q)| of the nested free cube, 2^(d (depth M - depth Q))."""
+        return 1 << self.cube.dim * (self.free_cube.depth - self.cube.depth)
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,9 @@ class SparseWitness:
         return len(self.assignments)
 
     def restrict_to(self, cubes) -> "SparseWitness":
-        keep = {(q.depth, q.coords) for q in cubes}
-        kept = tuple(a for a in self.assignments
-                     if (a.cube.depth, a.cube.coords) in keep)
-        lam = max((a.cube.volume / a.free_cube.volume for a in kept), default=Fraction(1))
-        return SparseWitness(kept, lam)
+        keep = set(cubes)
+        kept = tuple(a for a in self.assignments if a.cube in keep)
+        return SparseWitness(kept, Fraction(max((a.ratio for a in kept), default=1)))
 
     def to_json(self):
         return {"assignments": [
@@ -140,32 +141,36 @@ def build_witness(E: SetModel, R: DyadicCube, J: int, search_depth: int = 6,
     table = free_cube_table(E, DE, search_depth, budget)
     assignments = {}
 
-    def assign(q, inherited, origin):
-        """Assign q its own free cube, honoring an inherited one, then recurse."""
-        c = q
-        if inherited is not None:
-            s_star = _carrier_child(q, inherited) if inherited.depth > q.depth + 1 \
-                else inherited
-            others = [c for c in children(q) if c != s_star]
-            # a whole free child avoiding the inherited cube, else the
-            # canonical-order-first meeting one
-            c = next((c for c in others if c not in DE), others[0])
-        m = table.get(c, c)  # a non-member is its own largest free cube
-        if m is None:
-            raise PorosityFailure(c)
-        assignments[q] = WitnessAssignment(q, m, origin)
-        if q.depth >= R.depth + J:
-            return
-        for c in children(q):
-            if c not in DE:
+    def assign(top, inherited, origin):
+        """Assign top and its meeting descendants their own free cubes, in
+        preorder, each honoring the cube it inherits."""
+        stack = [(top, inherited, origin)]
+        while stack:
+            q, inherited, origin = stack.pop()
+            c = q
+            if inherited is not None:
+                s_star = _carrier_child(q, inherited) if inherited.depth > q.depth + 1 \
+                    else inherited
+                others = [c for c in children(q) if c != s_star]
+                # a whole free child avoiding the inherited cube, else the
+                # canonical-order-first meeting one
+                c = next((c for c in others if c not in DE), others[0])
+            m = table.get(c, c)  # a non-member is its own largest free cube
+            if m is None:
+                raise PorosityFailure(c)
+            assignments[q] = WitnessAssignment(q, m, origin)
+            if q.depth >= R.depth + J:
                 continue
-            inh, orig = None, None
-            if inherited is not None and contains(c, inherited):
-                inh, orig = inherited, origin
-            if contains(c, m):
-                # own cube and inherited cube never share a child by construction
-                inh, orig = m, q
-            assign(c, inh, orig)
+            for c in reversed(children(q)):  # popped in canonical order
+                if c not in DE:
+                    continue
+                inh, orig = None, None
+                if inherited is not None and contains(c, inherited):
+                    inh, orig = inherited, origin
+                if contains(c, m):
+                    # own cube and inherited cube never share a child by construction
+                    inh, orig = m, q
+                stack.append((c, inh, orig))
 
     assign(R, None, None)
 
@@ -178,7 +183,7 @@ def build_witness(E: SetModel, R: DyadicCube, J: int, search_depth: int = 6,
         picks = [m for m in (table.get(c, c) for c in siblings) if m is not None]
         if not picks:
             raise PorosityFailure(p)
-        m_p = min(picks, key=cube_order_key)
+        m_p = min(picks)
         assignments[p] = WitnessAssignment(p, m_p, None)
         for c in siblings:
             if c in DE:
@@ -188,9 +193,8 @@ def build_witness(E: SetModel, R: DyadicCube, J: int, search_depth: int = 6,
                     assign(c, None, None)
         cur = p
 
-    ordered = tuple(sorted(assignments.values(), key=lambda a: cube_order_key(a.cube)))
-    lambda_hat = max(a.cube.volume / a.free_cube.volume for a in ordered)
-    return SparseWitness(ordered, lambda_hat)
+    ordered = tuple(assignments[q] for q in sorted(assignments))
+    return SparseWitness(ordered, Fraction(max(a.ratio for a in ordered)))
 
 
 @dataclass(frozen=True)
@@ -212,14 +216,14 @@ def verify_witness(W: SparseWitness, E: SetModel,
     """
     seen = set()
     for a in W.assignments:
-        if (a.cube.depth, a.cube.coords) in seen:
+        if a.cube in seen:
             return WitnessVerdict(False, "duplicate assignment", (a.cube,))
-        seen.add((a.cube.depth, a.cube.coords))
+        seen.add(a.cube)
         m = a.free_cube
         if m.depth <= a.cube.depth or m.ancestor_at(a.cube.depth) != a.cube:
             return WitnessVerdict(False, "free cube not strictly inside its cube",
                                   (a.cube, m))
-        if a.cube.volume > W.lambda_hat * m.volume:
+        if a.ratio > W.lambda_hat:
             return WitnessVerdict(False, "volume ratio exceeds lambda_hat",
                                   (a.cube, m))
         if E.intersect_status(m, budget) is not Status.FREE:
@@ -227,11 +231,11 @@ def verify_witness(W: SparseWitness, E: SetModel,
                                   (a.cube, m))
     placed = {}
     for a in W.assignments:
-        key = (a.free_cube.depth, a.free_cube.coords)
-        if key in placed:
+        m = a.free_cube
+        if m in placed:
             return WitnessVerdict(False, "two cubes share one free cube",
-                                  (placed[key], a.cube))
-        placed[key] = a.cube
+                                  (placed[m], a.cube))
+        placed[m] = a.cube
     for a in W.assignments:
         m = a.free_cube
         coords = m.coords

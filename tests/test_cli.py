@@ -150,6 +150,37 @@ def test_mixed_dimension_family_exits_2_on_reading(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["family.json"]
 
 
+# the lattice root and a sibling of the declared root lie outside it
+OUTSIDE_ROOT_FAMILY = {"root": {"depth": 1, "coords": [0]}, "J": 4,
+                       "members": [{"depth": 0, "coords": [0]},
+                                   {"depth": 1, "coords": [0]},
+                                   {"depth": 1, "coords": [1]}]}
+
+
+@pytest.mark.parametrize("command", ["invert", "plotdata"])
+def test_member_outside_the_root_exits_2_on_reading(tmp_path, capsys, command):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(OUTSIDE_ROOT_FAMILY))
+    out = tmp_path / "r.json"
+    assert main([command, "--family", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: bad family file at {path}: member Q(j=0, k=(0,)) is not "
+                   f"inside the root Q(j=1, k=(0,))\n")
+    assert sorted(os.listdir(tmp_path)) == ["family.json"]
+
+
+def test_witness_at_depth_1000_runs_without_recursion(tmp_path):
+    # 1000 levels below the lattice root, one per nested free-cube assignment
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps({"kind": "points", "points": [["1/3"]]}))
+    out = tmp_path / "w.json"
+    assert main(["witness", "--set", str(path), "--depth", "1000",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["verified"] is True
+    assert len(payload["assignments"]) == 1001
+
+
 def test_gamma_names_the_embedding_budget_that_failed(tmp_path, capsys):
     out = tmp_path / "g.json"
     code = main(["gamma", "--set", write_set(tmp_path, kind="cantor"), "--gamma", "2/1",

@@ -182,3 +182,15 @@ def test_embedding_query_json_round_trip():
     assert again == q
     with pytest.raises(ValueError):
         EmbeddingQuery.from_json({**q.to_json(), "J": 5.0})
+
+
+def test_embedding_on_a_1001_cube_chain_runs_without_recursion():
+    # the gamma family of the origin at gamma = 1/4 is the chain of cubes
+    # [0, 2^-j), j = 0..1000; the one coefficient sits at its bottom
+    family = enumerate_Dgamma(ORIGIN, ROOT1, F(1, 4), 1000)
+    assert len(family) == 1001
+    query = EmbeddingQuery.make(1, F(1, 2), F(1, 4), ROOT1, 1000,
+                                {DyadicCube(1000, (0,)): 1})
+    rep = embedding_check(ORIGIN, query, family)
+    assert rep.cells == 1
+    assert rep.lhs == rep.rhs

@@ -1,3 +1,6 @@
+import copy
+import copyreg
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -121,3 +124,53 @@ def test_cube_json_round_trip():
     assert DyadicCube.from_json(q.to_json()) == q
     b = Box.make([F(1, 3)], [F(2, 3)])
     assert Box.from_json(b.to_json()) == b
+
+
+@given(st.lists(dyadic_cubes(max_depth=4), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_cube_is_its_depth_coords_tuple(cubes):
+    for q in cubes:
+        key = (q.depth, q.coords)
+        assert q == key and hash(q) == hash(key)
+        assert not hasattr(q, "__dict__")
+        with pytest.raises(AttributeError):
+            q.depth = 0
+        assert repr(q) == f"DyadicCube(depth={q.depth!r}, coords={q.coords!r})"
+        for other in cubes:
+            assert (q < other) == (key < (other.depth, other.coords))
+        for twin in [copy.copy(q), copy.deepcopy(q)] + [
+                pickle.loads(pickle.dumps(q, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert type(twin) is DyadicCube and twin == q
+    assert sorted(cubes) == sorted(cubes, key=cube_order_key)
+
+
+@st.composite
+def invalid_cube_args(draw):
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 4))
+    coords = [draw(st.integers(0, (1 << depth) - 1)) for _ in range(d)]
+    kind = draw(st.sampled_from(["depth", "empty", "low", "high"]))
+    if kind == "depth":
+        return draw(st.integers(-5, -1)), tuple(coords)
+    if kind == "empty":
+        return depth, ()
+    coords[draw(st.integers(0, d - 1))] = draw(st.integers(-8, -1)) if kind == "low" \
+        else draw(st.integers(1 << depth, (1 << depth) + 8))
+    return depth, tuple(coords)
+
+
+@given(invalid_cube_args())
+@settings(max_examples=80, deadline=None)
+def test_every_construction_path_validates(args):
+    depth, coords = args
+    # the constructor, JSON, and what copy and every pickle protocol call
+    rebuild = DyadicCube(0, (0,)).__reduce_ex__(0)[0]
+    paths = [lambda: DyadicCube(depth, coords),
+             lambda: DyadicCube.from_json({"depth": depth, "coords": list(coords)}),
+             lambda: DyadicCube.__new__(DyadicCube, depth, coords),
+             lambda: copyreg.__newobj__(DyadicCube, depth, coords),
+             lambda: rebuild(depth, coords)]
+    for build in paths:
+        with pytest.raises(ValueError):
+            build()

@@ -1,6 +1,6 @@
 """Project policy: cubeporos has no runtime dependencies, its certified
-modules use no floating point, and the benchmark tracer finds every name it
-wraps.
+modules use no floating point, only the lattice knows how a cube is keyed,
+and the benchmark tracer finds every name it wraps.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -65,6 +65,25 @@ def test_no_floats_in_certified_modules():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id == "math" and node.attr not in INTEGER_MATH:
                 found.append(f"{where}: math.{node.attr}")
+    assert found == []
+
+
+def test_only_the_lattice_knows_the_cube_key():
+    # a cube is the tuple (depth, coords) itself and sorts in canonical order
+    # with no key, so no other module rebuilds that pair or names the key
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2 \
+                    and all(isinstance(e, ast.Attribute) for e in node.elts) \
+                    and [e.attr for e in node.elts] == ["depth", "coords"]:
+                found.append(f"{where}: (.depth, .coords) pair")
+            elif "cube_order_key" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "name", None)):
+                found.append(f"{where}: cube_order_key")
     assert found == []
 
 
