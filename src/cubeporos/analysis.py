@@ -72,19 +72,11 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
         return R
     frontier = [(R, local)]
     for _ in range(J):
-        best = None
-        nxt = []
-        for q, model in frontier:
-            for c in children(q):
-                sub = model.restricted(c)
-                if sub.intersect_status(c, budget) is Status.FREE:
-                    if best is None or c < best:
-                        best = c
-                else:
-                    nxt.append((c, sub))
-        if best is not None:
-            return best
-        frontier = nxt
+        answers = [a for q, model in frontier for a in model.split(q, budget)]
+        free = [c for c, _st, view in answers if view is None]
+        if free:
+            return min(free)
+        frontier = [(c, view) for c, _st, view in answers]
     return None
 
 
@@ -323,14 +315,13 @@ def _mu_cells(E, R, alpha, levels, budget, notes):
     A free cell is bounded through its distance interval.  A cell meeting E
     is refined while `levels` allow and the refined cells stay under
     `MU_SPLIT_NODE_CAP`; a terminal one gets lower bound 0 and the boundary
-    layer bound or None.  A child's view is built from its parent's when the
-    child is visited.
+    layer bound or None.  A cell's status and view come from its parent's
+    split, made when the parent is refined.
     """
-    stack = [(R, E, levels, False)]
+    local = E.restricted(R)
+    stack = [(R, local.intersect_status(R, budget), local, levels, False)]
     while stack:
-        cube, outer, left, parent_meets = stack.pop()
-        local = outer.restricted(cube)
-        st = local.intersect_status(cube, budget)
+        cube, st, local, left, parent_meets = stack.pop()
         if st is Status.FREE:
             yield (cube, True) + _free_cell_bounds(E, cube, alpha, parent_meets,
                                                    budget, notes)
@@ -342,7 +333,8 @@ def _mu_cells(E, R, alpha, levels, budget, notes):
             # an undetermined cell may miss E: only a certified meet caps the
             # children's distances at 2*side
             meets = st is Status.INTERSECTS
-            stack.extend((c, local, left - 1, meets) for c in reversed(children(cube)))
+            stack.extend((c, status, view, left - 1, meets)
+                         for c, status, view in reversed(local.split(cube, budget)))
         else:
             notes.node_capped = notes.node_capped or left > 0
             if cube.dim == 1 and alpha < 1 and local.misses_interior(cube, budget):

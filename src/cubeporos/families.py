@@ -116,17 +116,13 @@ def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
         raise ValueError("truncation depth must be >= 0")
     members = []
     local = E.restricted(R)
-    if local.intersect_status(R, budget) is not Status.FREE:
-        stack = [(R, local)]
-        while stack:
-            q, model = stack.pop()
-            members.append(q)
-            if q.depth - R.depth >= J:
-                continue
-            for c in children(q):
-                sub = model.restricted(c)
-                if sub.intersect_status(c, budget) is not Status.FREE:
-                    stack.append((c, sub))
+    stack = [(R, local)] if local.intersect_status(R, budget) is not Status.FREE else []
+    while stack:
+        q, model = stack.pop()
+        members.append(q)
+        if q.depth - R.depth < J:
+            stack.extend((c, view) for c, _st, view in model.split(q, budget)
+                         if view is not None)
     return CubeFamily.make(R, members, J, PROVENANCE_DE)
 
 

@@ -17,8 +17,8 @@ subtrees of settled images read from per-level extreme tables; the search
 yields a nested certified interval per level, and a threshold query stops
 at the first that decides it.
 A point set finds a cube's points by bisection in a Z-order index (a linear
-quadtree), and its 1-d distances by bisection in its sorted coordinates; a
-restricted point set holds its cube's slice and answers that cube at once.
+quadtree), and its 1-d distances by bisection in its sorted coordinates; its
+split cuts each child's slice from its own, empty exactly on a free child.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import lcm
 
 from .enclosure import frac_parse, frac_str, int_parse
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import Box, DyadicCube, linf_dist
+from .lattice import Box, DyadicCube, children, linf_dist
 
 DEFAULT_BUDGET = 36
 # The largest budget the command line takes.  An IFS keeps distance tables for
@@ -109,7 +109,16 @@ class SetModel:
         Only valid for intersection queries, `intersect_status` and
         `misses_interior`; distances must use the full model.
         """
+        self._check_dim(q)
         return self
+
+    def split(self, q: DyadicCube, budget: int = DEFAULT_BUDGET) -> list:
+        """The one descent step, self being restricted to q: (child, status,
+        view) for each child of q in canonical order, `view` restricted to the
+        child and None exactly when the child is certified free."""
+        views = [(c, self.restricted(c)) for c in children(q)]
+        answers = [(c, view.intersect_status(c, budget), view) for c, view in views]
+        return [(c, st, None if st is Status.FREE else view) for c, st, view in answers]
 
     def misses_interior(self, q: DyadicCube, budget: int = DEFAULT_BUDGET) -> bool:
         """True only when E is certified not to meet the open interior of `q`."""
@@ -168,10 +177,9 @@ def _zorder(coords, spread) -> int:
 class PointsModel(SetModel):
     """Finite rational point set; every oracle answer is exact."""
 
-    points: tuple  # distinct sorted d-tuples of Fraction (key order if cube-restricted)
+    points: tuple  # distinct sorted d-tuples of Fraction (key order in a split's view)
 
     kind = "points"
-    _cut = None  # the cube a restricted model holds exactly the points of
 
     @classmethod
     def make(cls, pts) -> "PointsModel":
@@ -205,6 +213,7 @@ class PointsModel(SetModel):
         """The index keys and points inside q.  A depth-j cube, j <= K, owns the
         keys [z << d(K-j), (z+1) << d(K-j)), z its interleaved coordinates; a
         deeper one tests its depth-K ancestor's points exactly."""
+        self._check_dim(q)
         K, spread, keys, rows = self._index
         j = min(q.depth, K)
         s = q.depth - j
@@ -229,9 +238,6 @@ class PointsModel(SetModel):
         return xs[max(bisect_left(xs, a) - 1, 0):bisect_right(xs, b) + 1]
 
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
-        self._check_dim(q)
-        if q == self._cut:  # its points, never none, are those inside q
-            return Status.INTERSECTS
         return Status.INTERSECTS if self._cube_rows(q)[1] else Status.FREE
 
     def dist_interval(self, q, budget=DEFAULT_BUDGET):
@@ -244,18 +250,18 @@ class PointsModel(SetModel):
             d = min(linf_dist(q, Box.point(p)) for p in self.points)
         return (d, d)
 
-    def restricted(self, q):
-        self._check_dim(q)
-        keys, kept = self._cube_rows(q)
-        if not kept:
-            return EmptyModel(self.dim)
-        sub = PointsModel(kept)
-        sub.__dict__.update(_index=self._index[:2] + (keys, kept),  # the parent's slice
-                            _cut=q)
-        return sub
+    def split(self, q, budget=DEFAULT_BUDGET):
+        """Each child's view holds the child's slice of this model's index."""
+        out = []
+        for c in children(q):
+            keys, kept = self._cube_rows(c)
+            view = PointsModel(kept) if kept else None
+            if kept:
+                view.__dict__["_index"] = self._index[:2] + (keys, kept)
+            out.append((c, Status.INTERSECTS if kept else Status.FREE, view))
+        return out
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
-        self._check_dim(q)
         # q's open interior is its half-open box less its lower faces
         return not any(all(x > c for x, c in zip(p, q.lower_corner))
                        for p in self._cube_rows(q)[1])
@@ -555,6 +561,16 @@ class IFSModel(SetModel):
                 "hull": self.hull.to_json()}
 
 
+def _union_status(statuses) -> Status:
+    """The union's answer from its parts', read only until one meets."""
+    undetermined = False
+    for st in statuses:
+        if st is Status.INTERSECTS:
+            return Status.INTERSECTS
+        undetermined = undetermined or st is Status.UNDETERMINED
+    return Status.UNDETERMINED if undetermined else Status.FREE
+
+
 @dataclass(frozen=True)
 class UnionModel(SetModel):
     parts: tuple
@@ -580,14 +596,7 @@ class UnionModel(SetModel):
         return all(p.is_empty for p in self.parts)
 
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
-        undetermined = False
-        for p in self.parts:
-            st = p.intersect_status(q, budget)
-            if st is Status.INTERSECTS:
-                return Status.INTERSECTS
-            if st is Status.UNDETERMINED:
-                undetermined = True
-        return Status.UNDETERMINED if undetermined else Status.FREE
+        return _union_status(p.intersect_status(q, budget) for p in self.parts)
 
     def _bounds(self, q, budget):
         """The parts' searches in step, each interval the least ends of the
@@ -606,12 +615,15 @@ class UnionModel(SetModel):
             if not moved:
                 return
 
-    def restricted(self, q):
-        kept = [p.restricted(q) for p in self.parts]
-        kept = [p for p in kept if not p.is_empty]
-        if not kept:
-            return EmptyModel(self.dim)
-        return UnionModel(tuple(kept))
+    def split(self, q, budget=DEFAULT_BUDGET):
+        """The parts' splits zipped; a child's view keeps the parts not
+        certified free on it, as no answer below the child can need them."""
+        out = []
+        for answers in zip(*(p.split(q, budget) for p in self.parts)):
+            status = _union_status(st for _c, st, _view in answers)
+            views = tuple(view for _c, _st, view in answers if view is not None)
+            out.append((answers[0][0], status, UnionModel(views) if views else None))
+        return out
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return all(p.misses_interior(q, budget) for p in self.parts)

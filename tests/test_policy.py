@@ -1,6 +1,7 @@
 """Project policy: cubeporos has no runtime dependencies, its certified
 modules use no floating point, only the lattice knows how a cube is keyed,
-and the benchmark tracer finds every name it wraps.
+every descent takes its children's views from `split`, and the benchmark
+tracer finds every name it wraps.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -96,3 +97,24 @@ def test_benchmark_tracer_installs():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_descents_restrict_only_their_root():
+    # a descent takes its root's view from `restricted` and every child's
+    # from `split`, so no module but sets.py restricts inside a loop
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "sets.py":
+            continue
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(loop, (ast.For, ast.While)):
+                body = loop.body
+            elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                body = [loop]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: .restricted( in a loop"
+                      for stmt in body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "restricted"]
+    assert found == []

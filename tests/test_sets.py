@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cubeporos import sets
 from cubeporos.errors import DimensionMismatch, EmptyFamilyError, EmptySetError
 from cubeporos.analysis import mu_points_exact_1d
-from cubeporos.lattice import Box, DyadicCube
+from cubeporos.lattice import Box, DyadicCube, children
 from cubeporos.sets import (DEFAULT_BUDGET, EmptyModel, IFSModel, PointsModel, Status,
                             UnionModel, cantor_middle_thirds, corner_set, model_from_json)
 import ifs_reference
@@ -51,7 +51,6 @@ def test_corner_set_examples():
     assert corner_set([root]).points == ((F(0),),)
     cs = corner_set([root, DyadicCube(2, (1,)), DyadicCube(1, (1,))])
     assert cs.points == ((F(0),), (F(1, 4),), (F(1, 2),))
-    from cubeporos.lattice import children
     cs2 = corner_set(children(DyadicCube.root(2)))
     assert set(cs2.points) == {(F(0), F(0)), (F(0), F(1, 2)),
                                (F(1, 2), F(0)), (F(1, 2), F(1, 2))}
@@ -77,6 +76,8 @@ def test_wrong_dimension_box_raises(E):
         E.misses_interior(q)
     with pytest.raises(DimensionMismatch):
         E.restricted(q)
+    with pytest.raises(DimensionMismatch):
+        E.split(q)
     with pytest.raises(DimensionMismatch):
         E.dist_interval(q)
     with pytest.raises(DimensionMismatch):
@@ -328,6 +329,17 @@ def points_queries(draw):
     return E, q, _rational(draw, 0, 2), parent, child
 
 
+def _view_of(E, q):
+    """The view a descent holds on q: its entry in the split of q's parent,
+    and the model itself on the lattice root."""
+    if not q.depth:
+        return E.restricted(q)
+    [(status, view)] = [(st, v) for c, st, v in E.split(q.ancestor_at(q.depth - 1))
+                        if c == q]
+    assert (view is None) is (status is Status.FREE)
+    return view
+
+
 @given(points_queries())
 @settings(max_examples=400, deadline=None)
 def test_points_index_matches_scan(query):
@@ -339,17 +351,20 @@ def test_points_index_matches_scan(query):
     assert all(type(x) is F for x in got)
     assert E.dist_below(q, threshold) is points_reference.dist_below(pts, ref, threshold)
     assert E.misses_interior(q) is points_reference.misses_interior(pts, ref)
-    kept = points_reference.restricted(pts, ref)
-    sub = E.restricted(q)
-    assert set(getattr(sub, "points", ())) == set(kept)
-    # a chain: restrict to the parent cube, then query or restrict to the child
-    local = E.restricted(parent)
-    kept = points_reference.restricted(pts, parent.box)
+    if q.depth:
+        assert set(getattr(_view_of(E, q), "points", ())) == \
+            set(points_reference.restricted(pts, ref))
+    # a chain: the parent cube's view, then query or split the child
+    local = _view_of(E, parent)
+    kept = points_reference.restricted(pts, parent.box) if parent.depth else pts
     assert set(getattr(local, "points", ())) == set(kept)
-    assert local.intersect_status(child) is \
-        points_reference.intersect_status(kept, child.box)
-    assert set(getattr(local.restricted(child), "points", ())) == \
-        set(points_reference.restricted(kept, child.box))
+    if local is not None:
+        assert local.intersect_status(child) is \
+            points_reference.intersect_status(kept, child.box)
+        for c, status, view in local.split(child):
+            assert status is points_reference.intersect_status(kept, c.box)
+            assert set(getattr(view, "points", ())) == \
+                set(points_reference.restricted(kept, c.box))
 
 
 @given(boundary_points(1), dyadic_cubes(dim=1, max_depth=7),
@@ -370,6 +385,68 @@ def ifs_views(draw):
         chain.append(draw(descendant(chain[-1], max_extra=2)))
     return E, chain, draw(descendant(chain[-1], max_extra=2)), \
         draw(st.sampled_from((0, 1, 2, 3, 4, 36)))
+
+
+@st.composite
+def split_models(draw):
+    """A point set, a small IFS or a union of 2-3 of them in d = 1-3, and a
+    budget."""
+    d = draw(st.integers(1, 3))
+    part = st.one_of(boundary_points(d), small_ifs(d))
+    E = draw(st.one_of(part, st.lists(part, min_size=2, max_size=3).map(UnionModel.make)))
+    return E, draw(st.sampled_from((0, 1, 2, 3, 4, 36)))
+
+
+def _union_rule(statuses):
+    if Status.INTERSECTS in statuses:
+        return Status.INTERSECTS
+    return Status.UNDETERMINED if Status.UNDETERMINED in statuses else Status.FREE
+
+
+def _loop_split(E, ref, q, budget):
+    """The restrict-then-ask loop that `split` replaced: (status, reference)
+    per child of q.  A point set's reference is its kept points, an IFS's its
+    restricted view, a union's its parts' references, none of them dropped."""
+    if isinstance(E, PointsModel):
+        return [(points_reference.intersect_status(ref, c.box),
+                 points_reference.restricted(ref, c.box)) for c in children(q)]
+    if isinstance(E, IFSModel):
+        views = [ref.restricted(c) for c in children(q)]
+        return [(view.intersect_status(c, budget), view)
+                for c, view in zip(children(q), views)]
+    rows = zip(*(_loop_split(p, r, q, budget) for p, r in zip(E.parts, ref)))
+    return [(_union_rule([st for st, _r in row]), [r for _st, r in row]) for row in rows]
+
+
+def _root_reference(E):
+    if isinstance(E, UnionModel):
+        return [_root_reference(p) for p in E.parts]
+    return E.points if isinstance(E, PointsModel) else E.restricted(DyadicCube.root(E.dim))
+
+
+@given(split_models(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_split_matches_the_restrict_then_ask_loop(model, data):
+    # a chain of up to 8 nested cubes from the lattice root, each a child of
+    # the last that does not hold a free view
+    E, budget = model
+    q = DyadicCube.root(E.dim)
+    with mock.patch.object(sets, "_MAX_NODES", 1000):
+        view, ref = E.restricted(q), _root_reference(E)
+        for _ in range(data.draw(st.integers(0, 8))):
+            got = view.split(q, budget)
+            want = _loop_split(E, ref, q, budget)
+            assert [c for c, _st, _v in got] == children(q)
+            for (c, status, sub), (st_ref, sub_ref) in zip(got, want):
+                assert status is st_ref
+                assert (sub is None) is (status is Status.FREE)
+                if isinstance(E, PointsModel):
+                    assert set(getattr(sub, "points", ())) == set(sub_ref)
+            meeting = [i for i, (_c, _st, sub) in enumerate(got) if sub is not None]
+            if not meeting:
+                break
+            i = data.draw(st.sampled_from(meeting))
+            (q, _st, view), ref = got[i], want[i][1]
 
 
 def _root_search(E, q, budget, interior):
