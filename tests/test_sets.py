@@ -411,9 +411,8 @@ def _loop_split(E, ref, q, budget):
         return [(points_reference.intersect_status(ref, c.box),
                  points_reference.restricted(ref, c.box)) for c in children(q)]
     if isinstance(E, IFSModel):
-        views = [ref.restricted(c) for c in children(q)]
-        return [(view.intersect_status(c, budget), view)
-                for c, view in zip(children(q), views)]
+        views = [(c, ref.restricted(c)) for c in children(q)]
+        return [(view.intersect_status(c, budget), view) for c, view in views]
     rows = zip(*(_loop_split(p, r, q, budget) for p, r in zip(E.parts, ref)))
     return [(_union_rule([st for st, _r in row]), [r for _st, r in row]) for row in rows]
 
