@@ -145,15 +145,6 @@ class SumReport:
     normalizer: RatInterval       # |root|^(1-alpha/d)
     ratio: RatInterval            # value / normalizer
 
-    def to_json(self):
-        from .enclosure import frac_str
-        return {"alpha": frac_str(self.alpha), "root": self.root.to_json(),
-                "J": self.J, "value": self.value.to_json(),
-                "residual_count": self.residual_count,
-                "residual_bound": self.residual_bound.to_json(),
-                "normalizer": self.normalizer.to_json(),
-                "ratio": self.ratio.to_json()}
-
 
 def _check_alpha(alpha, d, allow_d: bool) -> Fraction:
     alpha = Fraction(alpha)
@@ -436,10 +427,6 @@ class WeightedCarlesonReport:
     identity_consistent: bool | None
     identity_lhs: tuple | None   # (lower, upper-or-None)
     identity_rhs: tuple | None
-
-    def ratio_contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.ratio_lower <= x and (self.ratio_upper is None or x <= self.ratio_upper)
 
 
 def weighted_carleson_sum(E: SetModel, R: DyadicCube, alpha, J: int,

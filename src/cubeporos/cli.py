@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
+# numerator and denominator of a rational flag, in absolute value: a larger
+# one can make an exact power or a float conversion run away
+MAX_RATIONAL = 1000
 # the library errors that exit 3; every other one exits 2
 BUDGET_FAILURES = (PorosityFailure, UnresolvedMeasure)
 # the failures at a named cube that leave a partial report
@@ -399,6 +402,12 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{flag} must be >= 0, got {value}")
         if config.budget > MAX_BUDGET:
             raise ValidationError(f"--budget must be <= {MAX_BUDGET}, got {config.budget}")
+        rationals = [("--alpha", config.alpha), ("--gamma", config.gamma),
+                     ("--p", config.p), ("--tau", config.tau)]
+        for flag, x in rationals + [("--alpha-grid", a) for a in config.alpha_grid]:
+            if x is not None and max(abs(x.numerator), x.denominator) > MAX_RATIONAL:
+                raise ValidationError(f"{flag} needs a numerator and denominator of at "
+                                      f"most {MAX_RATIONAL} in absolute value")
         return COMMANDS[config.command][0](config)
     except CubeporosError as exc:
         print(_failure_line(exc, config), file=sys.stderr)

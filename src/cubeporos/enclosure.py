@@ -53,8 +53,21 @@ def iroot(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
-    # Newton iteration from an over-estimate; terminates monotonically.
-    x = 1 << ((n.bit_length() + k - 1) // k)
+    # Newton iteration from an over-estimate; terminates monotonically.  From
+    # 2^e, up to twice the root, it closes in about 0.7*k linear steps, so a
+    # high order first finds the root's top t bits one at a time, which puts
+    # the start within a factor 1 + 2^(2-t) < 1 + 1/k of the root.
+    e = (n.bit_length() + k - 1) // k
+    t = k.bit_length() + 2
+    if k <= 16 or e <= t:
+        x = 1 << e
+    else:
+        s = e - t
+        top, r = n >> k * s, 0
+        for i in range(t - 1, -1, -1):
+            if (r | 1 << i) ** k <= top:
+                r |= 1 << i
+        x = r + 1 << s
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -83,16 +96,9 @@ class RatInterval:
         x = Fraction(x)
         return cls(x, x)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x) -> bool:
         x = Fraction(x)
         return self.lo <= x <= self.hi
-
-    def intersects(self, other: "RatInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __add__(self, other):
         if isinstance(other, RatInterval):

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .enclosure import frac_parse, frac_str, int_parse
+from .enclosure import int_parse
 from .errors import DimensionMismatch, EmptySetError, RootIsFree
 from .lattice import DyadicCube, children
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
 PROVENANCE_DE = "DE"
-PROVENANCE_FE = "FE"
 PROVENANCE_DGAMMA = "DGAMMA"
 PROVENANCE_USER = "USER"
 
@@ -82,27 +81,6 @@ class FreeDecomposition:
     free: tuple       # tuple of (DyadicCube, (dist_lo, dist_hi))
     residual: tuple   # cubes at exact offset J still meeting E
     J: int
-
-    def free_volume(self) -> Fraction:
-        return sum((q.volume for q, _ in self.free), Fraction(0))
-
-    def residual_volume(self) -> Fraction:
-        return sum((q.volume for q in self.residual), Fraction(0))
-
-    def to_json(self):
-        return {"root": self.root.to_json(), "J": self.J, "provenance": PROVENANCE_FE,
-                "free": [{"cube": q.to_json(),
-                          "dist": [frac_str(lo), frac_str(hi)]}
-                         for q, (lo, hi) in self.free],
-                "residual": [q.to_json() for q in self.residual]}
-
-    @classmethod
-    def from_json(cls, obj) -> "FreeDecomposition":
-        free = tuple((DyadicCube.from_json(e["cube"]),
-                      (frac_parse(e["dist"][0]), frac_parse(e["dist"][1])))
-                     for e in obj["free"])
-        residual = tuple(DyadicCube.from_json(c) for c in obj["residual"])
-        return cls(DyadicCube.from_json(obj["root"]), free, residual, int_parse(obj["J"]))
 
 
 def enumerate_DE(E: SetModel, R: DyadicCube, J: int,

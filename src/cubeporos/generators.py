@@ -1,4 +1,4 @@
-"""Seeded generators for random models, cubes and families.
+"""Seeded generators for random families and coefficients.
 
 Everything flows from one integer seed through `random.Random`, and only
 integer draws are used, so identical seeds reproduce identical objects
@@ -11,52 +11,11 @@ import random
 from fractions import Fraction
 
 from .families import CubeFamily, PROVENANCE_USER
-from .lattice import Box, DyadicCube, children
-from .sets import IFSModel, PointsModel, SetModel, UnionModel
+from .lattice import DyadicCube, children
 
 
 def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-
-
-def random_fraction(rng: random.Random, denom_pow: int = 12) -> Fraction:
-    den = 1 << denom_pow
-    return Fraction(rng.randrange(den), den)
-
-
-def random_point(rng: random.Random, d: int, denom_pow: int = 12):
-    return tuple(random_fraction(rng, denom_pow) for _ in range(d))
-
-
-def random_points_model(rng: random.Random, d: int, count: int | None = None,
-                        denom_pow: int = 12) -> PointsModel:
-    if count is None:
-        count = rng.randrange(1, 9)
-    return PointsModel.make(random_point(rng, d, denom_pow) for _ in range(count))
-
-
-def random_ifs_model(rng: random.Random, d: int) -> IFSModel:
-    """Small well-separated similarity system on the unit hull."""
-    ratio = Fraction(1, rng.choice([3, 4, 5]))
-    n_maps = rng.randrange(2, 4)
-    hull = Box.make([0] * d, [1] * d)
-    shifts = set()
-    den = 8
-    limit = (1 - ratio) * den
-    while len(shifts) < n_maps:
-        shifts.add(tuple(Fraction(rng.randrange(int(limit) + 1), den)
-                         for _ in range(d)))
-    return IFSModel.make([(ratio, s) for s in sorted(shifts)], hull)
-
-
-def random_porous_model(rng: random.Random, d: int) -> SetModel:
-    kind = rng.randrange(4)
-    if kind == 0 and d == 1:
-        return random_ifs_model(rng, d)
-    if kind == 1:
-        return UnionModel.make([random_points_model(rng, d, rng.randrange(1, 4)),
-                                random_points_model(rng, d, rng.randrange(1, 4))])
-    return random_points_model(rng, d)
 
 
 def random_parent_closed_family(rng: random.Random, d: int, max_depth: int,

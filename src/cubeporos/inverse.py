@@ -31,26 +31,9 @@ from .lattice import DyadicCube
 from .sets import corner_set
 from .sparse import carleson_constant, subtree_sums
 
-_ZERO = Fraction(0)
 
-
-@dataclass(frozen=True)
-class ChainFamily:
-    """Nested cubes sharing one lower corner, truncated at depth offset J."""
-
-    base: DyadicCube
-    members: tuple
-
-    def total_volume(self) -> Fraction:
-        return sum((q.volume for q in self.members), _ZERO)
-
-    def to_json(self):
-        return {"base": self.base.to_json(),
-                "members": [q.to_json() for q in self.members]}
-
-
-def chain(Q: DyadicCube, J: int) -> ChainFamily:
-    """The J+1 nested descendants of Q that keep Q's lower corner."""
+def chain(Q: DyadicCube, J: int) -> tuple:
+    """The J+1 nested descendants of Q that keep Q's lower corner, Q first."""
     if J < 0:
         raise ValueError("chain length must be >= 0")
     members = [Q]
@@ -58,7 +41,7 @@ def chain(Q: DyadicCube, J: int) -> ChainFamily:
     for _ in range(J):
         cur = DyadicCube(cur.depth + 1, tuple(k << 1 for k in cur.coords))
         members.append(cur)
-    return ChainFamily(Q, tuple(members))
+    return tuple(members)
 
 
 def check_parent_closed(S: CubeFamily):

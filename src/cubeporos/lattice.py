@@ -65,10 +65,6 @@ class Box:
             v *= b - a
         return v
 
-    @property
-    def max_side(self) -> Fraction:
-        return max(b - a for a, b in zip(self.lo, self.hi))
-
     def contains_point(self, p) -> bool:
         # half-open on each nondegenerate axis; degenerate axis = the point
         for a, b, x in zip(self.lo, self.hi, p):
@@ -162,26 +158,17 @@ class DyadicCube(tuple):
         return f"Q(j={self.depth}, k={self.coords})"
 
 
-def cube_order_key(q: DyadicCube):
-    """Canonical total order: depth ascending, then coords lexicographic,
-    which is the cube's own tuple order."""
-    return (q.depth, q.coords)
-
-
 def parent(q: DyadicCube) -> DyadicCube:
     if q.depth == 0:
         raise RootHasNoParent(f"{q} is the lattice root")
     return DyadicCube(q.depth - 1, tuple(k >> 1 for k in q.coords))
 
 
-def children(q: DyadicCube, g: int = 1) -> list:
-    """The 2^(g*d) depth-(j+g) subcubes of q, in canonical order."""
-    if g < 0:
-        raise ValueError("generation count must be >= 0")
-    base = tuple(k << g for k in q.coords)
-    offs = itertools.product(range(1 << g), repeat=q.dim)
-    return [DyadicCube(q.depth + g, tuple(b + o for b, o in zip(base, offs_)))
-            for offs_ in offs]
+def children(q: DyadicCube) -> list:
+    """The 2^d depth-(j+1) subcubes of q, in canonical order."""
+    base = tuple(k << 1 for k in q.coords)
+    return [DyadicCube(q.depth + 1, tuple(b + o for b, o in zip(base, offs)))
+            for offs in itertools.product((0, 1), repeat=q.dim)]
 
 
 def relate(q: DyadicCube, r: DyadicCube) -> Relation:
@@ -198,8 +185,10 @@ def relate(q: DyadicCube, r: DyadicCube) -> Relation:
 
 
 def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
-    rel = relate(inner, outer)
-    return rel in (Relation.EQUAL, Relation.Q_INSIDE_R)
+    if outer.dim != inner.dim:
+        raise DimensionMismatch(f"{inner.dim}-d cube vs {outer.dim}-d cube")
+    shift = inner.depth - outer.depth
+    return shift >= 0 and all(k >> shift == o for k, o in zip(inner.coords, outer.coords))
 
 
 def linf_dist(a, b) -> Fraction:

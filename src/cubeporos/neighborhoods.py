@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _check_alpha, _mu_cells,
                        mu_enclosure, mu_points_exact_1d)
-from .enclosure import RatInterval, frac_parse, frac_str, int_parse, pow_enclosure
+from .enclosure import RatInterval, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children
@@ -183,14 +183,6 @@ class EmbeddingQuery:
                 "J": self.J,
                 "coeffs": [{"q": q.to_json(), "a": frac_str(a)}
                            for q, a in sorted(self.coeffs.items())]}
-
-    @classmethod
-    def from_json(cls, obj) -> "EmbeddingQuery":
-        coeffs = {DyadicCube.from_json(e["q"]): frac_parse(e["a"])
-                  for e in obj["coeffs"]}
-        return cls.make(frac_parse(obj["p"]), frac_parse(obj["alpha"]),
-                        frac_parse(obj["gamma"]), DyadicCube.from_json(obj["R"]),
-                        int_parse(obj["J"]), coeffs)
 
 
 @dataclass(frozen=True)

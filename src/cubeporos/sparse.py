@@ -27,12 +27,6 @@ class CarlesonReport:
     per_root: tuple            # ((root cube, exact ratio), ...) in canonical order
     xi_hat: Fraction
 
-    def to_json(self):
-        return {"family_size": self.family_size,
-                "xi_hat": frac_str(self.xi_hat),
-                "per_root": [{"root": r.to_json(), "ratio": frac_str(x)}
-                             for r, x in self.per_root]}
-
 
 def subtree_sums(weighted) -> dict:
     """Total integer weight inside each cube, from (cube, weight) pairs; a
@@ -109,15 +103,6 @@ class SparseWitness:
              "inherited_from": a.inherited_from.to_json() if a.inherited_from else None}
             for a in self.assignments],
             "lambda_hat": frac_str(self.lambda_hat)}
-
-    @classmethod
-    def from_json(cls, obj) -> "SparseWitness":
-        from .enclosure import frac_parse
-        assignments = tuple(WitnessAssignment(
-            DyadicCube.from_json(e["q"]), DyadicCube.from_json(e["m"]),
-            DyadicCube.from_json(e["inherited_from"]) if e["inherited_from"] else None)
-            for e in obj["assignments"])
-        return cls(assignments, frac_parse(obj["lambda_hat"]))
 
 
 def _carrier_child(q: DyadicCube, inner: DyadicCube) -> DyadicCube:

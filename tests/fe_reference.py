@@ -14,7 +14,7 @@ from functools import lru_cache
 from cubeporos.analysis import SumReport
 from cubeporos.enclosure import pow2_enclosure, sum_intervals
 from cubeporos.errors import RootIsFree
-from cubeporos.lattice import children, cube_order_key
+from cubeporos.lattice import children
 from cubeporos.sets import Status
 
 
@@ -40,8 +40,8 @@ def free_decomposition(E, R, J, budget):
                 free.append(c)
             else:
                 stack.append((c, sub))
-    free.sort(key=cube_order_key)
-    residual.sort(key=cube_order_key)
+    free.sort(key=lambda q: (q.depth, q.coords))
+    residual.sort(key=lambda q: (q.depth, q.coords))
     free_entries = tuple((q, E.dist_interval(q, budget)) for q in free)
     return free_entries, tuple(residual), meeting
 

@@ -55,6 +55,11 @@ def _compose(E, ratio, shift):
         yield ratio * r, tuple(ratio * ti + s for ti, s in zip(t, shift))
 
 
+def _diameter(box):
+    # the l-inf diameter: the box's longest side
+    return max(b - a for a, b in zip(box.lo, box.hi))
+
+
 def _identity(E):
     return Fraction(1), (Fraction(0),) * E.dim
 
@@ -84,7 +89,7 @@ def dist_interval(E, box, budget):
     """The level-order walk's interval, and whether it hit the node cap."""
     zero = Fraction(0)
     frontier = [_identity(E)]
-    diam0 = E.hull.max_side
+    diam0 = _diameter(E.hull)
     best_hi = linf_dist(box, E.hull) + diam0
     lo = zero
     for _ in range(budget):
@@ -127,7 +132,7 @@ def all_images_dist_interval(E, box, budget):
             return (zero, zero)
         level = [c for r, s in level for c in _compose(E, r, s)]
     gaps = [(linf_dist(box, _image(E, r, s)), r) for r, s in level]
-    return (min(g for g, _r in gaps), min(g + r * E.hull.max_side for g, r in gaps))
+    return (min(g for g, _r in gaps), min(g + r * _diameter(E.hull) for g, r in gaps))
 
 
 def dist_below(E, box, threshold, budget):
@@ -136,7 +141,7 @@ def dist_below(E, box, threshold, budget):
     threshold <= 0, as no distance is below 0."""
     threshold = Fraction(threshold)
     frontier = [_identity(E)]
-    diam0 = E.hull.max_side
+    diam0 = _diameter(E.hull)
     for _ in range(budget):
         keep = []
         for ratio, shift in frontier:

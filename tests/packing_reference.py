@@ -15,7 +15,7 @@ from fractions import Fraction
 from cubeporos.families import enumerate_DE
 from cubeporos.inverse import (InverseReport, RootSplit, carleson_bound,
                                check_parent_closed, default_depth)
-from cubeporos.lattice import DyadicCube, cube_order_key, dilate
+from cubeporos.lattice import DyadicCube, dilate
 from cubeporos.neighborhoods import GammaReport, minimal_exceeding_integer
 from cubeporos.sets import DEFAULT_BUDGET, corner_set
 from cubeporos.sparse import CarlesonReport
@@ -47,7 +47,7 @@ def carleson_constant(S) -> CarlesonReport:
     roots.add(S.root)
     mass = subtree_sums((q, q.volume) for q in S.members)
     per_root = tuple((r, mass.get((r.depth, r.coords), _ZERO) / r.volume)
-                     for r in sorted(roots, key=cube_order_key))
+                     for r in sorted(roots, key=lambda q: (q.depth, q.coords)))
     return CarlesonReport(len(S.members), per_root, max(x for _, x in per_root))
 
 
@@ -130,7 +130,7 @@ def gamma_carleson(E, family, gamma, budget=DEFAULT_BUDGET) -> GammaReport:
     covering_counts = []
     base_constant = _ONE
     clipped_any = False
-    for r in sorted({R} | set(family.members), key=cube_order_key):
+    for r in sorted({R} | set(family.members), key=lambda q: (q.depth, q.coords)):
         cover, clipped = covering_cubes(r, n)
         clipped_any = clipped_any or clipped
         covering_counts.append(len(cover))

@@ -221,13 +221,24 @@ SWEEP_FAMILIES = {
                                         {"depth": 1, "coords": [1]}]},
     "no-members": {"root": {"depth": 0, "coords": [0]}, "J": 4, "members": []},
 }
+# rational flags past MAX_RATIONAL: an exact power or a float of them runs
+# away, so each is rejected before any work
+HUGE_RATIONAL_FLAGS = [
+    ["analyze", "--tau", "1e400"],
+    ["analyze", "--alpha-grid", "1e-400:1:1/2"],
+    ["analyze", "--alpha-grid", "1/1001:1/2:1/2"],
+    ["gamma", "--gamma", "1/2", "--p", "5000"],
+    ["gamma", "--gamma", "1001/1000"],
+    ["gamma", "--gamma", "1/2", "--alpha", "1/1001"],
+]
 SWEEP_RUNS = (
     [(name, "--set", [command, "--depth", str(depth)]
       + (["--gamma", "1/2"] if command == "gamma" else []))
      for name in SWEEP_SETS for command in ("analyze", "witness", "plotdata", "gamma")
      for depth in (0, 1, 3)]
     + [(name, "--family", argv) for name in SWEEP_FAMILIES
-       for argv in (["invert"], ["invert", "--depth", "0"], ["plotdata"])])
+       for argv in (["invert"], ["invert", "--depth", "0"], ["plotdata"])]
+    + [("point-0", "--set", argv) for argv in HUGE_RATIONAL_FLAGS])
 
 
 @pytest.mark.parametrize("name,flag,argv", SWEEP_RUNS,
@@ -244,6 +255,19 @@ def test_edge_inputs_exit_without_a_traceback(tmp_path, capsys, name, flag, argv
             assert json.loads(out.read_text())["error"] == "not-parent-closed"
         else:
             assert sorted(os.listdir(tmp_path)) == ["input.json"], err
+
+
+@pytest.mark.parametrize("argv", HUGE_RATIONAL_FLAGS, ids=lambda argv: " ".join(argv))
+def test_huge_rational_flag_exits_2_at_once(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = main([*argv, "--set", write_set(tmp_path), "--depth", "4", "--out", str(out)])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1, err
+    assert "at most 1000 in absolute value" in err
+    assert not out.exists()
 
 
 def test_module_run_on_a_set_missing_the_unit_cube_exits_2(tmp_path):
@@ -541,9 +565,7 @@ def test_reports_round_trip_and_embed_config(tmp_path):
           "--out", str(out)])
     payload = json.loads(out.read_text())
     assert payload["config"]["command"] == "witness"
-    from cubeporos.sparse import SparseWitness
-    w = SparseWitness.from_json(payload)
-    assert len(w.assignments) == 5
+    assert len(payload["assignments"]) == 5
 
 
 def test_determinism_across_repeated_runs(tmp_path):

@@ -46,7 +46,7 @@ def test_fe_single_point():
     dec = enumerate_FE(E, ROOT1, 3)
     assert [q for q, _ in dec.free] == cubes((1, [1]), (2, [1]), (3, [1]))
     assert list(dec.residual) == cubes((3, [0]))
-    assert dec.free_volume() + dec.residual_volume() == 1
+    assert sum(q.volume for q, _ in dec.free) + sum(q.volume for q in dec.residual) == 1
     # distance intervals are exact for point sets
     for q, (lo, hi) in dec.free:
         assert lo == hi == q.box.lo[0]
@@ -62,7 +62,7 @@ def test_fe_cantor_two_levels():
     dec = enumerate_FE(CANTOR, ROOT1, 2)
     assert dec.free == ()
     assert len(dec.residual) == 4
-    assert dec.residual_volume() == 1
+    assert sum(q.volume for q in dec.residual) == 1
 
 
 def test_dgamma_examples():
@@ -97,7 +97,8 @@ def test_partition_identity(E, J):
     if E.intersect_status(root) is Status.FREE:
         return
     dec = enumerate_FE(E, root, J)
-    assert dec.free_volume() + dec.residual_volume() == root.volume
+    assert sum(q.volume for q, _ in dec.free) + sum(q.volume for q in dec.residual) \
+        == root.volume
 
 
 @given(point_sets(max_points=4), st.integers(0, 4))
@@ -136,13 +137,9 @@ def test_family_json_round_trip():
     E = PointsModel.make([(0,), (F(1, 2),)])
     fam = enumerate_DE(E, ROOT1, 3)
     assert CubeFamily.from_json(fam.to_json()) == fam
-    dec = enumerate_FE(E, ROOT1, 3)
-    again = FreeDecomposition.from_json(dec.to_json())
-    assert again == dec
     # J must be a JSON integer, not a float that int() would truncate
-    for cls, obj in ((CubeFamily, fam.to_json()), (FreeDecomposition, dec.to_json())):
-        with pytest.raises(ValueError):
-            cls.from_json({**obj, "J": 3.0})
+    with pytest.raises(ValueError):
+        CubeFamily.from_json({**fam.to_json(), "J": 3.0})
 
 
 @st.composite

@@ -122,8 +122,8 @@ def test_embedding_constant_coefficients_p1():
     J = 30
     half = mpmath.mpf(2) ** mpmath.mpf("-0.5")
     lhs_oracle = float(2 * (1 - half ** (J + 1)) / (1 - half))
-    assert report.lhs.width <= F(1, 10 ** 4)
-    assert report.rhs.width <= F(1, 10 ** 4)
+    assert (report.lhs.hi - report.lhs.lo) <= F(1, 10 ** 4)
+    assert (report.rhs.hi - report.rhs.lo) <= F(1, 10 ** 4)
     assert abs(float(report.lhs.lo) - lhs_oracle) < 1e-12
     assert report.rhs.contains(2)
     assert report.mass_lower_check == "certified"
@@ -174,14 +174,6 @@ def test_embedding_rejects_alpha_at_the_dimension_before_any_mass():
     q = EmbeddingQuery.make(1, 1, F(1, 4), ROOT1, 4, {ROOT1: F(1)})
     with pytest.raises(AlphaOutOfRange):
         embedding_check(ORIGIN, q, fam)
-
-
-def test_embedding_query_json_round_trip():
-    q = _constant_query(2, J=5)
-    again = EmbeddingQuery.from_json(q.to_json())
-    assert again == q
-    with pytest.raises(ValueError):
-        EmbeddingQuery.from_json({**q.to_json(), "J": 5.0})
 
 
 def test_embedding_on_a_1001_cube_chain_runs_without_recursion():

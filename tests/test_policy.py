@@ -118,3 +118,61 @@ def test_descents_restrict_only_their_root():
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                       and node.func.attr == "restricted"]
     assert found == []
+
+
+def _python_sources():
+    """(label, source) of every place the library is reached from: src/,
+    scripts/ and the README's python blocks."""
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        yield path.relative_to(ROOT).as_posix(), path.read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        yield f"README.md#{i}", block
+
+
+def _definitions(tree):
+    # top-level functions and classes, and the methods of top-level classes
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_definition_is_reached():
+    # Every definition in src/ is named outside its own body: in src/,
+    # scripts/, a README python block or as a quoted name in
+    # perfbench/tracing.py, which wraps what the benchmark traces.  Dunders
+    # are exempt.  The match is by name only, so a method that shares its
+    # name with a used one (an unused `from_json` or `to_json` beside the
+    # used ones) is not caught here.
+    uses = []  # (label, line, name)
+    defs = []  # (label, qualified name, node)
+    for label, source in _python_sources():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((label, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((label, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                uses.append((label, node.lineno, node.name.split(".")[-1]))
+        if label.startswith("src/"):
+            defs += [(label, qual, node) for qual, node in _definitions(tree)]
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    uses += [("perfbench/tracing.py", node.lineno, node.value)
+             for node in ast.walk(tracing)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+    unreached = []
+    for label, qual, node in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if not any(n == name and not (where == label
+                                      and node.lineno <= line <= node.end_lineno)
+                   for where, line, n in uses):
+            unreached.append(qual)
+    assert unreached == []

@@ -10,7 +10,7 @@ fresh `largest_free_cube` search for every pick.
 from cubeporos.analysis import PorosityRecord, PorosityReport, largest_free_cube
 from cubeporos.errors import PorosityFailure, RootIsFree
 from cubeporos.families import enumerate_DE
-from cubeporos.lattice import DyadicCube, children, contains, cube_order_key, parent
+from cubeporos.lattice import DyadicCube, children, contains, parent
 from cubeporos.sets import Status
 from cubeporos.sparse import SparseWitness, WitnessAssignment
 
@@ -99,7 +99,7 @@ def build_witness(E, R, J, search_depth, budget):
             m = largest_free_cube(E, c, search_depth, budget)
             if m is None:
                 continue
-            key = (-m.volume, cube_order_key(m))
+            key = (-m.volume, m.depth, m.coords)
             if best is None or key < best[0]:
                 best = (key, m)
         if best is None:
@@ -118,6 +118,6 @@ def build_witness(E, R, J, search_depth, budget):
                 builder.assign(c, sub, None, None)
         cur = p
     assignments = tuple(sorted(builder.assignments.values(),
-                               key=lambda a: cube_order_key(a.cube)))
+                               key=lambda a: (a.cube.depth, a.cube.coords)))
     lambda_hat = max(a.cube.volume / a.free_cube.volume for a in assignments)
     return SparseWitness(assignments, lambda_hat)
