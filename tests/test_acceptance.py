@@ -81,7 +81,7 @@ def test_criterion_2_single_point_oracles():
 
     dyn = dynkin_sum(ORIGIN, ROOT1, F(1, 2), 40)
     assert abs(float(dyn.value.lo) - float(dyn_oracle)) < 1e-15
-    assert (dyn.value.hi - dyn.value.lo) < F(1, 10 ** 15)
+    assert dyn.value.hi - dyn.value.lo < F(1, 10 ** 15)
     # distance to the infinite-series limit is the truncation tail, < 2.5e-6;
     # the stated 1e-6 proximity to the limit needs J >= 43 and is checked there
     assert abs(float(dyn.value.hi) - dyn_limit) < 2.5e-6
@@ -217,8 +217,8 @@ def test_criterion_7_embedding():
     lhs_oracle = float(2 * (1 - SQRT_HALF ** (J + 1)) / (1 - SQRT_HALF))
     q1 = EmbeddingQuery.make(1, F(1, 2), F(1, 4), ROOT1, J, coeffs)
     rep1 = embedding_check(ORIGIN, q1, fam)
-    assert (rep1.lhs.hi - rep1.lhs.lo) <= F(1, 10 ** 4)
-    assert (rep1.rhs.hi - rep1.rhs.lo) <= F(1, 10 ** 4)
+    assert rep1.lhs.hi - rep1.lhs.lo <= F(1, 10 ** 4)
+    assert rep1.rhs.hi - rep1.rhs.lo <= F(1, 10 ** 4)
     assert float(rep1.lhs.lo) - 1e-12 <= lhs_oracle <= float(rep1.lhs.hi) + 1e-12
     assert rep1.rhs.contains(2)
     assert abs(float(rep1.lhs.lo) - 6.82843) < 2e-4  # truncated series value

@@ -65,7 +65,7 @@ def test_dynkin_alpha_zero_partition():
 def test_dynkin_half_matches_geometric_series():
     rep = dynkin_sum(ORIGIN, ROOT1, F(1, 2), 40)
     oracle = geometric_sum(mpmath.mpf(2) ** mpmath.mpf("-0.5"), 1, 40)
-    assert (rep.value.hi - rep.value.lo) < F(1, 10 ** 15)
+    assert rep.value.hi - rep.value.lo < F(1, 10 ** 15)
     assert float(rep.value.lo) == pytest.approx(float(oracle), abs=1e-15)
     # the infinite-series limit sits one truncation tail above the value
     limit = 1 / (mpmath.sqrt(2) - 1)
@@ -179,7 +179,7 @@ def test_mu_monotone_in_depth():
 def test_mu_exact_1d_points():
     E = PointsModel.make([(0,)])
     enc = mu_points_exact_1d(E, ROOT1, F(1, 2))
-    assert enc.contains(2) and (enc.hi - enc.lo) < F(1, 10 ** 15)
+    assert enc.contains(2) and enc.hi - enc.lo < F(1, 10 ** 15)
     # exponents >= 1 are outside the sharp route's domain
     assert mu_points_exact_1d(E, ROOT1, 1) is None
     # two points: integral splits at the midpoint

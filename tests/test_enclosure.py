@@ -69,7 +69,7 @@ def test_pow2_half():
     # the enclosure straddles sqrt(2): exact rational comparison of squares
     assert enc.lo ** 2 <= 2 <= enc.hi ** 2
     assert float(enc.lo) == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert (enc.hi - enc.lo) <= enc.lo / (1 << 60)
+    assert enc.hi - enc.lo <= enc.lo / (1 << 60)
 
 
 @given(st.fractions(min_value=Fraction(1, 1000), max_value=1000),
@@ -83,7 +83,7 @@ def test_pow_enclosure_contains_float_value(base, exp):
     # the certified interval must straddle the float evaluation generously
     assert float(enc.lo) <= approx * (1 + 1e-9) + 1e-12
     assert float(enc.hi) >= approx * (1 - 1e-9) - 1e-12
-    assert (enc.hi - enc.lo) <= enc.lo / (1 << 58)
+    assert enc.hi - enc.lo <= enc.lo / (1 << 58)
 
 
 def test_interval_arithmetic():

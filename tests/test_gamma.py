@@ -122,8 +122,8 @@ def test_embedding_constant_coefficients_p1():
     J = 30
     half = mpmath.mpf(2) ** mpmath.mpf("-0.5")
     lhs_oracle = float(2 * (1 - half ** (J + 1)) / (1 - half))
-    assert (report.lhs.hi - report.lhs.lo) <= F(1, 10 ** 4)
-    assert (report.rhs.hi - report.rhs.lo) <= F(1, 10 ** 4)
+    assert report.lhs.hi - report.lhs.lo <= F(1, 10 ** 4)
+    assert report.rhs.hi - report.rhs.lo <= F(1, 10 ** 4)
     assert abs(float(report.lhs.lo) - lhs_oracle) < 1e-12
     assert report.rhs.contains(2)
     assert report.mass_lower_check == "certified"

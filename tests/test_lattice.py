@@ -36,6 +36,8 @@ def test_relate_examples():
     assert relate(DyadicCube(2, (1,)), DyadicCube(2, (1,))) is Relation.EQUAL
     with pytest.raises(DimensionMismatch):
         relate(DyadicCube(0, (0,)), DyadicCube.root(2))
+    with pytest.raises(DimensionMismatch):
+        contains(DyadicCube.root(2), DyadicCube(1, (0,)))
 
 
 def test_linf_dist_examples():
@@ -92,6 +94,7 @@ def _brute_relation(q, r):
 def test_relate_matches_interval_comparison(pair):
     q, r = pair
     assert relate(q, r) is _brute_relation(q, r)
+    assert contains(r, q) == (_brute_relation(q, r) in (Relation.EQUAL, Relation.Q_INSIDE_R))
 
 
 @given(rational_boxes(dim=2), rational_boxes(dim=2), rational_boxes(dim=2))

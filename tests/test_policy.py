@@ -1,7 +1,8 @@
 """Project policy: cubeporos has no runtime dependencies, its certified
 modules use no floating point, only the lattice knows how a cube is keyed,
-every descent takes its children's views from `split`, and the benchmark
-tracer finds every name it wraps.
+every descent takes its children's views from `split`, the benchmark
+tracer finds every name it wraps, and every definition in the package is
+reached from the package, a script, the README or the tracer.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -175,4 +176,4 @@ def test_every_definition_is_reached():
                                       and node.lineno <= line <= node.end_lineno)
                    for where, line, n in uses):
             unreached.append(qual)
-    assert unreached == []
+    assert unreached == [], "not reached: " + ", ".join(unreached)
