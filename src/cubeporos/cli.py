@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .analysis import (DEFAULT_SPLIT_BUDGET, codim_estimate, dynkin_sweep,
                        mu_enclosure, porosity_scan)
@@ -38,6 +39,7 @@ MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
 # numerator and denominator of a rational flag, in absolute value: a larger
 # one can make an exact power or a float conversion run away
 MAX_RATIONAL = 1000
+_BATCH = 4096  # report pieces joined per file write
 # the library errors that exit 3; every other one exits 2
 BUDGET_FAILURES = (PorosityFailure, UnresolvedMeasure)
 # the failures at a named cube that leave a partial report
@@ -155,9 +157,32 @@ def _load_family(config: RunConfig) -> CubeFamily:
 
 
 def _dump_json(path: str, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write exactly `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`,
+    its pieces joined into the file in batches, so that neither the whole text
+    nor a whole chunk list is ever held; recursion goes as deep as it nests."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        out = []
+        def put(value, nl):
+            if isinstance(value, str):
+                out.append(encode_basestring_ascii(value))
+            elif isinstance(value, (dict, list, tuple)) and value:
+                inner, is_dict = nl + "  ", isinstance(value, dict)
+                sep = ("{" if is_dict else "[") + inner
+                for key, item in sorted(value.items()) if is_dict else enumerate(value):
+                    if is_dict:  # a non-str key's text is read off a one-key object
+                        sep += (encode_basestring_ascii(key) if isinstance(key, str)
+                                else json.dumps({key: None})[1:-7]) + ": "
+                    out.append(sep)
+                    put(item, inner)
+                    sep = "," + inner
+                out.append(nl + ("}" if is_dict else "]"))
+            else:  # a number, true, false, null, {} or []; TypeError for the rest
+                out.append(int.__repr__(value) if type(value) is int else json.dumps(value))
+            if len(out) >= _BATCH:
+                fh.write("".join(out))
+                out.clear()
+        put(payload, "\n")
+        fh.write("".join(out) + "\n")
 
 
 def _csv_path(out: str) -> str:
@@ -374,8 +399,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A flag failure's one stderr line, with no usage block; exit 2."""
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubeporos",
         description="exact dyadic-lattice analytics for porous sets")
     sub = parser.add_subparsers(dest="command", required=True)

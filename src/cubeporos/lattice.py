@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 
-from .enclosure import frac_parse, frac_str, int_parse
+from .enclosure import frac_parse, int_parse
 from .errors import DimensionMismatch, RootHasNoParent
 
 _ZERO = Fraction(0)
@@ -74,10 +74,6 @@ class Box:
             elif not (a <= x < b):
                 return False
         return True
-
-    def to_json(self):
-        return {"lo": [frac_str(x) for x in self.lo],
-                "hi": [frac_str(x) for x in self.hi]}
 
     @classmethod
     def from_json(cls, obj) -> "Box":
@@ -165,10 +161,15 @@ def parent(q: DyadicCube) -> DyadicCube:
 
 
 def children(q: DyadicCube) -> list:
-    """The 2^d depth-(j+1) subcubes of q, in canonical order."""
-    base = tuple(k << 1 for k in q.coords)
-    return [DyadicCube(q.depth + 1, tuple(b + o for b, o in zip(base, offs)))
-            for offs in itertools.product((0, 1), repeat=q.dim)]
+    """The 2^d depth-(j+1) subcubes of q, in canonical order, built without
+    validation: a child of a valid cube is valid."""
+    depth, coords = q
+    if len(coords) == 1:
+        k = coords[0] << 1
+        return [tuple.__new__(DyadicCube, (depth + 1, (k,))),
+                tuple.__new__(DyadicCube, (depth + 1, (k + 1,)))]
+    return [tuple.__new__(DyadicCube, (depth + 1, k))
+            for k in itertools.product(*[(c << 1, (c << 1) + 1) for c in coords])]
 
 
 def relate(q: DyadicCube, r: DyadicCube) -> Relation:

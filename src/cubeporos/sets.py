@@ -18,7 +18,7 @@ yields a nested certified interval per level, and a threshold query stops
 at the first that decides it.
 A point set finds a cube's points by bisection in a Z-order index (a linear
 quadtree), and its 1-d distances by bisection in its sorted coordinates; its
-split cuts each child's slice from its own, empty exactly on a free child.
+split shares its cube's one slice among the children, empty on a free child.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .enclosure import frac_parse, frac_str, int_parse
+from .enclosure import frac_parse, int_parse
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
 from .lattice import Box, DyadicCube, children, linf_dist
 
@@ -124,9 +124,6 @@ class SetModel:
         """True only when E is certified not to meet the open interior of `q`."""
         return False
 
-    def to_json(self):
-        raise NotImplementedError
-
     def _check_dim(self, q: DyadicCube):
         if q.dim != self.dim:
             raise DimensionMismatch(f"{self.dim}-d set vs {q.dim}-d cube")
@@ -154,9 +151,6 @@ class EmptyModel(SetModel):
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return True
-
-    def to_json(self):
-        return {"kind": "empty", "dim": self.dimension}
 
 
 def _zorder(coords, spread) -> int:
@@ -251,13 +245,28 @@ class PointsModel(SetModel):
         return (d, d)
 
     def split(self, q, budget=DEFAULT_BUDGET):
-        """Each child's view holds the child's slice of this model's index."""
+        """One cut of q's slice, shared among the children: down to the index
+        depth K they own consecutive key ranges in canonical (Z-) order, and
+        below it each point goes to the child its exact address bits name."""
+        K, spread = self._index[:2]
+        keys, rows = self._cube_rows(q)
+        d, j = self.dim, q.depth
+        if j < K:
+            z, shift = _zorder(q.coords, spread) << d, d * (K - j - 1)
+            cuts = [0, *(bisect_left(keys, (z + i) << shift) for i in range(1, 1 << d)),
+                    len(keys)]
+            parts = [(keys[a:b], rows[a:b]) for a, b in zip(cuts, cuts[1:])]
+        else:
+            groups = [[] for _ in range(1 << d)]
+            for p in rows:  # the child's index interleaves the next address bits
+                groups[_zorder([((x.numerator << j + 1) // x.denominator) & 1 for x in p],
+                               spread)].append(p)
+            parts = [(keys[:len(g)], tuple(g)) for g in groups]
         out = []
-        for c in children(q):
-            keys, kept = self._cube_rows(c)
+        for c, (part_keys, kept) in zip(children(q), parts):
             view = PointsModel(kept) if kept else None
             if kept:
-                view.__dict__["_index"] = self._index[:2] + (keys, kept)
+                view.__dict__["_index"] = (K, spread, part_keys, kept)
             out.append((c, Status.INTERSECTS if kept else Status.FREE, view))
         return out
 
@@ -265,10 +274,6 @@ class PointsModel(SetModel):
         # q's open interior is its half-open box less its lower faces
         return not any(all(x > c for x, c in zip(p, q.lower_corner))
                        for p in self._cube_rows(q)[1])
-
-    def to_json(self):
-        return {"kind": "points",
-                "points": [[frac_str(x) for x in p] for p in self.points]}
 
 
 def _relate(node, S, BL, j):
@@ -554,12 +559,6 @@ class IFSModel(SetModel):
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return self._search(q, budget, True) is Status.FREE
 
-    def to_json(self):
-        return {"kind": "ifs",
-                "maps": [{"ratio": frac_str(r), "shift": [frac_str(t) for t in ts]}
-                         for r, ts in self.maps],
-                "hull": self.hull.to_json()}
-
 
 def _union_status(statuses) -> Status:
     """The union's answer from its parts', read only until one meets."""
@@ -616,20 +615,18 @@ class UnionModel(SetModel):
                 return
 
     def split(self, q, budget=DEFAULT_BUDGET):
-        """The parts' splits zipped; a child's view keeps the parts not
-        certified free on it, as no answer below the child can need them."""
+        """The parts' splits zipped; a child's view keeps the parts not certified
+        free on it, which no answer below it can need, or is the one left."""
         out = []
         for answers in zip(*(p.split(q, budget) for p in self.parts)):
             status = _union_status(st for _c, st, _view in answers)
             views = tuple(view for _c, _st, view in answers if view is not None)
-            out.append((answers[0][0], status, UnionModel(views) if views else None))
+            view = UnionModel(views) if len(views) > 1 else views[0] if views else None
+            out.append((answers[0][0], status, view))
         return out
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         return all(p.misses_interior(q, budget) for p in self.parts)
-
-    def to_json(self):
-        return {"kind": "union", "parts": [p.to_json() for p in self.parts]}
 
 
 def corner_set(cubes) -> PointsModel:

@@ -5,11 +5,15 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubeporos.cli import main
+from cubeporos import cli
+from cubeporos.cli import _dump_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -231,6 +235,11 @@ HUGE_RATIONAL_FLAGS = [
     ["gamma", "--gamma", "1001/1000"],
     ["gamma", "--gamma", "1/2", "--alpha", "1/1001"],
 ]
+# flags that the parser itself refuses, with no usage block
+PARSER_FAILURES = [
+    ["analyze", "--alpha-grid", "0:1:1/1000000000"],
+    ["gamma", "--gamma", "1/2", "--alpha", "x"],
+]
 SWEEP_RUNS = (
     [(name, "--set", [command, "--depth", str(depth)]
       + (["--gamma", "1/2"] if command == "gamma" else []))
@@ -238,7 +247,7 @@ SWEEP_RUNS = (
      for depth in (0, 1, 3)]
     + [(name, "--family", argv) for name in SWEEP_FAMILIES
        for argv in (["invert"], ["invert", "--depth", "0"], ["plotdata"])]
-    + [("point-0", "--set", argv) for argv in HUGE_RATIONAL_FLAGS])
+    + [("point-0", "--set", argv) for argv in HUGE_RATIONAL_FLAGS + PARSER_FAILURES])
 
 
 @pytest.mark.parametrize("name,flag,argv", SWEEP_RUNS,
@@ -251,6 +260,7 @@ def test_edge_inputs_exit_without_a_traceback(tmp_path, capsys, name, flag, argv
     assert code in (0, 2, 3)
     if code == 2:
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         if "not parent-closed" in err:
             assert json.loads(out.read_text())["error"] == "not-parent-closed"
         else:
@@ -620,3 +630,66 @@ def test_golden_invert_runs(tmp_path, name, monkeypatch):
     assert main(run["argv"]) == run["exit"]
     for f in run["files"]:
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
+
+
+# JSON trees up to depth 6: strings and keys with non-ASCII, escape and
+# control characters, int keys beside str keys (which json cannot sort, so
+# both writers raise TypeError), big ints, every kind of float, and empty
+# containers
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+JSON_SCALARS = st.one_of(
+    JSON_TEXT, st.none(), st.booleans(), st.integers(-2**200, 2**200),
+    st.floats(), st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]))
+# str keys, int keys, and keys of every kind json takes, mixed
+JSON_KEYS = [JSON_TEXT, st.integers(-2**70, 2**70),
+             st.one_of(JSON_TEXT, st.integers(), st.floats(), st.booleans(), st.none())]
+
+
+def json_trees(depth=6):
+    if not depth:
+        return JSON_SCALARS
+    inner = json_trees(depth - 1)
+    return st.one_of(JSON_SCALARS, st.lists(inner, max_size=3),
+                     st.lists(inner, max_size=2).map(tuple),
+                     *(st.dictionaries(keys, inner, max_size=3) for keys in JSON_KEYS))
+
+
+def _json_text(payload):
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except TypeError:
+        return TypeError
+
+
+@given(json_trees())
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("report") / "r.json"
+    want = _json_text(payload)
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            _dump_json(str(path), payload)
+    else:
+        _dump_json(str(path), payload)
+        assert path.read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [Fraction(1, 2)], {(1, 2): 0},
+                                     {"a": [b"x"]}, object()],
+                         ids=["set", "fraction", "tuple-key", "bytes", "object"])
+def test_report_writer_refuses_what_json_refuses(tmp_path, payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _dump_json(str(tmp_path / "r.json"), payload)
+
+
+def test_report_writer_streams_in_batches(tmp_path, monkeypatch):
+    # more pieces than one batch, and the batch boundary, give the same bytes
+    payload = {"roots": [{"root": [i, -i], "s": f"{i}/7", "ok": i % 2 == 0}
+                         for i in range(3000)], "e": {}, "f": []}
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for batch in (1, 7, 4096):
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        _dump_json(str(tmp_path / "r.json"), payload)
+        assert (tmp_path / "r.json").read_text() == want

@@ -1,5 +1,6 @@
 import copy
 import copyreg
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -68,6 +69,18 @@ def test_children_partition(q):
     assert kids == sorted(kids, key=lambda c: (c.depth, c.coords))
 
 
+@given(dyadic_cubes(max_depth=40))
+@settings(max_examples=150, deadline=None)
+def test_children_equal_the_validated_children(q):
+    # children skips the constructor's checks; each child is still the cube
+    # the validating constructor builds, in the same order
+    want = [DyadicCube(q.depth + 1, tuple(2 * k + o for k, o in zip(q.coords, offs)))
+            for offs in itertools.product((0, 1), repeat=q.dim)]
+    got = children(q)
+    assert got == want
+    assert all(type(c) is DyadicCube and c.depth == q.depth + 1 for c in got)
+
+
 @given(dyadic_cubes(max_depth=5))
 @settings(max_examples=80, deadline=None)
 def test_parent_child_identity(q):
@@ -122,7 +135,7 @@ def test_cube_json_round_trip():
     q = DyadicCube(3, (5, 2))
     assert DyadicCube.from_json(q.to_json()) == q
     b = Box.make([F(1, 3)], [F(2, 3)])
-    assert Box.from_json(b.to_json()) == b
+    assert Box.from_json({"lo": ["1/3"], "hi": ["2/3"]}) == b
 
 
 @given(st.lists(dyadic_cubes(max_depth=4), min_size=1, max_size=8))

@@ -1,8 +1,9 @@
 """Project policy: cubeporos has no runtime dependencies, its certified
 modules use no floating point, only the lattice knows how a cube is keyed,
-every descent takes its children's views from `split`, the benchmark
-tracer finds every name it wraps, and every definition in the package is
-reached from the package, a script, the README or the tracer.
+reports have one writer, every descent takes its children's views from
+`split`, the benchmark tracer finds every name it wraps, and every
+definition in the package is reached from the package, a script, the
+README or the tracer.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -86,6 +87,19 @@ def test_only_the_lattice_knows_the_cube_key():
             elif "cube_order_key" in (getattr(node, "id", None), getattr(node, "attr", None),
                                       getattr(node, "name", None)):
                 found.append(f"{where}: cube_order_key")
+    assert found == []
+
+
+def test_reports_have_one_writer():
+    # every indented report goes through cli._dump_json, which streams the
+    # bytes json.dumps(indent=2) would give; no module renders one whole
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("dump", "dumps") \
+                    and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno}: json.{node.func.attr}(indent=...)")
     assert found == []
 
 

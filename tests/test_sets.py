@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cubeporos import sets
 from cubeporos.errors import DimensionMismatch, EmptyFamilyError, EmptySetError
 from cubeporos.analysis import mu_points_exact_1d
+from cubeporos.enclosure import frac_str
 from cubeporos.lattice import Box, DyadicCube, children
 from cubeporos.sets import (DEFAULT_BUDGET, EmptyModel, IFSModel, PointsModel, Status,
                             UnionModel, cantor_middle_thirds, corner_set, model_from_json)
@@ -133,12 +134,26 @@ def test_corner_membership(E):
         assert cs.intersect_status(q) is Status.INTERSECTS
 
 
+def model_json(model):
+    """The set description of `model`, in the format `model_from_json` reads."""
+    fracs = lambda xs: [frac_str(x) for x in xs]
+    if isinstance(model, PointsModel):
+        return {"kind": "points", "points": [fracs(p) for p in model.points]}
+    if isinstance(model, IFSModel):
+        return {"kind": "ifs",
+                "maps": [{"ratio": frac_str(r), "shift": fracs(ts)} for r, ts in model.maps],
+                "hull": {"lo": fracs(model.hull.lo), "hi": fracs(model.hull.hi)}}
+    if isinstance(model, UnionModel):
+        return {"kind": "union", "parts": [model_json(p) for p in model.parts]}
+    return {"kind": "empty", "dim": model.dimension}
+
+
 def test_set_json_round_trip(cantor):
     for model in (PointsModel.make([(0,), (F(1, 3),)]), cantor,
                   UnionModel.make([PointsModel.make([(0,)]),
                                    PointsModel.make([(F(1, 2),)])]),
                   EmptyModel(2)):
-        again = model_from_json(model.to_json())
+        again = model_from_json(model_json(model))
         assert again == model
 
 
@@ -367,6 +382,28 @@ def test_points_index_matches_scan(query):
                 set(points_reference.restricted(kept, c.box))
 
 
+@given(st.integers(1, 3).flatmap(boundary_points), st.data())
+@settings(max_examples=200, deadline=None)
+def test_points_split_cuts_the_parents_slice(E, data):
+    # a chain of meeting cubes from the root to 3 levels below the index
+    # depth K <= 6: each split, of the unrestricted model and of the chain's
+    # view, gives every child the sorted keys and the points of its cut
+    K = E._index[0]
+    q, view = DyadicCube.root(E.dim), E
+    for _ in range(K + 3):
+        for model in (E, view):
+            for c, status, sub in model.split(q):
+                keys, rows = model._cube_rows(c)
+                assert (sub is None) is (status is Status.FREE) is (not rows)
+                if sub is not None:
+                    assert sub._index == E._index[:2] + (keys, rows)
+                    assert sub.points == rows and list(keys) == sorted(keys)
+        meeting = [(c, sub) for c, _st, sub in view.split(q) if sub is not None]
+        if not meeting:
+            break
+        q, view = data.draw(st.sampled_from(meeting))
+
+
 @given(boundary_points(1), dyadic_cubes(dim=1, max_depth=7),
        st.sampled_from((0, F(1, 5), F(1, 2), F(3, 5), 1, F(3, 2))))
 @settings(max_examples=150, deadline=None)
@@ -489,7 +526,7 @@ def test_ifs_view_shares_the_kernel_and_json():
     q = DyadicCube(3, (2,))
     view = CANTOR.restricted(q)
     assert type(view) is IFSModel and view._kernel is CANTOR._kernel
-    assert view == CANTOR and view.to_json() == CANTOR.to_json()
+    assert view == CANTOR and model_json(view) == model_json(CANTOR)
     assert view.restricted(DyadicCube(4, (5,)))._kernel is CANTOR._kernel
     # a cube outside the view's is answered, and restricted to, from the root
     far = DyadicCube(4, (15,))
