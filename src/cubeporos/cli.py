@@ -39,7 +39,7 @@ MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
 # numerator and denominator of a rational flag, in absolute value: a larger
 # one can make an exact power or a float conversion run away
 MAX_RATIONAL = 1000
-_BATCH = 4096  # report pieces joined per file write
+_BATCH = 1024  # report pieces joined per file write
 # the library errors that exit 3; every other one exits 2
 BUDGET_FAILURES = (PorosityFailure, UnresolvedMeasure)
 # the failures at a named cube that leave a partial report

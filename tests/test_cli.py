@@ -685,11 +685,11 @@ def test_report_writer_refuses_what_json_refuses(tmp_path, payload):
 
 
 def test_report_writer_streams_in_batches(tmp_path, monkeypatch):
-    # more pieces than one batch, and the batch boundary, give the same bytes
+    # a write per piece, odd batches and one write at the end give the same bytes
     payload = {"roots": [{"root": [i, -i], "s": f"{i}/7", "ok": i % 2 == 0}
                          for i in range(3000)], "e": {}, "f": []}
     want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    for batch in (1, 7, 4096):
+    for batch in (1, 7, 10**6):
         monkeypatch.setattr(cli, "_BATCH", batch)
         _dump_json(str(tmp_path / "r.json"), payload)
         assert (tmp_path / "r.json").read_text() == want
