@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .analysis import (DEFAULT_SPLIT_BUDGET, codim_estimate, dynkin_sweep,
                        mu_enclosure, porosity_scan)
@@ -157,32 +157,14 @@ def _load_family(config: RunConfig) -> CubeFamily:
 
 
 def _dump_json(path: str, payload):
-    """Write exactly `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`,
-    its pieces joined into the file in batches, so that neither the whole text
-    nor a whole chunk list is ever held; recursion goes as deep as it nests."""
+    """Write exactly `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`:
+    the encoder's pieces are joined into the file in batches, so neither the
+    whole text nor a whole chunk list is ever held."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        out = []
-        def put(value, nl):
-            if isinstance(value, str):
-                out.append(encode_basestring_ascii(value))
-            elif isinstance(value, (dict, list, tuple)) and value:
-                inner, is_dict = nl + "  ", isinstance(value, dict)
-                sep = ("{" if is_dict else "[") + inner
-                for key, item in sorted(value.items()) if is_dict else enumerate(value):
-                    if is_dict:  # a non-str key's text is read off a one-key object
-                        sep += (encode_basestring_ascii(key) if isinstance(key, str)
-                                else json.dumps({key: None})[1:-7]) + ": "
-                    out.append(sep)
-                    put(item, inner)
-                    sep = "," + inner
-                out.append(nl + ("}" if is_dict else "]"))
-            else:  # a number, true, false, null, {} or []; TypeError for the rest
-                out.append(int.__repr__(value) if type(value) is int else json.dumps(value))
-            if len(out) >= _BATCH:
-                fh.write("".join(out))
-                out.clear()
-        put(payload, "\n")
-        fh.write("".join(out) + "\n")
+        while batch := "".join(itertools.islice(pieces, _BATCH)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def _csv_path(out: str) -> str:

@@ -164,10 +164,6 @@ def children(q: DyadicCube) -> list:
     """The 2^d depth-(j+1) subcubes of q, in canonical order, built without
     validation: a child of a valid cube is valid."""
     depth, coords = q
-    if len(coords) == 1:
-        k = coords[0] << 1
-        return [tuple.__new__(DyadicCube, (depth + 1, (k,))),
-                tuple.__new__(DyadicCube, (depth + 1, (k + 1,)))]
     return [tuple.__new__(DyadicCube, (depth + 1, k))
             for k in itertools.product(*[(c << 1, (c << 1) + 1) for c in coords])]
 

@@ -261,7 +261,8 @@ class PointsModel(SetModel):
             for p in rows:  # the child's index interleaves the next address bits
                 groups[_zorder([((x.numerator << j + 1) // x.denominator) & 1 for x in p],
                                spread)].append(p)
-            parts = [(keys[:len(g)], tuple(g)) for g in groups]
+            # at depth >= K every key in the slice is q's depth-K ancestor's
+            parts = [(keys[:1] * len(g), tuple(g)) for g in groups]
         out = []
         for c, (part_keys, kept) in zip(children(q), parts):
             view = PointsModel(kept) if kept else None
