@@ -28,7 +28,7 @@ def run(J_max: int = 14):
     grid = [Fraction(k, 50) for k in range(1, 50)]
     for J in (8, 11, J_max):
         t0 = time.time()
-        est = codim_estimate([enumerate_DE(C, root, J)], grid, range(4, J + 1))
+        est = codim_estimate(enumerate_DE(C, root, J), grid, range(4, J + 1))
         print(f"J={J:2d}: estimate {float(est.estimate):.2f} "
               f"(target {target:.5f}) in {time.time() - t0:.1f}s")
 

@@ -31,7 +31,7 @@ def run(J: int = 20):
         print(f"{float(alpha):6.2f} {float(dyn.value.lo):12.6f} "
               f"{float(de.value.lo):12.6f} {limit:12.6f}")
     grid = [Fraction(k, 20) for k in range(1, 21)]
-    est = codim_estimate([enumerate_DE(E, root, J)], grid, range(2, J + 1))
+    est = codim_estimate(enumerate_DE(E, root, J), grid, range(2, J + 1))
     print(f"codimension estimate: {est.estimate} (true value 1)")
 
 

@@ -140,8 +140,7 @@ class SumReport:
     root: DyadicCube
     J: int
     value: RatInterval            # exact finite-depth sum, certified enclosure
-    residual_count: int
-    residual_bound: RatInterval   # count * (side at depth J)^(d-alpha)
+    residual_bound: RatInterval   # depth-J member count * (side at depth J)^(d-alpha)
     normalizer: RatInterval       # |root|^(1-alpha/d)
     ratio: RatInterval            # value / normalizer
 
@@ -169,8 +168,8 @@ def _sum_report(alpha, root, J, counts, residual_count) -> SumReport:
     value = _sum_from_level_counts(counts, d, alpha)
     residual_bound = _level_term(root.depth + J, d, alpha) * residual_count
     normalizer = _level_term(root.depth, d, alpha)
-    return SumReport(alpha, root, J, value, residual_count, residual_bound,
-                     normalizer, value / normalizer)
+    return SumReport(alpha, root, J, value, residual_bound, normalizer,
+                     value / normalizer)
 
 
 def _free_counts(DE: CubeFamily, J: int) -> dict:
@@ -254,10 +253,6 @@ class MeasureEnclosure:
     @property
     def bounded(self) -> bool:
         return self.upper is not None
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lower <= x and (self.upper is None or x <= self.upper)
 
     def to_json(self):
         from .enclosure import frac_str
@@ -522,11 +517,11 @@ def parent_multiplicity_margin(DE: CubeFamily, alpha):
     return lhs, rhs, lhs.lo >= rhs.hi
 
 
-def codim_estimate(families, alpha_grid, J_list, tau=None) -> CodimEstimate:
+def codim_estimate(DE: CubeFamily, alpha_grid, J_list, tau=None) -> CodimEstimate:
     """Largest grid alpha whose free-cube sum trajectories stay bounded in J.
 
-    `families` holds one meeting family per root, each enumerated to at
-    least the largest J; the multiplicity check reads each to its truncation.
+    `DE` is a meeting family enumerated to at least the largest J; the
+    multiplicity check reads it to its truncation.
 
     The trajectory at each J is the residual-inclusive ratio: resolved
     free-cube mass plus the depth-J residual bound, over the root weight.
@@ -542,32 +537,23 @@ def codim_estimate(families, alpha_grid, J_list, tau=None) -> CodimEstimate:
     J_list = sorted(set(int(J) for J in J_list))
     if len(J_list) < 2:
         raise ValueError("need at least two depths to measure growth")
-    families = list(families)
-    if not families:
-        raise ValueError("need at least one meeting family")
-    d = families[0].root.dim
+    d = DE.root.dim
     Jmax = max(J_list)
     tau = math.log((Jmax + 1) / Jmax) if tau is None else float(tau)
     # the multiplicity check probes the largest grid alpha below d
     probe = max((a for a in alpha_grid if a < d), default=alpha_grid[0])
-    mult_ok = True
     # resolved plus unresolved mass over the root weight; the residual term is
     # per-level, so its growth reflects box-count scaling without the lag of
     # a cumulative sum
-    per_root_totals = []
-    for DE in families:
-        reports = dynkin_sweep(DE, alpha_grid, J_list)
-        per_root_totals.append({(r.alpha, r.J): (r.value + r.residual_bound) / r.normalizer
-                                for r in reports})
-        mult_ok = parent_multiplicity_margin(DE, probe)[2] and mult_ok
+    totals = {(r.alpha, r.J): (r.value + r.residual_bound) / r.normalizer
+              for r in dynkin_sweep(DE, alpha_grid, J_list)}
+    mult_ok = parent_multiplicity_margin(DE, probe)[2]
 
     trajectories = {}
     increments = {}
     bounded = {}
     for a in alpha_grid:
-        traj = [(J, max((totals[(a, J)] for totals in per_root_totals),
-                        key=lambda r: r.hi))
-                for J in J_list]
+        traj = [(J, totals[(a, J)]) for J in J_list]
         trajectories[a] = tuple(traj)
         (J1, r1), (J2, r2) = traj[-2], traj[-1]
         if r2.hi == 0 or r1.hi == 0:

@@ -5,7 +5,8 @@ precondition), 3 for the two budget failures (porosity search or measure
 resolution gave up; a partial report is still written).  `main` alone turns
 a library error into its exit code, its one stderr line and, for a failure
 at a named cube, a partial report; only `gamma` catches the budget failures
-that let the rest of its report stand.
+that let the rest of its report stand.  `analyze` and `witness` write their
+whole report when a part fails, and print one such line per failed part.
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ def _parse_grid(spec: str) -> tuple:
     return tuple(lo + i * step for i in range(n))
 
 
-def _failure_line(exc: CubeporosError, config: RunConfig) -> str:
-    """The one stderr line of a library error."""
+def _failure_line(exc: CubeporosError, search_depth: int) -> str:
+    """The one stderr line of a library error, naming a porosity search's depth."""
     if isinstance(exc, PorosityFailure):
         return (f"porosity failure at {exc.cube}: no free cube within "
-                f"--search-depth {config.search_depth}")
+                f"--search-depth {search_depth}")
     kind = "budget failure" if isinstance(exc, UnresolvedMeasure) else "error"
     return f"{kind}: {exc}"
 
@@ -219,17 +220,24 @@ def cmd_analyze(config: RunConfig) -> int:
     J = config.depth
     J_list = _analysis_J_list(J)
     scan_depth = min(J, 6 if d == 1 else 3)
-    scan = porosity_scan(E, scan_depth, min(J, config.search_depth), config.budget)
+    search_depth = min(J, config.search_depth)
+    scan = porosity_scan(E, scan_depth, search_depth, config.budget)
     # one family serves the codimension estimate and the sweep CSV
     family = enumerate_DE(E, root, J_list[-1], config.budget)
-    codim = codim_estimate([family], grid, J_list, config.tau)
+    codim = codim_estimate(family, grid, J_list, config.tau)
 
     # the root meets E: codim_estimate has required a non-empty family
     alpha_mid = grid[len(grid) // 2]
     if alpha_mid >= d:
         alpha_mid = grid[0] if grid[0] < d else Fraction(1, 2) * d
     mu = mu_enclosure(E, root, alpha_mid, J, config.budget, config.split_budget)
-    failure = bool(scan.absent) or not mu.bounded
+    failures = [PorosityFailure(scan.absent[0])] if scan.absent else []
+    if not mu.bounded:
+        failures.append(UnresolvedMeasure(
+            f"no finite certified mass for {root} at alpha {alpha_mid}, "
+            f"unresolved cells: {len(mu.notes.unresolved_cells)}"))
+    for exc in failures:
+        print(_failure_line(exc, search_depth), file=sys.stderr)
 
     report = {
         "config": config.to_json(),
@@ -239,7 +247,7 @@ def cmd_analyze(config: RunConfig) -> int:
     }
     _dump_json(config.out, report)
     _write_csv(_csv_path(config.out), SWEEP_HEADER, _sweep_rows(family, grid, J_list))
-    return EXIT_BUDGET if failure else EXIT_OK
+    return EXIT_BUDGET if failures else EXIT_OK
 
 
 def cmd_witness(config: RunConfig) -> int:
@@ -254,6 +262,9 @@ def cmd_witness(config: RunConfig) -> int:
     payload["verified"] = bool(verdict)
     payload["config"] = config.to_json()
     _dump_json(config.out, payload)
+    if not verdict:
+        print(f"budget failure: witness not verified: {verdict.reason} at "
+              + ", ".join(map(str, verdict.cubes)), file=sys.stderr)
     return EXIT_OK if verdict else EXIT_BUDGET
 
 
@@ -298,7 +309,7 @@ def cmd_gamma(config: RunConfig) -> int:
         payload["witness"] = witness.to_json()
     except BUDGET_FAILURES as exc:
         payload["witness"] = {"error": str(exc)}
-        print(_failure_line(exc, config), file=sys.stderr)
+        print(_failure_line(exc, config.search_depth), file=sys.stderr)
         code = EXIT_BUDGET
 
     rng = rng_from_seed(config.seed)
@@ -310,7 +321,7 @@ def cmd_gamma(config: RunConfig) -> int:
         payload["embedding"] = {"query": query.to_json(), "report": emb.to_json()}
     except UnresolvedMeasure as exc:
         payload["embedding"] = {"query": query.to_json(), "error": str(exc)}
-        print(_failure_line(exc, config), file=sys.stderr)
+        print(_failure_line(exc, config.search_depth), file=sys.stderr)
         code = EXIT_BUDGET
     _dump_json(config.out, payload)
     return code
@@ -423,7 +434,7 @@ def main(argv=None) -> int:
                                       f"most {MAX_RATIONAL} in absolute value")
         return COMMANDS[config.command][0](config)
     except CubeporosError as exc:
-        print(_failure_line(exc, config), file=sys.stderr)
+        print(_failure_line(exc, config.search_depth), file=sys.stderr)
         error = PARTIAL_REPORTS.get(type(exc))
         if error is not None:
             _dump_json(config.out, {"config": config.to_json(), "error": error,

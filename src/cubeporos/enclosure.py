@@ -96,49 +96,26 @@ class RatInterval:
         x = Fraction(x)
         return cls(x, x)
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
+    def __add__(self, other: "RatInterval") -> "RatInterval":
+        return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
-    def __add__(self, other):
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo + other.lo, self.hi + other.hi)
-        other = Fraction(other)
-        return RatInterval(self.lo + other, self.hi + other)
+    def __sub__(self, other: "RatInterval") -> "RatInterval":
+        return RatInterval(self.lo - other.hi, self.hi - other.lo)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo - other.hi, self.hi - other.lo)
-        other = Fraction(other)
-        return RatInterval(self.lo - other, self.hi - other)
-
-    def __mul__(self, other):
+    def __mul__(self, other) -> "RatInterval":
+        """Product with an interval, or with a scalar >= 0."""
         if isinstance(other, RatInterval):
             cands = (self.lo * other.lo, self.lo * other.hi,
                      self.hi * other.lo, self.hi * other.hi)
             return RatInterval(min(cands), max(cands))
-        other = Fraction(other)
-        if other >= 0:
-            return RatInterval(self.lo * other, self.hi * other)
-        return RatInterval(self.hi * other, self.lo * other)
+        return RatInterval(self.lo * other, self.hi * other)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, RatInterval):
-            if other.lo <= 0 <= other.hi:
-                raise ZeroDivisionError("interval division by interval containing 0")
-            cands = (self.lo / other.lo, self.lo / other.hi,
-                     self.hi / other.lo, self.hi / other.hi)
-            return RatInterval(min(cands), max(cands))
-        other = Fraction(other)
-        if other == 0:
-            raise ZeroDivisionError
-        if other > 0:
-            return RatInterval(self.lo / other, self.hi / other)
-        return RatInterval(self.hi / other, self.lo / other)
+    def __truediv__(self, other: "RatInterval") -> "RatInterval":
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("interval division by interval containing 0")
+        cands = (self.lo / other.lo, self.lo / other.hi,
+                 self.hi / other.lo, self.hi / other.hi)
+        return RatInterval(min(cands), max(cands))
 
     def to_json(self):
         return [frac_str(self.lo), frac_str(self.hi)]

@@ -38,11 +38,10 @@ def random_parent_closed_family(rng: random.Random, d: int, max_depth: int,
     return CubeFamily.make(root, members, max_depth, PROVENANCE_USER)
 
 
-def random_coefficients(rng: random.Random, family: CubeFamily,
-                        max_value: int = 8) -> dict:
+def random_coefficients(rng: random.Random, family: CubeFamily) -> dict:
     coeffs = {}
     for q in family.members:
-        v = rng.randrange(max_value + 1)
+        v = rng.randrange(9)  # 0..8; a member drawn 0 gets no coefficient
         if v:
             coeffs[q] = Fraction(v, rng.choice([1, 2, 4]))
     return coeffs

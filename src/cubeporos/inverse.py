@@ -112,7 +112,7 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
         raise NotParentClosed(offender)
     if J is None:
         J = default_depth(S)
-    xi = carleson_constant(S).xi_hat
+    xi = carleson_constant(S)
     E = corner_set(S.members)
 
     d = S.root.dim

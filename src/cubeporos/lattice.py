@@ -17,7 +17,6 @@ from .enclosure import frac_parse, int_parse
 from .errors import DimensionMismatch, RootHasNoParent
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Relation(Enum):
@@ -49,21 +48,9 @@ class Box:
     def make(cls, lo, hi) -> "Box":
         return cls(tuple(Fraction(x) for x in lo), tuple(Fraction(x) for x in hi))
 
-    @classmethod
-    def point(cls, p) -> "Box":
-        p = tuple(Fraction(x) for x in p)
-        return cls(p, p)
-
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    @property
-    def volume(self) -> Fraction:
-        v = _ONE
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
 
     def contains_point(self, p) -> bool:
         # half-open on each nondegenerate axis; degenerate axis = the point

@@ -34,8 +34,7 @@ class GammaReport:
     measured: Fraction            # packing constant of the gamma family
     base_constant: Fraction       # measured packing constant of the meeting family
     bound: Fraction               # base_constant * (gamma+1)^d * 6^d
-    covering_counts: tuple        # per tested root: number of covering cubes
-    max_covering: int
+    max_covering: int             # most covering cubes of a tested root
     clipped: bool                 # dilations left the unit root and were clipped
 
     def to_json(self):
@@ -70,7 +69,7 @@ def _covering_cubes(R: DyadicCube, n: int):
     for k in R.coords:
         clipped = clipped or k < n or k + n + 1 > top
         ranges.append(range(max(k - n, 0) >> t, ((min(k + n + 1, top) - 1) >> t) + 1))
-    # the first axis varies slowest, the order the gamma reports list
+    # canonical order: the first axis varies slowest
     return [DyadicCube(m, c) for c in itertools.product(*ranges)], clipped
 
 
@@ -89,8 +88,7 @@ def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
     R, J = family.root, family.J
     if not family.members:
         raise EmptyFamilyError(f"{R} is not within reach of the set at gamma={gamma}")
-    measured_report = carleson_constant(family)
-    measured = measured_report.xi_hat
+    measured = carleson_constant(family)
     n = minimal_exceeding_integer(gamma)
 
     d = R.dim
@@ -100,23 +98,21 @@ def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
     # over its own cells, compared over the common 2^(dB) as count << d*depth
     mass = subtree_sums((q, 1 << d * (B - q.depth)) for q in DE.members)
 
-    covering_counts = []
+    max_covering = 0
     # floor at 1: the comparison constant of a meeting family never drops
     # below 1, while a clipped covering measurement can undershoot
     best = 1 << d * B
     clipped_any = False
-    test_roots = {R} | set(family.members)
-    for r in sorted(test_roots):
+    for r in {R, *family.members}:  # the tested roots, in any order
         cover, clipped = _covering_cubes(r, n)
         clipped_any = clipped_any or clipped
-        covering_counts.append(len(cover))
+        max_covering = max(max_covering, len(cover))
         for ri in cover:
             best = max(best, mass.get(ri, 0) << d * ri.depth)
     base_constant = Fraction(best, 1 << d * B)
     bound = base_constant * (gamma + 1) ** d * Fraction(6) ** d
     return GammaReport(gamma, n, len(family.members), measured, base_constant,
-                       bound, tuple(covering_counts), max(covering_counts),
-                       clipped_any)
+                       bound, max_covering, clipped_any)
 
 
 def gamma_witness(E: SetModel, family: CubeFamily,

@@ -32,7 +32,7 @@ from math import lcm
 
 from .enclosure import frac_parse, int_parse
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import Box, DyadicCube, children, linf_dist
+from .lattice import Box, DyadicCube, children
 
 DEFAULT_BUDGET = 36
 # The largest budget the command line takes.  An IFS keeps distance tables for
@@ -241,7 +241,10 @@ class PointsModel(SetModel):
             b = a + q.side
             d = min(max(a - x, x - b, _ZERO) for x in self.around(a, b))
         else:
-            d = min(linf_dist(q, Box.point(p)) for p in self.points)
+            # a point's gap to the closed cube is its largest axis gap
+            corner, s = q.lower_corner, q.side
+            d = max(min(max(max(a - x, x - a - s) for a, x in zip(corner, p))
+                        for p in self.points), _ZERO)
         return (d, d)
 
     def split(self, q, budget=DEFAULT_BUDGET):

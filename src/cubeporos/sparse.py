@@ -21,13 +21,6 @@ from .lattice import DyadicCube, children, contains, parent
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
 
-@dataclass(frozen=True)
-class CarlesonReport:
-    family_size: int
-    per_root: tuple            # ((root cube, exact ratio), ...) in canonical order
-    xi_hat: Fraction
-
-
 def subtree_sums(weighted) -> dict:
     """Total integer weight inside each cube, from (cube, weight) pairs; a
     plain (depth, coords) tuple serves as a cube.
@@ -53,8 +46,8 @@ def subtree_sums(weighted) -> dict:
     return sums
 
 
-def carleson_constant(S: CubeFamily) -> CarlesonReport:
-    """Exact packing ratios sum(|Q| : Q in S, Q inside R') / |R'| per test root.
+def carleson_constant(S: CubeFamily) -> Fraction:
+    """The largest exact packing ratio sum(|Q| : Q in S, Q inside R') / |R'|.
 
     Tests every member of S plus the family root.  Masses are integer counts
     of the deepest cells, so a root's ratio is its count over its own cells.
@@ -64,12 +57,8 @@ def carleson_constant(S: CubeFamily) -> CarlesonReport:
     d = S.root.dim
     B = max(S.root.depth, max(q.depth for q in S.members))
     mass = subtree_sums((q, 1 << d * (B - q.depth)) for q in S.members)
-    roots = set(S.members)
-    roots.add(S.root)
-    per_root = tuple((r, Fraction(mass.get(r, 0), 1 << d * (B - r.depth)))
-                     for r in sorted(roots))
-    xi_hat = max(x for _, x in per_root)
-    return CarlesonReport(len(S.members), per_root, xi_hat)
+    peak = max(mass.get(r, 0) << d * r.depth for r in (S.root, *S.members))
+    return Fraction(peak, 1 << d * B)
 
 
 @dataclass(frozen=True)

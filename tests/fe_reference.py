@@ -62,7 +62,7 @@ def sum_report(alpha, R, J, cubes, residual_count):
     d = R.dim
     value = _cube_sum((q.depth for q in cubes), d, alpha)
     normalizer = _power(R.depth, d, alpha)
-    return SumReport(alpha, R, J, value, residual_count,
+    return SumReport(alpha, R, J, value,
                      _power(R.depth + J, d, alpha) * residual_count,
                      normalizer, value / normalizer)
 

@@ -2,7 +2,8 @@
 integer cell counts and one-pass chain split.
 
 `subtree_sums` adds each cube's exact volume into its ancestors,
-`carleson_constant` divides by each root's volume, `invert` finds every
+`per_root_ratios` divides by each root's volume and `carleson_constant`
+takes their largest, `invert` finds every
 non-member's chain owner by walking up from it, and `gamma_carleson` reads
 its covering masses from the same `Fraction` sums over the covering cubes
 that `covering_cubes` finds by clipping the `Fraction` dilation box.  The property tests
@@ -18,7 +19,6 @@ from cubeporos.inverse import (InverseReport, RootSplit, carleson_bound,
 from cubeporos.lattice import DyadicCube, dilate
 from cubeporos.neighborhoods import GammaReport, minimal_exceeding_integer
 from cubeporos.sets import DEFAULT_BUDGET, corner_set
-from cubeporos.sparse import CarlesonReport
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,13 +42,18 @@ def subtree_sums(weighted) -> dict:
     return sums
 
 
-def carleson_constant(S) -> CarlesonReport:
+def per_root_ratios(S) -> tuple:
+    """((root, exact packing ratio), ...) for the root of S and every
+    member, in canonical order."""
     roots = set(S.members)
     roots.add(S.root)
     mass = subtree_sums((q, q.volume) for q in S.members)
-    per_root = tuple((r, mass.get((r.depth, r.coords), _ZERO) / r.volume)
-                     for r in sorted(roots, key=lambda q: (q.depth, q.coords)))
-    return CarlesonReport(len(S.members), per_root, max(x for _, x in per_root))
+    return tuple((r, mass.get((r.depth, r.coords), _ZERO) / r.volume)
+                 for r in sorted(roots, key=lambda q: (q.depth, q.coords)))
+
+
+def carleson_constant(S) -> Fraction:
+    return max(x for _, x in per_root_ratios(S))
 
 
 def _chain_owner(q, S):
@@ -69,12 +74,12 @@ def invert(S, J=None):
     assert check_parent_closed(S)[0]
     if J is None:
         J = default_depth(S)
-    xi = carleson_constant(S).xi_hat
+    xi = carleson_constant(S)
     E = corner_set(S.members)
     d = S.root.dim
     DE = enumerate_DE(E, DyadicCube.root(d), J)
     corner_membership_ok = all(q in DE for q in S.members)
-    measured_report = carleson_constant(DE)
+    per_root = per_root_ratios(DE)
 
     members, others, owned = [], [], []
     coverage_ok = True
@@ -90,11 +95,12 @@ def invert(S, J=None):
             owned.append((owner, q.volume))
     s1, s2, s3 = subtree_sums(members), subtree_sums(others), subtree_sums(owned)
     splits = []
-    for r, _ratio in measured_report.per_root:
+    for r, _ratio in per_root:
         key = (r.depth, r.coords)
         in_s2, in_s3 = s2.get(key, _ZERO), s3.get(key, _ZERO)
         splits.append(RootSplit(r, s1.get(key, _ZERO), in_s2, in_s3, in_s2 - in_s3))
-    return E, InverseReport(xi, carleson_bound(xi, d), measured_report.xi_hat, J,
+    measured = max(x for _, x in per_root)
+    return E, InverseReport(xi, carleson_bound(xi, d), measured, J,
                             tuple(splits), coverage_ok, corner_membership_ok)
 
 
@@ -122,7 +128,7 @@ def covering_cubes(R, n):
 def gamma_carleson(E, family, gamma, budget=DEFAULT_BUDGET) -> GammaReport:
     gamma = Fraction(gamma)
     R, J = family.root, family.J
-    measured = carleson_constant(family).xi_hat
+    measured = carleson_constant(family)
     n = minimal_exceeding_integer(gamma)
     d = R.dim
     DE = enumerate_DE(E, DyadicCube.root(d), R.depth + J, budget)
@@ -139,5 +145,4 @@ def gamma_carleson(E, family, gamma, budget=DEFAULT_BUDGET) -> GammaReport:
                                 mass.get((ri.depth, ri.coords), _ZERO) / ri.volume)
     bound = base_constant * (gamma + 1) ** d * Fraction(6) ** d
     return GammaReport(gamma, n, len(family.members), measured, base_constant,
-                       bound, tuple(covering_counts), max(covering_counts),
-                       clipped_any)
+                       bound, max(covering_counts), clipped_any)

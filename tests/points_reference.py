@@ -1,7 +1,7 @@
 """Reference point-set oracles: the linear `Fraction` scan.
 
-These are the oracles `PointsModel` answered with before its Z-order index
-and its one-dimensional bisection, and `mu_points_exact_1d` as it was before
+These are the oracles `PointsModel` answered with before its Z-order index,
+its one-dimensional bisection and its direct per-axis gaps, and `mu_points_exact_1d` as it was before
 it read only the points near its cube.  They take a point tuple and a `Box`
 (the property tests pass a query cube's `box`) and decide every point with
 the box predicates.  The property tests require the model to return exactly
@@ -22,7 +22,7 @@ def intersect_status(points, box: Box) -> Status:
 
 
 def dist_interval(points, box: Box) -> tuple:
-    d = min(linf_dist(box, Box.point(p)) for p in points)
+    d = min(linf_dist(box, Box(p, p)) for p in points)
     return (d, d)
 
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from cubeporos import cli
 from cubeporos.cli import _dump_json, main
+from cubeporos.lattice import DyadicCube
+from cubeporos.sparse import WitnessVerdict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -532,7 +534,7 @@ def test_gamma_names_the_search_depth_that_ran_out(tmp_path, capsys):
     assert set(witness) == {"error"}
 
 
-def test_analyze_cantor_flags_unresolved_mass(tmp_path):
+def test_analyze_cantor_flags_unresolved_mass(tmp_path, capsys):
     out = tmp_path / "cantor.json"
     code = main(["analyze", "--set", write_set(tmp_path, kind="cantor"),
                  "--depth", "10", "--out", str(out)])
@@ -541,6 +543,41 @@ def test_analyze_cantor_flags_unresolved_mass(tmp_path):
     report = json.loads(out.read_text())
     assert report["mu"]["upper"] is None
     assert report["codim"]["estimate"]
+    unresolved = report["mu"]["cells"]["unresolved"]
+    assert capsys.readouterr().err.splitlines() == [
+        "budget failure: no finite certified mass for Q(j=0, k=(0,)) at alpha 3/5, "
+        f"unresolved cells: {unresolved}"]
+
+
+def test_analyze_names_every_failed_part(tmp_path, capsys):
+    # at depth 0 the porosity search has no level to look at, and the root
+    # cell meets the points, so both parts fail
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"kind": "points", "points": [["1/3"], ["3/4"]]}))
+    out = tmp_path / "r.json"
+    code = main(["analyze", "--set", str(path), "--depth", "0", "--out", str(out)])
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["porosity"]["absent"] == [{"depth": 0, "coords": [0]}]
+    assert report["mu"]["upper"] is None
+    assert capsys.readouterr().err.splitlines() == [
+        "porosity failure at Q(j=0, k=(0,)): no free cube within --search-depth 0",
+        "budget failure: no finite certified mass for Q(j=0, k=(0,)) at alpha 3/5, "
+        "unresolved cells: 1"]
+
+
+def test_witness_that_fails_verification_says_why(tmp_path, capsys, monkeypatch):
+    cubes = (DyadicCube(1, (0,)), DyadicCube(2, (1,)))
+    monkeypatch.setattr(cli, "verify_witness", lambda W, E, budget: WitnessVerdict(
+        False, "overlapping free cubes", cubes))
+    out = tmp_path / "w.json"
+    code = main(["witness", "--set", write_set(tmp_path), "--depth", "4",
+                 "--out", str(out)])
+    assert code == 3
+    assert json.loads(out.read_text())["verified"] is False
+    assert capsys.readouterr().err.splitlines() == [
+        "budget failure: witness not verified: overlapping free cubes at "
+        "Q(j=1, k=(0,)), Q(j=2, k=(1,))"]
 
 
 def test_gamma_command(tmp_path):

@@ -95,6 +95,45 @@ def test_interval_arithmetic():
     assert (b / a) == RatInterval(Fraction(3, 2), Fraction(4))
 
 
+fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@st.composite
+def intervals(draw):
+    # 0 and negative ends drawn often, point intervals included
+    ends = st.one_of(st.just(Fraction(0)), fractions)
+    lo, hi = sorted((draw(ends), draw(ends)))
+    return RatInterval(lo, hi)
+
+
+def _point_in(draw, iv):
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=16))
+    return iv.lo + t * (iv.hi - iv.lo)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_interval_forms_are_the_corner_hulls(data):
+    """`+`, `-`, `*` by an interval or by a scalar >= 0, and `/` by an
+    interval without 0: each result's ends are the least and the largest
+    corner result, and each holds `x op y` for points inside the operands."""
+    draw = data.draw
+    a, b = draw(intervals()), draw(intervals())
+    c = draw(st.one_of(st.integers(0, 9), st.fractions(min_value=0, max_value=8)))
+    ops = [(a + b, a, b, lambda x, y: x + y), (a - b, a, b, lambda x, y: x - y),
+           (a * b, a, b, lambda x, y: x * y),
+           (a * c, a, RatInterval.point(c), lambda x, y: x * y)]
+    if not b.lo <= 0 <= b.hi:
+        ops.append((a / b, a, b, lambda x, y: x / y))
+    for result, u, v, op in ops:
+        corners = [op(x, y) for x in (u.lo, u.hi) for y in (v.lo, v.hi)]
+        assert (result.lo, result.hi) == (min(corners), max(corners))
+        x, y = _point_in(draw, u), _point_in(draw, v)
+        assert result.lo <= op(x, y) <= result.hi
+    with pytest.raises(ZeroDivisionError):
+        a / RatInterval(min(b.lo, Fraction(0)), max(b.hi, Fraction(0)))
+
+
 def test_frac_round_trip():
     x = Fraction(-7, 12)
     assert frac_parse(frac_str(x)) == x

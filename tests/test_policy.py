@@ -167,7 +167,8 @@ def test_every_definition_is_reached():
     defs = []  # (label, qualified name, node)
     for label, source in _python_sources():
         tree = ast.parse(source)
-        for node in ast.walk(tree):
+        # the package's __init__.py only re-exports names: no use
+        for node in () if label == "src/cubeporos/__init__.py" else ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((label, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):

@@ -31,20 +31,17 @@ def chain_family(J):
 
 
 def test_carleson_chain():
-    rep = carleson_constant(chain_family(10))
-    assert rep.xi_hat == 2 - F(1, 1 << 10)
+    assert carleson_constant(chain_family(10)) == 2 - F(1, 1 << 10)
 
 
 def test_carleson_single_root():
-    rep = carleson_constant(CubeFamily.make(ROOT1, [ROOT1], 0))
-    assert rep.xi_hat == 1
+    assert carleson_constant(CubeFamily.make(ROOT1, [ROOT1], 0)) == 1
 
 
 def test_carleson_three_full_levels():
     halves = children(ROOT1)
     cubes = [ROOT1] + halves + [c for q in halves for c in children(q)]
-    rep = carleson_constant(CubeFamily.make(ROOT1, cubes, 2))
-    assert rep.xi_hat == 3
+    assert carleson_constant(CubeFamily.make(ROOT1, cubes, 2)) == 3
 
 
 def test_carleson_empty():
@@ -158,8 +155,7 @@ def test_witness_extraction_gives_porosity():
 def test_carleson_bounded_by_witness_constant():
     w = build_witness(ORIGIN, ROOT1, 8)
     fam = enumerate_DE(ORIGIN, ROOT1, 8)
-    rep = carleson_constant(fam)
-    assert rep.xi_hat <= w.lambda_hat
+    assert carleson_constant(fam) <= w.lambda_hat
 
 
 @st.composite
