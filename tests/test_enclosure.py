@@ -95,13 +95,13 @@ def test_interval_arithmetic():
     assert (b / a) == RatInterval(Fraction(3, 2), Fraction(4))
 
 
-fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+interval_ends = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
 
 @st.composite
 def intervals(draw):
     # 0 and negative ends drawn often, point intervals included
-    ends = st.one_of(st.just(Fraction(0)), fractions)
+    ends = st.one_of(st.just(Fraction(0)), interval_ends)
     lo, hi = sorted((draw(ends), draw(ends)))
     return RatInterval(lo, hi)
 
