@@ -163,15 +163,6 @@ def _sum_from_level_counts(counts: dict, d: int, alpha: Fraction) -> RatInterval
     return sum_intervals(parts) if parts else RatInterval.point(0)
 
 
-def _sum_report(alpha, root, J, counts, residual_count) -> SumReport:
-    d = root.dim
-    value = _sum_from_level_counts(counts, d, alpha)
-    residual_bound = _level_term(root.depth + J, d, alpha) * residual_count
-    normalizer = _level_term(root.depth, d, alpha)
-    return SumReport(alpha, root, J, value, residual_bound, normalizer,
-                     value / normalizer)
-
-
 def _free_counts(DE: CubeFamily, J: int) -> dict:
     """Free cubes per depth below the root of a meeting family, offsets 1..J.
 
@@ -190,9 +181,17 @@ def _sum_reports(DE: CubeFamily, alpha_grid, J_list, counts: dict) -> list:
     """One SumReport per (alpha, J): the power sum over the per-depth `counts`
     to depth root + J, with the family's member count there as residual."""
     R, n = DE.root, DE.level_counts()
-    return [_sum_report(alpha, R, J, {lvl: c for lvl, c in counts.items()
-                                      if lvl <= R.depth + J}, n.get(R.depth + J, 0))
-            for alpha in alpha_grid for J in J_list]
+    reports = []
+    for alpha in alpha_grid:
+        normalizer = _level_term(R.depth, R.dim, alpha)
+        for J in J_list:
+            bottom = R.depth + J
+            value = _sum_from_level_counts({lvl: c for lvl, c in counts.items()
+                                            if lvl <= bottom}, R.dim, alpha)
+            residual = _level_term(bottom, R.dim, alpha) * n.get(bottom, 0)
+            reports.append(SumReport(alpha, R, J, value, residual, normalizer,
+                                     value / normalizer))
+    return reports
 
 
 def dynkin_sum(E: SetModel, R: DyadicCube, alpha, J: int,
@@ -202,9 +201,7 @@ def dynkin_sum(E: SetModel, R: DyadicCube, alpha, J: int,
     Bounded trajectories of this sum in J characterize porosity; the residual
     bound records the same power-weight mass of the unresolved depth-J cells.
     """
-    alpha = _check_alpha(alpha, R.dim, allow_d=True)
-    DE = enumerate_DE(E, R, J, budget)
-    return _sum_reports(DE, [alpha], [J], _free_counts(DE, J))[0]
+    return dynkin_sweep(enumerate_DE(E, R, J, budget), [alpha], [J])[0]
 
 
 def de_sum(E: SetModel, R: DyadicCube, alpha, J: int,

@@ -8,6 +8,7 @@ Truncation depth is always explicit; deeper levels are never implied.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,22 +18,15 @@ from .errors import DimensionMismatch, EmptySetError, RootIsFree
 from .lattice import DyadicCube, children
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
-PROVENANCE_DE = "DE"
-PROVENANCE_DGAMMA = "DGAMMA"
-PROVENANCE_USER = "USER"
-
-
 @dataclass(frozen=True)
 class CubeFamily:
     root: DyadicCube
     members: tuple
     J: int
-    provenance: str
 
     @classmethod
-    def make(cls, root, cubes, J, provenance=PROVENANCE_USER) -> "CubeFamily":
-        members = tuple(sorted(set(cubes)))
-        return cls(root, members, J, provenance)
+    def make(cls, root, cubes, J) -> "CubeFamily":
+        return cls(root, tuple(sorted(set(cubes))), J)
 
     @cached_property
     def _index(self):
@@ -46,14 +40,10 @@ class CubeFamily:
 
     def level_counts(self) -> dict:
         """Member count per absolute depth."""
-        counts = {}
-        for q in self.members:
-            counts[q.depth] = counts.get(q.depth, 0) + 1
-        return counts
+        return Counter(q.depth for q in self.members)
 
     def to_json(self):
         return {"root": self.root.to_json(), "J": self.J,
-                "provenance": self.provenance,
                 "members": [q.to_json() for q in self.members]}
 
     @classmethod
@@ -65,8 +55,7 @@ class CubeFamily:
                 raise DimensionMismatch(f"{q.dim}-d member {q} of a {root.dim}-d family")
             if q.depth < root.depth or q.ancestor_at(root.depth) != root:
                 raise ValueError(f"member {q} is not inside the root {root}")
-        return cls.make(root, members, int_parse(obj["J"]),
-                        obj.get("provenance", PROVENANCE_USER))
+        return cls.make(root, members, int_parse(obj["J"]))
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
         if q.depth - R.depth < J:
             stack.extend((c, view) for c, _st, view in model.split(q, budget)
                          if view is not None)
-    return CubeFamily.make(R, members, J, PROVENANCE_DE)
+    return CubeFamily.make(R, members, J)
 
 
 def free_split(family: CubeFamily) -> tuple:
@@ -153,4 +142,4 @@ def enumerate_Dgamma(E: SetModel, R: DyadicCube, gamma, J: int,
         members.append(q)
         if q.depth - R.depth < J:
             stack.extend(children(q))
-    return CubeFamily.make(R, members, J, PROVENANCE_DGAMMA)
+    return CubeFamily.make(R, members, J)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .families import CubeFamily, PROVENANCE_USER
+from .families import CubeFamily
 from .lattice import DyadicCube, children
 
 
@@ -35,7 +35,7 @@ def random_parent_closed_family(rng: random.Random, d: int, max_depth: int,
         frontier = nxt
         if not frontier:
             break
-    return CubeFamily.make(root, members, max_depth, PROVENANCE_USER)
+    return CubeFamily.make(root, members, max_depth)
 
 
 def random_coefficients(rng: random.Random, family: CubeFamily) -> dict:

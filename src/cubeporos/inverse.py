@@ -27,7 +27,7 @@ from fractions import Fraction
 from .enclosure import frac_str
 from .errors import EmptyFamilyError, NotParentClosed
 from .families import CubeFamily, enumerate_DE
-from .lattice import DyadicCube
+from .lattice import DyadicCube, parent
 from .sets import corner_set
 from .sparse import carleson_constant, subtree_sums
 
@@ -50,8 +50,7 @@ def check_parent_closed(S: CubeFamily):
     for q in S.members:
         if q.depth == 0:
             continue
-        p = DyadicCube(q.depth - 1, tuple(k >> 1 for k in q.coords))
-        if p not in S:
+        if parent(q) not in S:
             return False, q
     return True, None
 

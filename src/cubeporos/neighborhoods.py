@@ -19,9 +19,9 @@ from .enclosure import RatInterval, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children
-from .sets import (DEFAULT_BUDGET, PointsModel, SetModel, Status, UnionModel,
-                   corner_set)
-from .sparse import SparseWitness, build_witness, carleson_constant, subtree_sums
+from .sets import DEFAULT_BUDGET, PointsModel, SetModel, UnionModel, corner_set
+from .sparse import (SparseWitness, build_witness, carleson_constant, subtree_sums,
+                     verify_witness)
 
 _ZERO = Fraction(0)
 
@@ -125,7 +125,8 @@ def gamma_witness(E: SetModel, family: CubeFamily,
     construction, whose untruncated version would contain the closure of E.
     At finite depth that containment can fail, so the witness is built
     against the union of corner set and underlying set, then restricted to
-    the family members; freeness for both models is certified afterwards.
+    the family members; `verify_witness` then certifies it against the union,
+    which is free exactly where both models are.
     """
     R, J = family.root, family.J
     if not family.members:
@@ -133,20 +134,15 @@ def gamma_witness(E: SetModel, family: CubeFamily,
     for q in family.members:
         if q.depth == R.depth:
             continue
-        p = q.ancestor_at(q.depth - 1)
-        if p not in family:
+        if q.ancestor_at(q.depth - 1) not in family:
             raise NotParentClosed(q)
-    tilde = corner_set(family.members)
-    combined = UnionModel.make([tilde, E])
+    combined = UnionModel.make([corner_set(family.members), E])
     witness = build_witness(combined, R, J, search_depth, budget)
     restricted = witness.restrict_to(family.members)
-    for a in restricted.assignments:
-        if tilde.intersect_status(a.free_cube, budget) is not Status.FREE:
-            raise UnresolvedMeasure(
-                f"{a.free_cube} not certified free for the corner set")
-        if E.intersect_status(a.free_cube, budget) is not Status.FREE:
-            raise UnresolvedMeasure(
-                f"{a.free_cube} not certified free for the underlying set")
+    verdict = verify_witness(restricted, combined, budget)
+    if not verdict:
+        raise UnresolvedMeasure(f"witness not verified: {verdict.reason} at "
+                                + ", ".join(map(str, verdict.cubes)))
     return restricted
 
 

@@ -167,6 +167,11 @@ def _zorder(coords, spread) -> int:
     return z
 
 
+def _address(p, depth) -> list:
+    """The coordinates of the depth-`depth` cube holding point p."""
+    return [(x.numerator << depth) // x.denominator for x in p]
+
+
 @dataclass(frozen=True)
 class PointsModel(SetModel):
     """Finite rational point set; every oracle answer is exact."""
@@ -194,19 +199,19 @@ class PointsModel(SetModel):
     @cached_property
     def _index(self):
         """(K, spread, keys, rows): the points in [0,1)^d sorted by Z-order key,
-        the interleaved bits of their depth-K addresses (num << K) // den, with
-        K the bit length of the largest denominator."""
+        the interleaved bits of their depth-K addresses, with K the bit length
+        of the largest denominator."""
         d = self.dim
         spread = tuple(sum((b >> i & 1) << i * d for i in range(8)) for b in range(256))
         K = max(x.denominator for p in self.points for x in p).bit_length()
-        rows = sorted((_zorder([(x.numerator << K) // x.denominator for x in p], spread), p)
+        rows = sorted((_zorder(_address(p, K), spread), p)
                       for p in self.points if all(0 <= x < 1 for x in p))
         return K, spread, tuple(key for key, _ in rows), tuple(p for _, p in rows)
 
     def _cube_rows(self, q: DyadicCube):
         """The index keys and points inside q.  A depth-j cube, j <= K, owns the
         keys [z << d(K-j), (z+1) << d(K-j)), z its interleaved coordinates; a
-        deeper one tests its depth-K ancestor's points exactly."""
+        deeper one keeps the points of its depth-K ancestor at its address."""
         self._check_dim(q)
         K, spread, keys, rows = self._index
         j = min(q.depth, K)
@@ -216,9 +221,8 @@ class PointsModel(SetModel):
         hi = bisect_left(keys, (z + 1) << self.dim * (K - j), lo)
         if not s:
             return keys[lo:hi], rows[lo:hi]
-        kept = tuple(p for p in rows[lo:hi] if all(
-            k * x.denominator <= x.numerator << q.depth < (k + 1) * x.denominator
-            for k, x in zip(q.coords, p)))
+        coords = list(q.coords)
+        kept = tuple(p for p in rows[lo:hi] if _address(p, q.depth) == coords)
         return (z,) * len(kept), kept
 
     @cached_property
@@ -262,8 +266,7 @@ class PointsModel(SetModel):
         else:
             groups = [[] for _ in range(1 << d)]
             for p in rows:  # the child's index interleaves the next address bits
-                groups[_zorder([((x.numerator << j + 1) // x.denominator) & 1 for x in p],
-                               spread)].append(p)
+                groups[_zorder([k & 1 for k in _address(p, j + 1)], spread)].append(p)
             # at depth >= K every key in the slice is q's depth-K ancestor's
             parts = [(keys[:1] * len(g), tuple(g)) for g in groups]
         out = []
@@ -638,9 +641,6 @@ def corner_set(cubes) -> PointsModel:
     cubes = list(cubes)
     if not cubes:
         raise EmptyFamilyError("corner set of an empty family")
-    dims = {q.dim for q in cubes}
-    if len(dims) != 1:
-        raise DimensionMismatch("cubes of mixed dimension")
     return PointsModel.make(q.lower_corner for q in cubes)
 
 

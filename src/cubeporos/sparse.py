@@ -123,8 +123,7 @@ def build_witness(E: SetModel, R: DyadicCube, J: int, search_depth: int = 6,
             q, inherited, origin = stack.pop()
             c = q
             if inherited is not None:
-                s_star = _carrier_child(q, inherited) if inherited.depth > q.depth + 1 \
-                    else inherited
+                s_star = _carrier_child(q, inherited)
                 others = [c for c in children(q) if c != s_star]
                 # a whole free child avoiding the inherited cube, else the
                 # canonical-order-first meeting one
