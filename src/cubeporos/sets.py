@@ -79,10 +79,11 @@ class SetModel:
         *_, last = self._bounds(q, budget)
         return last
 
-    def _bounds(self, q: DyadicCube, budget: int):
+    def _bounds(self, q: DyadicCube, budget: int, cut=None):
         """Certified intervals for dist(q, E) from one search, each inside the
         one before, the last being `dist_interval`.  A model defines this or
-        `dist_interval`."""
+        `dist_interval`.  With a `cut`, a search may skip what lies at least
+        the cut away and give min(lower end, cut) as each lower end."""
         yield self.dist_interval(q, budget)
 
     def dist_below(self, q: DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
@@ -96,7 +97,7 @@ class SetModel:
         """
         if self.is_empty:
             return False
-        for lo, hi in self._bounds(q, budget):
+        for lo, hi in self._bounds(q, budget, threshold):
             if hi < threshold:
                 return True
             if lo >= threshold:
@@ -514,17 +515,22 @@ class IFSModel(SetModel):
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return self._search(q, budget, False)
 
-    def _bounds(self, q, budget):
+    def _bounds(self, q, budget, cut=None):
         """Level-order search that adds a settled image's least level-`budget`
         gap and reach from `_extremes` instead of expanding it.  Each level
         yields the least gap of the settled and unsettled images and the least
         reach so far; gap never falls and reach never rises below an image
         (Hutchinson 1981), so each interval lies inside the one before.
-        Distances are (numerator, denominator) pairs, compared crosswise."""
+        Distances are (numerator, denominator) pairs, compared crosswise.
+        With a `cut`, an unsettled image at least the cut away is dropped, as
+        every image below it is too, and each lower end is at most the cut:
+        each level then decides a threshold at the cut as it would without
+        it, and the frontier stays smaller."""
         self._check_dim(q)
         root, S, W, maps = self._kernel
         BL, j = q.coords, q.depth
         levels = self._extremes(budget)
+        cut_n, cut_d = (None, 1) if cut is None else Fraction(cut).as_integer_ratio()
         hi_n, hi_d = _relate(root, S, BL, j)[0] + (W << j), root[1] << j
         lo_n, lo_d = hi_n, hi_d  # least settled gap; the answer's is never above hi
         frontier = [root]
@@ -542,6 +548,8 @@ class IFSModel(SetModel):
                     continue  # no image below it comes as close as hi
                 settled = _settled(node, S, BL, j, gap) if gap > 0 else None
                 if settled is None:
+                    if cut_n is not None and gap * cut_d >= cut_n * den:
+                        continue
                     scored.append((gap, den, node))
                     reach = gap + (node[0] * W << j)
                 else:
@@ -558,6 +566,8 @@ class IFSModel(SetModel):
             for gap, den, _node in scored:
                 if gap * low_d < low_n * den:
                     low_n, low_d = gap, den
+            if cut_n is not None and cut_n * low_d < low_n * cut_d:
+                low_n, low_d = cut_n, cut_d
             yield (Fraction(low_n, low_d), Fraction(hi_n, hi_d))
             if level == budget or not frontier or len(frontier) * len(maps) > _MAX_NODES:
                 return
@@ -604,10 +614,10 @@ class UnionModel(SetModel):
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return _union_status(p.intersect_status(q, budget) for p in self.parts)
 
-    def _bounds(self, q, budget):
+    def _bounds(self, q, budget, cut=None):
         """The parts' searches in step, each interval the least ends of the
         parts' latest ones."""
-        runs = [p._bounds(q, budget) for p in self.parts if not p.is_empty]
+        runs = [p._bounds(q, budget, cut) for p in self.parts if not p.is_empty]
         if not runs:
             raise EmptySetError("distance to an empty union")
         latest = [next(run) for run in runs]

@@ -208,9 +208,17 @@ def ifs_queries(draw):
 SEGMENT = IFSModel.make([(F(1, 2), (F(0), F(0))), (F(1, 2), (F(1, 2), F(0)))],
                         Box.make([0, 0], [1, 1]))
 
+# A drawn 2-d IFS on whose cube (3, 0) at depth 2 the threshold walk answers
+# False for 1/64 under a 1,000-node cap.  The distance search used to keep
+# every image within its best reach (1/8), not only those nearer than the
+# threshold, and reached the cap first.
+DRAWN = IFSModel.make([(F(3, 7), (F(5, 14), F(16, 63))), (F(6, 7), (F(5, 56), F(0)))],
+                      Box.make([F(5, 8), F(0)], [F(47, 24), F(4, 3)]))
+
 
 @given(ifs_queries())
 @example((SEGMENT, DyadicCube(1, (0, 1)), 36, F(1, 2)))
+@example((DRAWN, DyadicCube(2, (3, 0)), 36, F(1, 64)))
 @settings(max_examples=300, deadline=None)
 def test_ifs_kernel_matches_fraction_walk(query):
     E, q, budget, threshold = query
