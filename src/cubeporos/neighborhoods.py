@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _check_alpha, _mu_cells,
-                       mu_enclosure, mu_points_exact_1d)
+                       mu_points_exact_1d)
 from .enclosure import RatInterval, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
@@ -224,7 +224,7 @@ def embedding_check(E: SetModel, query: EmbeddingQuery, family: CubeFamily,
     stack is locally constant, so each norm is a finite weighted sum of
     certified cell masses.  Also certifies, when the root belongs to the
     family, that the root's plain volume power is dominated by
-    (gamma+2)^alpha times its weighted mass.
+    (gamma+2)^alpha times its weighted mass; the root may miss the set.
     """
     if family.root != query.root or family.J != query.J:
         raise ValueError(f"family of {family.root} to depth {family.J} does not "
@@ -273,11 +273,15 @@ def embedding_check(E: SetModel, query: EmbeddingQuery, family: CubeFamily,
 
     mass_check = "skipped"
     if query.root in family:
-        d = query.root.dim
-        mu_root = mu_enclosure(E, query.root, query.alpha, query.J, budget,
-                               split_budget)
-        vol_pow = pow_enclosure(query.root.volume, 1 - query.alpha / d)
+        # the root's mass lower end is a sum of nonnegative cell lower ends:
+        # stop at the first partial sum that certifies
+        vol_pow = pow_enclosure(query.root.volume, 1 - query.alpha / query.root.dim)
         scale = pow_enclosure(query.gamma + 2, query.alpha)
-        mass_check = "certified" if vol_pow.hi <= scale.lo * mu_root.lower \
-            else "inconclusive"
+        mass_check, mass = "inconclusive", _ZERO
+        for _cell, _free, lo, _up in _mu_cells(E, query.root, query.alpha,
+                                               query.J + split_budget, budget, MuNotes()):
+            mass += lo
+            if vol_pow.hi <= scale.lo * mass:
+                mass_check = "certified"
+                break
     return EmbeddingReport(lhs, rhs, ratio, len(cells), mass_check)

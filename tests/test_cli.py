@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeporos import cli
+from cubeporos import cli, neighborhoods
 from cubeporos.cli import _dump_json, main
 from cubeporos.lattice import DyadicCube
 from cubeporos.sparse import WitnessVerdict
@@ -578,6 +578,37 @@ def test_witness_that_fails_verification_says_why(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.splitlines() == [
         "budget failure: witness not verified: overlapping free cubes at "
         "Q(j=1, k=(0,)), Q(j=2, k=(1,))"]
+
+
+def test_gamma_witness_that_fails_verification_says_why(tmp_path, capsys, monkeypatch):
+    cubes = (DyadicCube(1, (0,)), DyadicCube(2, (1,)))
+    monkeypatch.setattr(neighborhoods, "verify_witness", lambda W, E, budget: WitnessVerdict(
+        False, "assigned cube is not certified free", cubes))
+    out = tmp_path / "g.json"
+    code = main(["gamma", "--set", write_set(tmp_path), "--gamma", "3/2", "--depth", "5",
+                 "--out", str(out)])
+    assert code == 3
+    reason = ("witness not verified: assigned cube is not certified free at "
+              "Q(j=1, k=(0,)), Q(j=2, k=(1,))")
+    payload = json.loads(out.read_text())
+    assert payload["witness"] == {"error": reason}
+    assert "report" in payload["embedding"]
+    assert capsys.readouterr().err.splitlines() == [f"budget failure: {reason}"]
+
+
+def test_gamma_on_a_set_near_but_off_the_root_writes_its_report(tmp_path, capsys):
+    # 3/2 is within gamma = 1 of [0, 1) but outside it: the root is in the
+    # gamma family and free, and its mass still certifies the volume check
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"kind": "points", "points": [["3/2"]]}))
+    out = tmp_path / "g.json"
+    code = main(["gamma", "--set", str(path), "--gamma", "1", "--depth", "3",
+                 "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out.read_text())
+    assert payload["embedding"]["report"]["mass_lower_check"] == "certified"
+    assert "assignments" in payload["witness"]
 
 
 def test_gamma_command(tmp_path):

@@ -2,6 +2,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubeporos.analysis import mu_enclosure
+from cubeporos.enclosure import pow_enclosure
 
 from cubeporos.errors import AlphaOutOfRange
 from cubeporos.families import enumerate_DE, enumerate_Dgamma
@@ -186,3 +191,29 @@ def test_embedding_on_a_1001_cube_chain_runs_without_recursion():
     rep = embedding_check(ORIGIN, query, family)
     assert rep.cells == 1
     assert rep.lhs == rep.rhs
+
+
+@st.composite
+def meeting_point_sets(draw):
+    """1-d point sets with a point in [0, 1), some perhaps outside it."""
+    inside = F(draw(st.integers(0, 15)), 16)
+    others = draw(st.lists(st.builds(F, st.integers(-16, 32), st.integers(1, 16)),
+                           max_size=3))
+    return PointsModel.make([(x,) for x in [inside, *others]])
+
+
+@given(meeting_point_sets(), st.sampled_from((F(1, 4), F(1), F(5, 2))),
+       st.sampled_from((F(1, 10), F(1, 2), F(9, 10))), st.integers(0, 3),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_mass_lower_check_reads_the_roots_mass_lower_end(E, gamma, alpha, J, split_budget):
+    # the check stops at the first partial sum of the cells' lower ends that
+    # certifies; it must say what the whole enclosure's lower end says
+    family = enumerate_Dgamma(E, ROOT1, gamma, J)
+    query = EmbeddingQuery.make(1, alpha, gamma, ROOT1, J, {ROOT1: 1})
+    report = embedding_check(E, query, family, split_budget=split_budget)
+    vol_pow = pow_enclosure(ROOT1.volume, 1 - alpha)
+    scale = pow_enclosure(gamma + 2, alpha)
+    lower = mu_enclosure(E, ROOT1, alpha, J, split_budget=split_budget).lower
+    assert report.mass_lower_check == \
+        ("certified" if vol_pow.hi <= scale.lo * lower else "inconclusive")
