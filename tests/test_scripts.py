@@ -1,5 +1,6 @@
 """The experiment scripts in scripts/ run to completion on small depths."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +15,17 @@ def test_script_exits_0(name):
     run = subprocess.run([sys.executable, str(SCRIPTS / name), "6"],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_regen_goldens_reproduces_the_goldens(tmp_path):
+    spec = importlib.util.spec_from_file_location("regen_goldens",
+                                                  SCRIPTS / "regen_goldens.py")
+    regen_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen_goldens)
+    regen_goldens.GOLDEN_DIR = tmp_path
+    regen_goldens.regen()
+    golden = SCRIPTS.parent / "tests" / "golden"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(p.name for p in golden.iterdir())
+    for p in golden.iterdir():
+        assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
