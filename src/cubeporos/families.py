@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, EmptySetError, RootIsFree
 from .lattice import DyadicCube, children
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
+
 @dataclass(frozen=True)
 class CubeFamily:
     root: DyadicCube

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cubeporos.analysis import mu_enclosure
 from cubeporos.enclosure import pow_enclosure
-
 from cubeporos.errors import AlphaOutOfRange
 from cubeporos.families import enumerate_DE, enumerate_Dgamma
 from cubeporos.lattice import DyadicCube, contains
