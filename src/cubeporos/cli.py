@@ -125,7 +125,8 @@ def _load_json_file(path: str, what: str):
 _BAD_SHAPE = (AttributeError, KeyError, TypeError, ValueError, CubeporosError)
 
 
-def _load_set(config: RunConfig) -> SetModel:
+def _load_set(config: RunConfig, purpose: str | None = None) -> SetModel:
+    """The --set model, checked against --dim; a `purpose` refuses an empty set."""
     if not config.set_path:
         raise ValidationError("--set FILE is required for this command")
     obj = _load_json_file(config.set_path, "set")
@@ -136,6 +137,8 @@ def _load_set(config: RunConfig) -> SetModel:
     if config.dim is not None and model.dim != config.dim:
         raise ValidationError(
             f"--dim {config.dim} does not match the {model.dim}-d set model")
+    if purpose and model.is_empty:
+        raise ValidationError(f"cannot {purpose} an empty set")
     return model
 
 
@@ -210,9 +213,7 @@ def _analysis_J_list(J: int):
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    E = _load_set(config)
-    if E.is_empty:
-        raise ValidationError("cannot analyze an empty set")
+    E = _load_set(config, "analyze")
     d = E.dim
     _check_depth(config.depth, d)
     root = DyadicCube.root(d)
@@ -251,9 +252,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_witness(config: RunConfig) -> int:
-    E = _load_set(config)
-    if E.is_empty:
-        raise ValidationError("cannot build a witness for an empty set")
+    E = _load_set(config, "build a witness for")
     _check_depth(config.depth, E.dim)
     root = DyadicCube.root(E.dim)
     witness = build_witness(E, root, config.depth, config.search_depth, config.budget)
@@ -263,8 +262,7 @@ def cmd_witness(config: RunConfig) -> int:
     payload["config"] = config.to_json()
     _dump_json(config.out, payload)
     if not verdict:
-        print(f"budget failure: witness not verified: {verdict.reason} at "
-              + ", ".join(map(str, verdict.cubes)), file=sys.stderr)
+        print(_failure_line(verdict.failure(), config.search_depth), file=sys.stderr)
     return EXIT_OK if verdict else EXIT_BUDGET
 
 
@@ -283,9 +281,7 @@ def cmd_invert(config: RunConfig) -> int:
 
 
 def cmd_gamma(config: RunConfig) -> int:
-    E = _load_set(config)
-    if E.is_empty:
-        raise ValidationError("cannot run gamma analysis on an empty set")
+    E = _load_set(config, "run gamma analysis on")
     if config.gamma is None:
         raise ValidationError("--gamma P/Q is required")
     if config.gamma <= 0:
@@ -329,8 +325,7 @@ def cmd_gamma(config: RunConfig) -> int:
 
 
 def cmd_plotdata(config: RunConfig) -> int:
-    rows = []
-    family_rows = []
+    rows, counts, top = [], {}, -1  # a count row per depth 0..top
     if config.family_path and (config.set_path or config.dim is not None):
         raise ValidationError("plotdata --family reads neither --set nor --dim")
     if config.set_path:
@@ -343,17 +338,13 @@ def cmd_plotdata(config: RunConfig) -> int:
             # J_list ends at --depth or above, so one family serves both files
             family = enumerate_DE(E, root, J_list[-1], config.budget)
             rows = _sweep_rows(family, grid, J_list)
-            counts = family.level_counts()
-            family_rows = [[depth, counts.get(depth, 0)]
-                           for depth in range(config.depth + 1)]
+            counts, top = family.level_counts(), config.depth
     elif config.family_path:
-        family = _load_family(config)
-        counts = family.level_counts()
-        if family.members:
-            top = max(counts)
-            family_rows = [[depth, counts.get(depth, 0)] for depth in range(top + 1)]
+        counts = _load_family(config).level_counts()
+        top = max(counts, default=-1)
     else:
         raise ValidationError("plotdata needs --set or --family")
+    family_rows = [[depth, counts.get(depth, 0)] for depth in range(top + 1)]
     sweep_path = _csv_path(config.out)
     _write_csv(sweep_path, SWEEP_HEADER, rows)
     _write_csv(sweep_path.removesuffix(".csv") + "_families.csv",

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .enclosure import int_parse
 from .errors import DimensionMismatch, EmptySetError, RootIsFree
-from .lattice import DyadicCube, children
+from .lattice import DyadicCube, children, contains
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
 
@@ -54,7 +54,7 @@ class CubeFamily:
         for q in members:
             if q.dim != root.dim:
                 raise DimensionMismatch(f"{q.dim}-d member {q} of a {root.dim}-d family")
-            if q.depth < root.depth or q.ancestor_at(root.depth) != root:
+            if not contains(root, q):
                 raise ValueError(f"member {q} is not inside the root {root}")
         return cls.make(root, members, int_parse(obj["J"]))
 

@@ -44,13 +44,11 @@ def chain(Q: DyadicCube, J: int) -> tuple:
     return tuple(members)
 
 
-def check_parent_closed(S: CubeFamily):
-    """(True, None) when every non-root member's parent is a member,
-    else (False, first offending cube in canonical order)."""
+def check_parent_closed(S: CubeFamily, top: int = 0):
+    """(True, None) when every member deeper than depth `top` has its parent
+    in S, else (False, first offending cube in canonical order)."""
     for q in S.members:
-        if q.depth == 0:
-            continue
-        if parent(q) not in S:
+        if q.depth > top and parent(q) not in S:
             return False, q
     return True, None
 

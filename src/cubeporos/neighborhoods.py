@@ -18,6 +18,7 @@ from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _check_alpha, _mu_cells,
 from .enclosure import RatInterval, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
+from .inverse import check_parent_closed
 from .lattice import DyadicCube, children
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, UnionModel, corner_set
 from .sparse import (SparseWitness, build_witness, carleson_constant, subtree_sums,
@@ -131,18 +132,15 @@ def gamma_witness(E: SetModel, family: CubeFamily,
     R, J = family.root, family.J
     if not family.members:
         raise EmptyFamilyError("gamma family is empty")
-    for q in family.members:
-        if q.depth == R.depth:
-            continue
-        if q.ancestor_at(q.depth - 1) not in family:
-            raise NotParentClosed(q)
+    ok, offender = check_parent_closed(family, R.depth)
+    if not ok:
+        raise NotParentClosed(offender)
     combined = UnionModel.make([corner_set(family.members), E])
     witness = build_witness(combined, R, J, search_depth, budget)
     restricted = witness.restrict_to(family.members)
     verdict = verify_witness(restricted, combined, budget)
     if not verdict:
-        raise UnresolvedMeasure(f"witness not verified: {verdict.reason} at "
-                                + ", ".join(map(str, verdict.cubes)))
+        raise verdict.failure()
     return restricted
 
 

@@ -32,7 +32,7 @@ from math import lcm
 
 from .enclosure import frac_parse, int_parse
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import Box, DyadicCube, children
+from .lattice import Box, DyadicCube, children, contains
 
 DEFAULT_BUDGET = 36
 # The largest budget the command line takes.  An IFS keeps distance tables for
@@ -461,10 +461,7 @@ class IFSModel(SetModel):
         if self._view is None:
             return None
         cube, deepest, frontier = self._view
-        s = q.depth - cube.depth
-        if s < 0 or any(k >> s != c for k, c in zip(q.coords, cube.coords)):
-            return None
-        return frontier, deepest
+        return (frontier, deepest) if contains(cube, q) else None
 
     def restricted(self, q):
         """A view for descent inside q: on q's subcubes its intersection

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .analysis import free_cube_table
 from .enclosure import frac_str
-from .errors import EmptyFamilyError, PorosityFailure, RootIsFree
+from .errors import EmptyFamilyError, PorosityFailure, RootIsFree, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children, contains, parent
 from .sets import DEFAULT_BUDGET, SetModel, Status
@@ -179,6 +179,11 @@ class WitnessVerdict:
     def __bool__(self):
         return self.ok
 
+    def failure(self) -> UnresolvedMeasure:
+        """The budget failure of a witness this verdict did not verify."""
+        return UnresolvedMeasure(f"witness not verified: {self.reason} at "
+                                 + ", ".join(map(str, self.cubes)))
+
 
 def verify_witness(W: SparseWitness, E: SetModel,
                    budget: int = DEFAULT_BUDGET) -> WitnessVerdict:
@@ -193,7 +198,7 @@ def verify_witness(W: SparseWitness, E: SetModel,
             return WitnessVerdict(False, "duplicate assignment", (a.cube,))
         seen.add(a.cube)
         m = a.free_cube
-        if m.depth <= a.cube.depth or m.ancestor_at(a.cube.depth) != a.cube:
+        if m.depth <= a.cube.depth or not contains(a.cube, m):
             return WitnessVerdict(False, "free cube not strictly inside its cube",
                                   (a.cube, m))
         if a.ratio > W.lambda_hat:
