@@ -326,9 +326,13 @@ def cmd_gamma(config: RunConfig) -> int:
 
 def cmd_plotdata(config: RunConfig) -> int:
     rows, counts, top = [], {}, -1  # a count row per depth 0..top
-    if config.family_path and (config.set_path or config.dim is not None):
-        raise ValidationError("plotdata --family reads neither --set nor --dim")
+    if config.family_path and (config.set_path or config.alpha_grid or any(
+            x is not None for x in (config.dim, config.depth, config.budget))):
+        raise ValidationError("plotdata --family reads none of --set, --dim, "
+                              "--depth, --budget and --alpha-grid")
     if config.set_path:
+        config.depth = RunConfig.depth if config.depth is None else config.depth
+        config.budget = RunConfig.budget if config.budget is None else config.budget
         E = _load_set(config)
         if not E.is_empty:
             _check_depth(config.depth, E.dim)
@@ -379,8 +383,9 @@ COMMANDS = {
     "invert": (cmd_invert, "--family --depth --out", {"depth": None}),
     "gamma": (cmd_gamma, "--set --dim --depth --budget --split-budget "
               "--search-depth --alpha --gamma --p --seed --out", {}),
+    # depth and budget None let plotdata --family refuse them
     "plotdata": (cmd_plotdata, "--set --family --dim --depth --budget --alpha-grid "
-                 "--out", {}),
+                 "--out", {"depth": None, "budget": None}),
 }
 
 
@@ -416,7 +421,7 @@ def main(argv=None) -> int:
             value = getattr(config, flag[2:].replace("-", "_"))
             if value is not None and value < 0:
                 raise ValidationError(f"{flag} must be >= 0, got {value}")
-        if config.budget > MAX_BUDGET:
+        if config.budget is not None and config.budget > MAX_BUDGET:
             raise ValidationError(f"--budget must be <= {MAX_BUDGET}, got {config.budget}")
         rationals = [("--alpha", config.alpha), ("--gamma", config.gamma),
                      ("--p", config.p), ("--tau", config.tau)]

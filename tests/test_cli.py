@@ -444,16 +444,19 @@ def test_alpha_grid_outside_0_d_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--set", "SET"], ["--dim", "3"]],
-                         ids=["set-and-family", "dim-mismatch"])
+@pytest.mark.parametrize("extra", [["--set", "SET"], ["--dim", "3"], ["--depth", "1"],
+                                   ["--budget", "5"], ["--alpha-grid", "0:1:1/2"]],
+                         ids=["set-and-family", "dim-mismatch", "depth", "budget",
+                              "alpha-grid"])
 def test_plotdata_rejects_a_family_with_unread_input(tmp_path, capsys, extra):
     family = write_family(tmp_path, [{"depth": 0, "coords": [0]}])
     extra = [write_set(tmp_path) if a == "SET" else a for a in extra]
     out = tmp_path / "sweep.csv"
     code = main(["plotdata", "--family", family, *extra, "--out", str(out)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert not list(tmp_path.glob("sweep*"))
 
 
 def test_csv_is_written_beside_an_extensionless_out(tmp_path):
