@@ -1,12 +1,13 @@
 """Command-line front end: parse set/family files, run analyses, emit reports.
 
 Exit codes: 0 success, 2 for every library error (malformed input, violated
-precondition), 3 for the two budget failures (porosity search or measure
-resolution gave up; a partial report is still written).  `main` alone turns
-a library error into its exit code, its one stderr line and, for a failure
-at a named cube, a partial report; only `gamma` catches the budget failures
-that let the rest of its report stand.  `analyze` and `witness` write their
-whole report when a part fails, and print one such line per failed part.
+precondition), 3 for the three budget failures (a porosity search or a
+measure resolution gave up, or a family enumeration passed its cube cap).
+`main` alone turns a library error into its exit code, its one stderr line
+and, for a failure at a named cube, a partial report; only `gamma` catches
+the budget failures that let the rest of its report stand.  `analyze` and
+`witness` write their whole report when a part fails, and print one such
+line per failed part.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fractions import Fraction
 from .analysis import (DEFAULT_SPLIT_BUDGET, codim_estimate, dynkin_sweep,
                        mu_enclosure, porosity_scan)
 from .enclosure import frac_parse, frac_str
-from .errors import (CubeporosError, NotParentClosed, PorosityFailure,
-                     UnresolvedMeasure)
+from .errors import (CubeporosError, FamilyTooLarge, NotParentClosed,
+                     PorosityFailure, UnresolvedMeasure)
 from .families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from .generators import random_coefficients, rng_from_seed
 from .inverse import default_depth, invert
@@ -42,7 +43,7 @@ MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
 MAX_RATIONAL = 1000
 _BATCH = 1024  # report pieces joined per file write
 # the library errors that exit 3; every other one exits 2
-BUDGET_FAILURES = (PorosityFailure, UnresolvedMeasure)
+BUDGET_FAILURES = (PorosityFailure, UnresolvedMeasure, FamilyTooLarge)
 # the failures at a named cube that leave a partial report
 PARTIAL_REPORTS = {PorosityFailure: "porosity-failure",
                    NotParentClosed: "not-parent-closed"}
@@ -106,7 +107,7 @@ def _failure_line(exc: CubeporosError, search_depth: int) -> str:
     if isinstance(exc, PorosityFailure):
         return (f"porosity failure at {exc.cube}: no free cube within "
                 f"--search-depth {search_depth}")
-    kind = "budget failure" if isinstance(exc, UnresolvedMeasure) else "error"
+    kind = "budget failure" if isinstance(exc, BUDGET_FAILURES) else "error"
     return f"{kind}: {exc}"
 
 

@@ -49,3 +49,7 @@ class PorosityFailure(CubeporosError):
 
 class UnresolvedMeasure(CubeporosError):
     """A weighted mass needed by the caller has no finite certified upper bound."""
+
+
+class FamilyTooLarge(CubeporosError):
+    """A family enumeration passed `families.MAX_MEMBERS` cubes."""

@@ -14,9 +14,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .enclosure import int_parse
-from .errors import DimensionMismatch, EmptySetError, RootIsFree
+from .errors import DimensionMismatch, EmptySetError, FamilyTooLarge, RootIsFree
 from .lattice import DyadicCube, children, contains
 from .sets import DEFAULT_BUDGET, SetModel, Status
+
+# most cubes an enumeration may hold; a deeper run would exhaust memory first
+MAX_MEMBERS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,19 @@ class FreeDecomposition:
     J: int
 
 
+def _check_size(members, R: DyadicCube, J: int):
+    if len(members) > MAX_MEMBERS:
+        raise FamilyTooLarge(f"more than {MAX_MEMBERS} cubes below {R} to depth "
+                             f"offset {J}")
+
+
 def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
                  budget: int = DEFAULT_BUDGET) -> CubeFamily:
     """All dyadic subcubes of R, to depth offset J, that meet E.
 
     Pruned descent: a certified-free cube closes its whole subtree.
-    Undetermined oracle answers count as meeting (conservative).
+    Undetermined oracle answers count as meeting (conservative).  Raises
+    FamilyTooLarge past MAX_MEMBERS cubes.
     """
     if J < 0:
         raise ValueError("truncation depth must be >= 0")
@@ -88,6 +98,7 @@ def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
     while stack:
         q, model = stack.pop()
         members.append(q)
+        _check_size(members, R, J)
         if q.depth - R.depth < J:
             stack.extend((c, view) for c, _st, view in model.split(q, budget)
                          if view is not None)
@@ -125,7 +136,8 @@ def enumerate_Dgamma(E: SetModel, R: DyadicCube, gamma, J: int,
 
     Strict inequality; a cube whose certified distance lower bound already
     reaches gamma*side is excluded together with its whole subtree (children
-    can only be farther relative to their smaller side).
+    can only be farther relative to their smaller side).  Raises
+    FamilyTooLarge past MAX_MEMBERS cubes.
     """
     gamma = Fraction(gamma)
     if gamma <= 0:
@@ -141,6 +153,7 @@ def enumerate_Dgamma(E: SetModel, R: DyadicCube, gamma, J: int,
         if E.dist_below(q, gamma * q.side, budget) is False:
             continue  # certified dist >= gamma*side; children only get farther
         members.append(q)
+        _check_size(members, R, J)
         if q.depth - R.depth < J:
             stack.extend(children(q))
     return CubeFamily.make(R, members, J)

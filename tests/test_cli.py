@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeporos import cli, neighborhoods
+from cubeporos import cli, families, neighborhoods
 from cubeporos.cli import _dump_json, main
 from cubeporos.lattice import DyadicCube
 from cubeporos.sparse import WitnessVerdict
@@ -457,6 +457,19 @@ def test_plotdata_rejects_a_family_with_unread_input(tmp_path, capsys, extra):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error:")
     assert not list(tmp_path.glob("sweep*"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "plotdata"])
+def test_an_enumeration_past_the_member_cap_exits_3(tmp_path, capsys, monkeypatch,
+                                                    command):
+    monkeypatch.setattr(families, "MAX_MEMBERS", 4)
+    out = tmp_path / "r.json"
+    code = main([command, "--set", write_set(tmp_path, kind="cantor"), "--depth", "6",
+                 "--out", str(out)])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("budget failure: more than 4 cubes below Q(j=0, k=(0,))")
+    assert not out.exists() and not list(tmp_path.glob("r*.csv"))
 
 
 def test_csv_is_written_beside_an_extensionless_out(tmp_path):

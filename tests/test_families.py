@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeporos import sets
+from cubeporos import families, sets
 from cubeporos.analysis import de_sum, dynkin_sum, parent_multiplicity_margin
-from cubeporos.errors import EmptySetError, RootIsFree
+from cubeporos.errors import EmptySetError, FamilyTooLarge, RootIsFree
 from cubeporos.families import (CubeFamily, FreeDecomposition, enumerate_DE,
                                 enumerate_Dgamma, enumerate_FE)
 from cubeporos.lattice import DyadicCube, parent
@@ -34,6 +34,18 @@ def test_de_single_point():
 def test_de_empty_set():
     fam = enumerate_DE(EmptyModel(1), ROOT1, 5)
     assert fam.members == ()
+
+
+@pytest.mark.parametrize("enumerate_family", [
+    lambda: enumerate_DE(CANTOR, ROOT1, 6),
+    lambda: enumerate_Dgamma(CANTOR, ROOT1, F(1, 2), 6)], ids=["DE", "Dgamma"])
+def test_enumeration_past_the_member_cap_raises(monkeypatch, enumerate_family):
+    size = len(enumerate_family())
+    monkeypatch.setattr(families, "MAX_MEMBERS", size)
+    assert len(enumerate_family()) == size
+    monkeypatch.setattr(families, "MAX_MEMBERS", size - 1)
+    with pytest.raises(FamilyTooLarge, match=f"more than {size - 1} cubes"):
+        enumerate_family()
 
 
 def test_de_cantor_one_level():
