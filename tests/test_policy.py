@@ -1,9 +1,9 @@
-"""Project policy: cubeporos has no runtime dependencies, its certified
-modules use no floating point, only the lattice knows how a cube is keyed,
-reports have one writer, every descent takes its children's views from
-`split`, the benchmark tracer finds every name it wraps, and every
-definition in the package is reached from the package, a script, the
-README or the tracer.
+"""Project policy: cubeporos has no runtime dependencies, its modules import
+only from earlier layers, its certified modules use no floating point, only
+the lattice knows how a cube is keyed, reports and the witness failure have
+one writer each, every descent takes its children's views from `split`,
+the benchmark tracer finds every name it wraps, and every definition in the
+package is reached from the package, a script, the README or the tracer.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -101,6 +101,31 @@ def test_reports_have_one_writer():
                     and any(kw.arg == "indent" for kw in node.keywords):
                 found.append(f"{path.name}:{node.lineno}: json.{node.func.attr}(indent=...)")
     assert found == []
+
+
+# the package's modules, each importing only from those before it
+LAYERS = ("errors", "enclosure", "lattice", "sets", "families", "analysis", "sparse",
+          "inverse", "neighborhoods", "generators", "cli")
+
+
+def test_modules_import_only_earlier_layers():
+    # function-local imports count too; __init__.py only re-exports
+    assert sorted(LAYERS) == sorted(p.stem for p in PACKAGE.glob("*.py")
+                                    if p.name != "__init__.py")
+    found = []
+    for i, layer in enumerate(LAYERS):
+        tree = ast.parse((PACKAGE / f"{layer}.py").read_text(encoding="utf-8"))
+        found += [f"{layer}.py:{node.lineno}: from .{node.module} import"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module not in LAYERS[:i]]
+    assert found == []
+
+
+def test_witness_failure_has_one_writer():
+    # sparse.WitnessVerdict.failure() words it for every caller
+    text = "".join(p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py"))
+    assert text.count("witness not verified") == 1
 
 
 def test_benchmark_tracer_installs():
