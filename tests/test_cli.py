@@ -612,6 +612,21 @@ def test_gamma_witness_that_fails_verification_says_why(tmp_path, capsys, monkey
     assert capsys.readouterr().err.splitlines() == [f"budget failure: {reason}"]
 
 
+def test_gamma_records_a_capped_witness_enumeration(tmp_path, capsys, monkeypatch):
+    # the gamma family (11 cubes) and D_E (6) fit under the cap; the
+    # witness's D_E of the corner set and the set (27) does not
+    monkeypatch.setattr(families, "MAX_MEMBERS", 20)
+    out = tmp_path / "g.json"
+    code = main(["gamma", "--set", write_set(tmp_path), "--gamma", "3/2", "--depth", "5",
+                 "--out", str(out)])
+    assert code == 3
+    reason = "more than 20 cubes below Q(j=0, k=(0,)) to depth offset 6"
+    payload = json.loads(out.read_text())
+    assert payload["witness"] == {"error": reason}
+    assert "report" in payload["embedding"]
+    assert capsys.readouterr().err.splitlines() == [f"budget failure: {reason}"]
+
+
 def test_gamma_on_a_set_near_but_off_the_root_writes_its_report(tmp_path, capsys):
     # 3/2 is within gamma = 1 of [0, 1) but outside it: the root is in the
     # gamma family and free, and its mass still certifies the volume check
