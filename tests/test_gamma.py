@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cubeporos.analysis import mu_enclosure
 from cubeporos.enclosure import pow_enclosure
-from cubeporos.errors import AlphaOutOfRange
-from cubeporos.families import enumerate_DE, enumerate_Dgamma
+from cubeporos.errors import AlphaOutOfRange, NotParentClosed
+from cubeporos.families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from cubeporos.lattice import DyadicCube, contains
 from cubeporos.neighborhoods import (EmbeddingQuery, _covering_cubes, embedding_check,
                                      gamma_carleson, gamma_witness,
@@ -89,6 +89,13 @@ def test_gamma_family_parent_closed():
         for q in fam.members:
             if q.depth > 0:
                 assert q.ancestor_at(q.depth - 1) in fam
+
+
+def test_gamma_witness_checks_parent_closedness_from_its_root():
+    R = DyadicCube(1, (0,))
+    family = CubeFamily.make(R, [R, DyadicCube(2, (0,)), DyadicCube(3, (2,))], 2)
+    with pytest.raises(NotParentClosed, match=r"Q\(j=3, k=\(2,\)\)"):
+        gamma_witness(ORIGIN, family)
 
 
 def test_gamma_witness_small_gamma_matches_plain_witness():

@@ -41,6 +41,11 @@ def test_check_parent_closed():
     no_root = CubeFamily.make(ROOT1, children(ROOT1), 1)
     ok, bad = check_parent_closed(no_root)
     assert not ok and bad == DyadicCube(1, (0,))
+    # from depth 1 the members at depth 1 need no parent
+    assert check_parent_closed(no_root, 1) == (True, None)
+    deep = DyadicCube(1, (1,))
+    gap = CubeFamily.make(deep, [deep, DyadicCube(3, (4,))], 2)
+    assert check_parent_closed(gap, 1) == (False, DyadicCube(3, (4,)))
 
 
 def test_invert_chain_example():
