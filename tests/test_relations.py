@@ -58,6 +58,10 @@ def halved(E, k):
                    lambda r, t: (r, tuple((x + (1 - r) * c) / 2 for x, c in zip(t, k))))
 
 
+def swapped_cube(q):
+    return DyadicCube(q.depth, q.coords[::-1])
+
+
 def halved_cube(q, k):
     return DyadicCube(q.depth + 1, tuple(c + (b << q.depth) for c, b in zip(q.coords, k)))
 
@@ -103,9 +107,9 @@ def test_a_larger_budget_only_shrinks_the_families(case, other, gamma):
 @given(cases(dims=(2,)))
 def test_swapping_the_axes_swaps_the_meeting_family(case):
     E, R, J, b = case
-    swap = lambda q: DyadicCube(q.depth, q.coords[::-1])  # noqa: E731
-    family = enumerate_DE(swapped(E), swap(R), J, b)
-    assert family.members == tuple(sorted(map(swap, enumerate_DE(E, R, J, b).members)))
+    family = enumerate_DE(swapped(E), swapped_cube(R), J, b)
+    assert family.members == tuple(sorted(map(swapped_cube,
+                                              enumerate_DE(E, R, J, b).members)))
 
 
 @settings(max_examples=100, deadline=None)
