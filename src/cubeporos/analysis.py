@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
-from .enclosure import RatInterval, pow2_enclosure, pow_enclosure, sum_intervals
+from .enclosure import RatInterval, frac_str, pow2_enclosure, pow_enclosure
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, children, contains
@@ -48,7 +49,6 @@ class PorosityReport:
     J: int
 
     def to_json(self):
-        from .enclosure import frac_str
         return {
             "depth": self.depth, "J": self.J,
             "eta_hat": frac_str(self.eta_hat) if self.eta_hat is not None else None,
@@ -153,14 +153,14 @@ def _check_alpha(alpha, d, allow_d: bool) -> Fraction:
     return alpha
 
 
-def _level_term(level: int, d: int, alpha: Fraction) -> RatInterval:
-    # volume^(1-alpha/d) of a depth-`level` cube = 2^(-level*(d-alpha))
-    return pow2_enclosure(-level * (d - alpha))
+def _powers(R: DyadicCube, alpha: Fraction, J: int) -> list:
+    # volume^(1-alpha/d) = 2^(-j(d-alpha)) of a depth-j cube, j = R.depth .. R.depth + J
+    return [pow2_enclosure(-j * (R.dim - alpha)) for j in range(R.depth, R.depth + J + 1)]
 
 
-def _sum_from_level_counts(counts: dict, d: int, alpha: Fraction) -> RatInterval:
-    parts = [_level_term(level, d, alpha) * n for level, n in sorted(counts.items())]
-    return sum_intervals(parts) if parts else RatInterval.point(0)
+def _prefix_sums(powers: list, R: DyadicCube, counts: dict) -> list:
+    """Running sums of powers[i] * counts[R.depth + i], one per entry."""
+    return list(accumulate(w * counts.get(R.depth + i, 0) for i, w in enumerate(powers)))
 
 
 def _free_counts(DE: CubeFamily, J: int) -> dict:
@@ -183,14 +183,12 @@ def _sum_reports(DE: CubeFamily, alpha_grid, J_list, counts: dict) -> list:
     R, n = DE.root, DE.level_counts()
     reports = []
     for alpha in alpha_grid:
-        normalizer = _level_term(R.depth, R.dim, alpha)
+        powers = _powers(R, alpha, max(J_list))
+        sums = _prefix_sums(powers, R, counts)
         for J in J_list:
-            bottom = R.depth + J
-            value = _sum_from_level_counts({lvl: c for lvl, c in counts.items()
-                                            if lvl <= bottom}, R.dim, alpha)
-            residual = _level_term(bottom, R.dim, alpha) * n.get(bottom, 0)
-            reports.append(SumReport(alpha, R, J, value, residual, normalizer,
-                                     value / normalizer))
+            residual = powers[J] * n.get(R.depth + J, 0)
+            reports.append(SumReport(alpha, R, J, sums[J], residual, powers[0],
+                                     sums[J] / powers[0]))
     return reports
 
 
@@ -252,7 +250,6 @@ class MeasureEnclosure:
         return self.upper is not None
 
     def to_json(self):
-        from .enclosure import frac_str
         return {"alpha": frac_str(self.alpha), "root": self.root.to_json(),
                 "J": self.J, "split_budget": self.split_budget,
                 "lower": frac_str(self.lower),
@@ -270,62 +267,56 @@ def _boundary_layer_upper(side: Fraction, alpha: Fraction) -> Fraction:
     return 2 * pow_enclosure(side / 2, 1 - alpha).hi / (1 - alpha)
 
 
-def _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes):
-    d = cube.dim
-    vol = cube.volume
-    if alpha == 0:
-        return vol, vol
-    lo_d, hi_d = E.dist_interval(cube, budget)
-    up = hi_d + cube.side
-    if parent_meets:
-        # a point of E lies in the parent, at most 2*side away in l-inf
-        up = min(up, 2 * cube.side)
-    lower = vol * pow_enclosure(up, -alpha).lo
-    if lo_d > 0:
-        notes.point_bound_cells += 1
-        return lower, vol * pow_enclosure(lo_d, -alpha).hi
-    if d == 1 and alpha < 1:
-        notes.boundary_layer_cells += 1
-        return lower, _boundary_layer_upper(cube.side, alpha)
-    notes.unresolved_cells.append(cube)
-    return lower, None
-
-
-def _mu_cells(E, R, alpha, levels, budget, notes):
+def _mu_cells(E, R, alpha, levels, budget, notes=None):
     """The one mass traversal: (cell, free, lower, upper) for every cell of R
     where the refinement stops, depth first in canonical order.
 
-    A free cell is bounded through its distance interval.  A cell meeting E
-    is refined while `levels` allow and the refined cells stay under
-    `MU_SPLIT_NODE_CAP`; a terminal one gets lower bound 0 and the boundary
-    layer bound or None.  A cell's status and view come from its parent's
-    split, made when the parent is refined.
+    A cell meeting E is refined while `levels` allow and the refined cells
+    stay under `MU_SPLIT_NODE_CAP`.  A stopped cell's lower bound comes from
+    its distance interval when it is free and is 0 otherwise; its upper bound
+    is the point bound of a free cell at a positive distance, else the d = 1
+    boundary layer bound when E misses its open interior, else None.  A
+    cell's status and view come from its parent's split, made when the
+    parent is refined.  `notes`, when given, counts the stopped cells.
     """
+    notes = MuNotes() if notes is None else notes
     local = E.restricted(R)
     stack = [(R, local.intersect_status(R, budget), local, levels, False)]
     while stack:
         cube, st, local, left, parent_meets = stack.pop()
-        if st is Status.FREE:
-            yield (cube, True) + _free_cell_bounds(E, cube, alpha, parent_meets,
-                                                   budget, notes)
-        elif alpha == 0 and left == 0:
-            # weight is identically 1: a meeting cell contributes [0, |cell|]
-            yield cube, False, _ZERO, cube.volume
-        elif left > 0 and notes.refined_cells < MU_SPLIT_NODE_CAP:
+        free = st is Status.FREE
+        if not free and left > 0 and notes.refined_cells < MU_SPLIT_NODE_CAP:
             notes.refined_cells += 1
             # an undetermined cell may miss E: only a certified meet caps the
             # children's distances at 2*side
             meets = st is Status.INTERSECTS
             stack.extend((c, status, view, left - 1, meets)
                          for c, status, view in reversed(local.split(cube, budget)))
+            continue
+        vol = cube.volume
+        if alpha == 0 and (free or left == 0):
+            # weight is identically 1: the cell's mass is |cell|, or in [0, |cell|]
+            yield cube, free, vol if free else _ZERO, vol
+            continue
+        notes.node_capped = notes.node_capped or (not free and left > 0)
+        lower = lo_d = _ZERO
+        if free:
+            lo_d, hi_d = E.dist_interval(cube, budget)
+            up = hi_d + cube.side
+            if parent_meets:
+                # a point of E lies in the parent, at most 2*side away in l-inf
+                up = min(up, 2 * cube.side)
+            lower = vol * pow_enclosure(up, -alpha).lo
+        if lo_d > 0:
+            notes.point_bound_cells += 1
+            upper = vol * pow_enclosure(lo_d, -alpha).hi
+        elif cube.dim == 1 and alpha < 1 and (free or local.misses_interior(cube, budget)):
+            notes.boundary_layer_cells += 1
+            upper = _boundary_layer_upper(cube.side, alpha)
         else:
-            notes.node_capped = notes.node_capped or left > 0
-            if cube.dim == 1 and alpha < 1 and local.misses_interior(cube, budget):
-                notes.boundary_layer_cells += 1
-                yield cube, False, _ZERO, _boundary_layer_upper(cube.side, alpha)
-            else:
-                notes.unresolved_cells.append(cube)
-                yield cube, False, _ZERO, None
+            notes.unresolved_cells.append(cube)
+            upper = None
+        yield cube, free, lower, upper
 
 
 def _fold(bounds):
@@ -485,9 +476,9 @@ class CodimEstimate:
     increments: dict            # alpha -> final per-J log increment (float) or None
     bounded: dict               # alpha -> bool
     multiplicity_ok: bool
+    reports: tuple              # the sweep's SumReports, in dynkin_sweep's order
 
     def to_json(self):
-        from .enclosure import frac_str
         return {
             "alpha_grid": [frac_str(a) for a in self.alpha_grid],
             "J_list": list(self.J_list),
@@ -508,9 +499,10 @@ def parent_multiplicity_margin(DE: CubeFamily, alpha):
     free cubes.  Returns (lhs, rhs, ok)."""
     d = DE.root.dim
     alpha = _check_alpha(alpha, d, allow_d=True)
-    lhs = _sum_from_level_counts(DE.level_counts(), d, alpha)
+    powers = _powers(DE.root, alpha, DE.J)
+    lhs = _prefix_sums(powers, DE.root, DE.level_counts())[-1]
     parents = {level - 1: n for level, n in _free_counts(DE, DE.J).items()}
-    rhs = _sum_from_level_counts(parents, d, alpha) * Fraction(1, 1 << d)
+    rhs = _prefix_sums(powers, DE.root, parents)[-1] * Fraction(1, 1 << d)
     return lhs, rhs, lhs.lo >= rhs.hi
 
 
@@ -542,8 +534,9 @@ def codim_estimate(DE: CubeFamily, alpha_grid, J_list, tau=None) -> CodimEstimat
     # resolved plus unresolved mass over the root weight; the residual term is
     # per-level, so its growth reflects box-count scaling without the lag of
     # a cumulative sum
+    reports = tuple(dynkin_sweep(DE, alpha_grid, J_list))
     totals = {(r.alpha, r.J): (r.value + r.residual_bound) / r.normalizer
-              for r in dynkin_sweep(DE, alpha_grid, J_list)}
+              for r in reports}
     mult_ok = parent_multiplicity_margin(DE, probe)[2]
 
     trajectories = {}
@@ -567,4 +560,4 @@ def codim_estimate(DE: CubeFamily, alpha_grid, J_list, tau=None) -> CodimEstimat
             estimate = a
 
     return CodimEstimate(tuple(alpha_grid), tuple(J_list), tau, estimate,
-                         trajectories, increments, bounded, mult_ok)
+                         trajectories, increments, bounded, mult_ok, reports)

@@ -176,14 +176,10 @@ def _csv_path(out: str) -> str:
     return os.path.splitext(out)[0] + ".csv"
 
 
-def _sweep_rows(DE, alpha_grid, J_list):
-    rows = []
-    root = json.dumps(DE.root.to_json(), sort_keys=True)
-    for rep in dynkin_sweep(DE, alpha_grid, J_list):
-        rows.append([frac_str(rep.alpha), rep.J, root,
-                     frac_str(rep.value.lo), frac_str(rep.value.hi),
-                     frac_str(rep.ratio.lo), frac_str(rep.ratio.hi)])
-    return rows
+def _sweep_rows(reports):
+    return [[frac_str(rep.alpha), rep.J, json.dumps(rep.root.to_json(), sort_keys=True),
+             frac_str(rep.value.lo), frac_str(rep.value.hi),
+             frac_str(rep.ratio.lo), frac_str(rep.ratio.hi)] for rep in reports]
 
 
 def _write_csv(path: str, header, rows):
@@ -224,9 +220,9 @@ def cmd_analyze(config: RunConfig) -> int:
     scan_depth = min(J, 6 if d == 1 else 3)
     search_depth = min(J, config.search_depth)
     scan = porosity_scan(E, scan_depth, search_depth, config.budget)
-    # one family serves the codimension estimate and the sweep CSV
-    family = enumerate_DE(E, root, J_list[-1], config.budget)
-    codim = codim_estimate(family, grid, J_list, config.tau)
+    # the codimension estimate's sweep is the CSV's; the grid is ascending
+    codim = codim_estimate(enumerate_DE(E, root, J_list[-1], config.budget), grid,
+                           J_list, config.tau)
 
     # the root meets E: codim_estimate has required a non-empty family
     alpha_mid = grid[len(grid) // 2]
@@ -248,7 +244,7 @@ def cmd_analyze(config: RunConfig) -> int:
         "mu": mu.to_json(),
     }
     _dump_json(config.out, report)
-    _write_csv(_csv_path(config.out), SWEEP_HEADER, _sweep_rows(family, grid, J_list))
+    _write_csv(_csv_path(config.out), SWEEP_HEADER, _sweep_rows(codim.reports))
     return EXIT_BUDGET if failures else EXIT_OK
 
 
@@ -342,7 +338,7 @@ def cmd_plotdata(config: RunConfig) -> int:
             J_list = _analysis_J_list(config.depth)
             # J_list ends at --depth or above, so one family serves both files
             family = enumerate_DE(E, root, J_list[-1], config.budget)
-            rows = _sweep_rows(family, grid, J_list)
+            rows = _sweep_rows(dynkin_sweep(family, grid, J_list))
             counts, top = family.level_counts(), config.depth
     elif config.family_path:
         counts = _load_family(config).level_counts()

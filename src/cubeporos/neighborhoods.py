@@ -13,8 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import (DEFAULT_SPLIT_BUDGET, MuNotes, _check_alpha, _mu_cells,
-                       mu_points_exact_1d)
+from .analysis import DEFAULT_SPLIT_BUDGET, _check_alpha, _mu_cells, mu_points_exact_1d
 from .enclosure import RatInterval, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
@@ -196,7 +195,7 @@ def _cell_mass(E, cube, alpha, budget, split_budget) -> RatInterval:
         return mu_points_exact_1d(E, cube, alpha)
 
     lower = upper = _ZERO
-    for _cell, _free, lo, up in _mu_cells(E, cube, alpha, split_budget, budget, MuNotes()):
+    for _cell, _free, lo, up in _mu_cells(E, cube, alpha, split_budget, budget):
         if up is None:
             raise UnresolvedMeasure(f"no finite certified mass for cell {cube}")
         lower += lo
@@ -277,7 +276,7 @@ def embedding_check(E: SetModel, query: EmbeddingQuery, family: CubeFamily,
         scale = pow_enclosure(query.gamma + 2, query.alpha)
         mass_check, mass = "inconclusive", _ZERO
         for _cell, _free, lo, _up in _mu_cells(E, query.root, query.alpha,
-                                               query.J + split_budget, budget, MuNotes()):
+                                               query.J + split_budget, budget):
             mass += lo
             if vol_pow.hi <= scale.lo * mass:
                 mass_check = "certified"
