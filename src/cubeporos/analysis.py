@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from .enclosure import RatInterval, frac_str, pow2_enclosure, pow_enclosure
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
-from .families import CubeFamily, enumerate_DE
+from .families import CubeFamily, check_size, enumerate_DE
 from .lattice import DyadicCube, children, contains
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, Status
 
@@ -65,19 +65,27 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
     """Largest certified-free dyadic descendant of R within depth offset J.
 
     Ties are broken by canonical cube order (smallest corner first).  Returns
-    None when no free cube exists at this resolution.
+    None when no free cube exists at this resolution.  Depth first, splitting
+    only cubes above the best free cube found so far, so it holds a view per
+    child of the cubes on one path; raises FamilyTooLarge past MAX_MEMBERS
+    split cubes.
     """
     local = E.restricted(R)
     if local.intersect_status(R, budget) is Status.FREE:
         return R
-    frontier = [(R, local)]
-    for _ in range(J):
-        answers = [a for q, model in frontier for a in model.split(q, budget)]
-        free = [c for c, _st, view in answers if view is None]
-        if free:
-            return min(free)
-        frontier = [(c, view) for c, _st, view in answers]
-    return None
+    best, splits, stack = None, 0, [(R, local)]
+    while stack:
+        q, model = stack.pop()
+        if q.depth >= (R.depth + J if best is None else best.depth):
+            continue
+        splits += 1
+        check_size(splits, R, J)
+        answers = model.split(q, budget)
+        for c, _st, view in answers:
+            if view is None and (best is None or c < best):
+                best = c
+        stack.extend((c, view) for c, _st, view in reversed(answers) if view is not None)
+    return best
 
 
 def free_cube_table(E: SetModel, DE: CubeFamily, search_depth: int,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 for every library error (malformed input, violated
 precondition), 3 for the three budget failures (a porosity search or a
-measure resolution gave up, or a family enumeration passed its cube cap).
+measure resolution gave up, or a family enumeration or free-cube search
+passed its cube cap).
 `main` alone turns a library error into its exit code, its one stderr line
 and, for a failure at a named cube, a partial report; only `gamma` catches
 the budget failures that let the rest of its report stand.  `analyze` and

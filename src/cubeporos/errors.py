@@ -52,4 +52,4 @@ class UnresolvedMeasure(CubeporosError):
 
 
 class FamilyTooLarge(CubeporosError):
-    """A family enumeration passed `families.MAX_MEMBERS` cubes."""
+    """A family enumeration or a free-cube search passed `families.MAX_MEMBERS` cubes."""

@@ -76,8 +76,10 @@ class FreeDecomposition:
     J: int
 
 
-def _check_size(members, R: DyadicCube, J: int):
-    if len(members) > MAX_MEMBERS:
+def check_size(n: int, R: DyadicCube, J: int):
+    """Raise FamilyTooLarge once a search below R to depth offset J holds or
+    has split more than MAX_MEMBERS cubes."""
+    if n > MAX_MEMBERS:
         raise FamilyTooLarge(f"more than {MAX_MEMBERS} cubes below {R} to depth "
                              f"offset {J}")
 
@@ -98,7 +100,7 @@ def enumerate_DE(E: SetModel, R: DyadicCube, J: int,
     while stack:
         q, model = stack.pop()
         members.append(q)
-        _check_size(members, R, J)
+        check_size(len(members), R, J)
         if q.depth - R.depth < J:
             stack.extend((c, view) for c, _st, view in model.split(q, budget)
                          if view is not None)
@@ -153,7 +155,7 @@ def enumerate_Dgamma(E: SetModel, R: DyadicCube, gamma, J: int,
         if E.dist_below(q, gamma * q.side, budget) is False:
             continue  # certified dist >= gamma*side; children only get farther
         members.append(q)
-        _check_size(members, R, J)
+        check_size(len(members), R, J)
         if q.depth - R.depth < J:
             stack.extend(children(q))
     return CubeFamily.make(R, members, J)

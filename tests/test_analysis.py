@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -7,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeporos import analysis, sets
+from cubeporos import analysis, families, sets
 from cubeporos.analysis import (codim_estimate, parent_multiplicity_margin, de_sum,
                                 dynkin_sum, dynkin_sweep, largest_free_cube,
                                 mu_enclosure, mu_points_exact_1d,
                                 porosity_scan, weighted_carleson_sum)
 from cubeporos.enclosure import pow2_enclosure
-from cubeporos.errors import AlphaOutOfRange, RootIsFree, UnresolvedMeasure
+from cubeporos.errors import AlphaOutOfRange, FamilyTooLarge, RootIsFree, UnresolvedMeasure
 from cubeporos.families import enumerate_DE
 from cubeporos.lattice import Box, DyadicCube
 from cubeporos.neighborhoods import _cell_mass
 from cubeporos.sets import IFSModel, PointsModel, Status, cantor_middle_thirds
 from conftest import dyadic_cubes, point_sets, small_ifs
 import mu_reference
+import witness_reference
 
 F = Fraction
 CANTOR = cantor_middle_thirds()
@@ -43,6 +45,35 @@ def test_largest_free_cube_examples():
     assert largest_free_cube(CANTOR, ROOT1, 4) == DyadicCube(3, (3,))
     full = PointsModel.make([(F(k, 8),) for k in range(8)])
     assert largest_free_cube(full, ROOT1, 3) is None
+
+
+def _grid_points(J):
+    """The points k/2^J: every dyadic cube down to depth J meets them."""
+    return PointsModel.make([(F(k, 1 << J),) for k in range(1 << J)])
+
+
+def test_free_cube_search_past_the_member_cap_raises(monkeypatch):
+    # no free cube within 6 levels: the search splits all 63 cubes above them
+    E = _grid_points(6)
+    monkeypatch.setattr(families, "MAX_MEMBERS", 63)
+    assert largest_free_cube(E, ROOT1, 6) is None
+    monkeypatch.setattr(families, "MAX_MEMBERS", 62)
+    with pytest.raises(FamilyTooLarge, match=r"more than 62 cubes below "
+                                             r"Q\(j=0, k=\(0,\)\) to depth offset 6"):
+        largest_free_cube(E, ROOT1, 6)
+
+
+def test_free_cube_search_holds_one_path_of_views():
+    # the level-order search holds a whole level's views; the library's
+    # depth-first one holds the children of the cubes on one path
+    E = _grid_points(10)
+    peaks = {}
+    for search in [largest_free_cube, witness_reference.level_order_free_cube] * 2:
+        tracemalloc.start()
+        assert search(E, ROOT1, 10, 36) is None
+        peaks[search] = tracemalloc.get_traced_memory()[1]  # the second run's
+        tracemalloc.stop()
+    assert 8 * peaks[largest_free_cube] < peaks[witness_reference.level_order_free_cube]
 
 
 def test_porosity_scan_examples():

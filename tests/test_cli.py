@@ -26,6 +26,13 @@ def write_set(tmp_path, name="set.json", kind="origin"):
                    "maps": [{"ratio": "1/3", "shift": ["0/1"]},
                             {"ratio": "1/3", "shift": ["2/3"]}],
                    "hull": {"lo": ["0/1"], "hi": ["1/1"]}},
+        # attractor [0, 1]: no dyadic cube is free
+        "interval": {"kind": "ifs",
+                     "maps": [{"ratio": "1/2", "shift": ["0/1"]},
+                              {"ratio": "1/2", "shift": ["1/2"]}],
+                     "hull": {"lo": ["0/1"], "hi": ["1/1"]}},
+        # k/4096 for k < 64: every cube inside [0, 1/64) to depth 12 meets it
+        "crowded-corner": {"kind": "points", "points": [[f"{k}/4096"] for k in range(64)]},
         "empty": {"kind": "empty", "dim": 1},
         "zero-denominator": {"kind": "points", "points": [["1/0"]]},
         "json-number": {"kind": "points", "points": [[0]]},
@@ -470,6 +477,30 @@ def test_an_enumeration_past_the_member_cap_exits_3(tmp_path, capsys, monkeypatc
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("budget failure: more than 4 cubes below Q(j=0, k=(0,))")
     assert not out.exists() and not list(tmp_path.glob("r*.csv"))
+
+
+FREE_CUBE_SEARCHES = {"analyze": ["--depth", "6"], "witness": ["--depth", "5"],
+                      "gamma": ["--gamma", "1/2", "--depth", "5"]}
+
+
+@pytest.mark.parametrize("command", FREE_CUBE_SEARCHES)
+def test_a_free_cube_search_past_the_member_cap_exits_3(tmp_path, capsys, monkeypatch,
+                                                        command):
+    # every enumeration fits under the cap; the search below [0, 1/64) has no
+    # free cube within 6 levels, so it would split 63 cubes
+    monkeypatch.setattr(families, "MAX_MEMBERS", 20)
+    out = tmp_path / "r.json"
+    code = main([command, "--set", write_set(tmp_path, kind="crowded-corner"),
+                 *FREE_CUBE_SEARCHES[command], "--search-depth", "6", "--out", str(out)])
+    assert code == 3
+    reason = "more than 20 cubes below Q(j=6, k=(0,)) to depth offset 6"
+    assert capsys.readouterr().err.splitlines() == [f"budget failure: {reason}"]
+    if command == "gamma":
+        payload = json.loads(out.read_text())
+        assert payload["witness"] == {"error": reason}
+        assert "report" in payload["embedding"]
+    else:
+        assert not out.exists() and not list(tmp_path.glob("r*.csv"))
 
 
 def test_csv_is_written_beside_an_extensionless_out(tmp_path):

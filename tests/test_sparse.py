@@ -181,6 +181,21 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+@st.composite
+def search_cases(draw):
+    """(E, R, J, budget) in d = 1-2, J <= 5 and budgets 0-8."""
+    E, R, _J, _search_depth, _budget = draw(free_cube_cases())
+    return E, R, draw(st.integers(0, 5)), draw(st.integers(0, 8))
+
+
+@given(search_cases())
+@settings(max_examples=300, deadline=None)
+def test_free_cube_search_matches_the_level_order_search(case):
+    E, R, J, budget = case
+    assert largest_free_cube(E, R, J, budget) == \
+        witness_reference.level_order_free_cube(E, R, J, budget)
+
+
 @given(free_cube_cases())
 @settings(max_examples=300, deadline=None)
 def test_free_cube_table_matches_per_cube_searches(case):

@@ -4,7 +4,9 @@ The library reads every free cube from one meeting family and its free-cube
 table.  This module keeps the direct construction instead: the scan runs
 `largest_free_cube` from each meeting cube, and the builder descends the
 meeting cubes itself, asks the oracle whether each child is free, and runs a
-fresh `largest_free_cube` search for every pick.
+fresh `largest_free_cube` search for every pick.  It also keeps the search's
+level-order form, which splits a whole level before looking for a free cube
+and so holds that level's views at once.
 """
 
 from cubeporos.analysis import PorosityRecord, PorosityReport, largest_free_cube
@@ -13,6 +15,22 @@ from cubeporos.families import enumerate_DE
 from cubeporos.lattice import DyadicCube, children, contains, parent
 from cubeporos.sets import Status
 from cubeporos.sparse import SparseWitness, WitnessAssignment
+
+
+def level_order_free_cube(E, R, J, budget):
+    """Largest free descendant of R within depth offset J, the canonical
+    first of the shallowest free level, or None."""
+    local = E.restricted(R)
+    if local.intersect_status(R, budget) is Status.FREE:
+        return R
+    frontier = [(R, local)]
+    for _ in range(J):
+        answers = [a for q, model in frontier for a in model.split(q, budget)]
+        free = [c for c, _st, view in answers if view is None]
+        if free:
+            return min(free)
+        frontier = [(c, view) for c, _st, view in answers]
+    return None
 
 
 def porosity_scan(E, depth, J, budget):
