@@ -2,8 +2,9 @@
 only from earlier layers, its certified modules use no floating point, only
 the lattice knows how a cube is keyed, reports and the witness failure have
 one writer each, every descent takes its children's views from `split`,
-the benchmark tracer finds every name it wraps, and every definition in the
-package is reached from the package, a script, the README or the tracer.
+the benchmark tracer finds every name it wraps and a traced run reports
+every metric the benchmark declares, and every definition in the package
+is reached from the package, a script, the README or the tracer.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -11,6 +12,7 @@ package itself.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -137,6 +139,47 @@ def test_benchmark_tracer_installs():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_RUN = """
+import json, sys
+import tracing
+from cubeporos import cli
+tracer = tracing.Tracer()
+tracing.install(tracer)
+work = sys.argv[1]
+cantor, family = f"{work}/cantor.json", f"{work}/family.json"
+for argv in (["analyze", "--set", cantor, "--depth", "5", "--split-budget", "4"],
+             ["gamma", "--set", cantor, "--gamma", "2", "--depth", "4"],
+             ["witness", "--set", cantor, "--depth", "4"],
+             ["plotdata", "--set", cantor, "--depth", "6"],
+             ["invert", "--family", family]):
+    assert cli.main(argv + ["--out", f"{work}/{argv[0]}.json"]) in (0, 3), argv
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_a_traced_run_reports_the_benchmark_metrics(tmp_path):
+    # the tracer's result hooks run only in a traced round, so a renamed
+    # MuNotes field or a changed return shape shows only when one runs
+    (tmp_path / "cantor.json").write_text(json.dumps(
+        {"kind": "ifs", "maps": [{"ratio": "1/3", "shift": ["0/1"]},
+                                 {"ratio": "1/3", "shift": ["2/3"]}],
+         "hull": {"lo": ["0/1"], "hi": ["1/1"]}}))
+    (tmp_path / "family.json").write_text(json.dumps(
+        {"root": {"depth": 0, "coords": [0]}, "J": 2,
+         "members": [{"depth": j, "coords": [0]} for j in range(3)]}))
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(metrics) == sorted(m["name"] for m in declared["per_layer"])
+    for name in ("analysis.mu.refined_cells", "families.enumerate_DE.cubes",
+                 "enclosure.pow_enclosure.calls"):
+        assert metrics[name] > 0, name
 
 
 def test_descents_restrict_only_their_root():

@@ -1,10 +1,14 @@
-"""Metamorphic relations of the cube families.
+"""Metamorphic relations of the cube families, the oracles and the masses.
 
-Each relation compares two enumerations that must agree cube for cube:
-a larger budget only shrinks a family, swapping the axes of a 2-d set swaps
-the axes of its meeting family, the dyadic similarity x -> (x + k)/2 moves
-the meeting family one level down into child k, and the meeting family of
-a union is the union of its parts' families.
+Each family relation compares two enumerations that must agree cube for
+cube: a larger budget only shrinks a family, swapping the axes of a 2-d set
+swaps the axes of its meeting family, the dyadic similarity x -> (x + k)/2
+moves the meeting family one level down into child k, and the meeting
+family of a union is the union of its parts' families, as is its gamma
+family wherever every answer is decided.  Both similarities keep the
+meeting family's packing constant.  A larger budget only narrows a distance
+interval and never undoes a decided `dist_below`, and the mass brackets at
+two budgets overlap.
 
 The models are `small_ifs` and `point_sets` in d = 1-2 and their unions.
 They have at most 3 maps, so a search at budget <= 8 expands at most
@@ -17,9 +21,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeporos.families import enumerate_DE, enumerate_Dgamma
+from cubeporos.analysis import mu_enclosure
+from cubeporos.families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from cubeporos.lattice import Box, DyadicCube, contains
 from cubeporos.sets import IFSModel, PointsModel, UnionModel
+from cubeporos.sparse import carleson_constant
 from conftest import point_sets, small_ifs
 
 MAX_BUDGET = 8
@@ -133,3 +139,84 @@ def test_the_meeting_family_of_a_union_is_the_union_of_families(parts, data):
     J, b = data.draw(st.integers(2, 4)), data.draw(st.integers(0, MAX_BUDGET))
     family = enumerate_DE(union, R, J, b)
     assert set(family.members) == {q for E in parts for q in enumerate_DE(E, R, J, b).members}
+
+
+def _packing(family):
+    """carleson_constant of a family, None for an empty one."""
+    return carleson_constant(family) if family.members else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(dims=(2,)))
+def test_swapping_the_axes_keeps_the_packing_constant(case):
+    E, R, J, b = case
+    assert _packing(enumerate_DE(swapped(E), swapped_cube(R), J, b)) == \
+        _packing(enumerate_DE(E, R, J, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), st.data())
+def test_halving_keeps_the_packing_constant(case, data):
+    E, _R, J, b = case
+    k = tuple(data.draw(st.integers(0, 1)) for _ in range(E.dim))
+    root = DyadicCube.root(E.dim)
+    child = halved_cube(root, k)
+    below = [q for q in enumerate_DE(halved(E, k), root, J + 1, b).members
+             if contains(child, q)]
+    assert _packing(CubeFamily.make(child, below, J)) == \
+        _packing(enumerate_DE(E, root, J, b))
+
+
+@st.composite
+def cubes_below(draw, R, J):
+    """A cube inside R at depth offset 0..J."""
+    k = draw(st.integers(0, J))
+    return DyadicCube(R.depth + k, tuple((c << k) + draw(st.integers(0, (1 << k) - 1))
+                                         for c in R.coords))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), st.integers(0, MAX_BUDGET), st.data())
+def test_a_larger_budget_only_narrows_the_distance_answers(case, other, data):
+    E, R, J, b = case
+    lo, hi = sorted((b, other))
+    for q in data.draw(st.lists(cubes_below(R, J), min_size=1, max_size=4)):
+        (a_lo, a_hi), (b_lo, b_hi) = E.dist_interval(q, lo), E.dist_interval(q, hi)
+        assert a_lo <= b_lo <= b_hi <= a_hi
+        for gamma in GAMMAS:
+            decided = E.dist_below(q, gamma * q.side, lo)
+            assert decided is None or E.dist_below(q, gamma * q.side, hi) is decided
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(dims=(1,)), st.integers(0, MAX_BUDGET), st.integers(4, 6),
+       st.sampled_from((Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))))
+def test_mass_brackets_at_two_budgets_overlap(case, other, split_budget, alpha):
+    # refined to depth offset 6 or more, each cell holding a point of a point
+    # set has it on its lower corner, so a point set's upper end is finite
+    E, R, J, b = case
+    brackets = [mu_enclosure(E, R, alpha, J - 2, budget, split_budget)
+                for budget in (b, other)]
+    uppers = [enc.upper for enc in brackets if enc.upper is not None]
+    assert all(enc.lower <= up for enc in brackets for up in uppers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda d: st.lists(_parts(d), min_size=2, max_size=2)), st.sampled_from(GAMMAS),
+    st.data())
+def test_the_gamma_family_of_a_union_is_the_union_of_families(parts, gamma, data):
+    # a cube's membership rests on the answers along its chain from R; where
+    # all three models decide them, the union's family holds the cube
+    # exactly when a part's does
+    models = [UnionModel.make(parts), *parts]
+    R = data.draw(roots(models[0]))
+    J, b = data.draw(st.integers(2, 4)), data.draw(st.integers(0, MAX_BUDGET))
+    union, *each = [set(enumerate_Dgamma(E, R, gamma, J, b).members) for E in models]
+
+    def decided(q):
+        return all(E.dist_below(a, gamma * a.side, b) is not None for E in models
+                   for a in map(q.ancestor_at, range(R.depth, q.depth + 1)))
+    for q in union.union(*each):
+        if decided(q):
+            assert (q in union) == any(q in family for family in each)
