@@ -285,7 +285,8 @@ def _mu_cells(E, R, alpha, levels, budget, notes=None):
     is the point bound of a free cell at a positive distance, else the d = 1
     boundary layer bound when E misses its open interior, else None.  A
     cell's status and view come from its parent's split, made when the
-    parent is refined.  `notes`, when given, counts the stopped cells.
+    parent is refined.  `notes`, when given, counts the refined and stopped
+    cells.
     """
     notes = MuNotes() if notes is None else notes
     local = E.restricted(R)
