@@ -192,10 +192,10 @@ def test_a_larger_budget_only_narrows_the_distance_answers(case, other, data):
 @given(cases(dims=(1,)), st.integers(0, MAX_BUDGET), st.integers(4, 6),
        st.sampled_from((Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))))
 def test_mass_brackets_at_two_budgets_overlap(case, other, split_budget, alpha):
-    # refined to depth offset 6 or more, each cell holding a point of a point
-    # set has it on its lower corner, so a point set's upper end is finite
+    # point sets lie on the depth-6 grid: a refinement that reaches depth 6
+    # finds each point on a cell's lower corner, so the upper end is finite
     E, R, J, b = case
-    brackets = [mu_enclosure(E, R, alpha, J - 2, budget, split_budget)
+    brackets = [mu_enclosure(E, R, alpha, J - 2, budget, split_budget)  # J - 2 in 0-2
                 for budget in (b, other)]
     uppers = [enc.upper for enc in brackets if enc.upper is not None]
     assert all(enc.lower <= up for enc in brackets for up in uppers)
