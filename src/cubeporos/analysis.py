@@ -65,27 +65,36 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
     """Largest certified-free dyadic descendant of R within depth offset J.
 
     Ties are broken by canonical cube order (smallest corner first).  Returns
-    None when no free cube exists at this resolution.  Depth first, splitting
-    only cubes above the best free cube found so far, so it holds a view per
-    child of the cubes on one path; raises FamilyTooLarge past MAX_MEMBERS
-    split cubes.
+    None when no free cube exists at this resolution.  Iterative deepening:
+    one depth-first pass to each depth offset 1..J in turn, skipping every
+    cube none of whose bottom descendants precedes the best found, so it
+    holds a view per child of the cubes on one path and splits at most about
+    twice what a level-order search would; raises FamilyTooLarge past
+    MAX_MEMBERS split cubes in all passes.
     """
     local = E.restricted(R)
     if local.intersect_status(R, budget) is Status.FREE:
         return R
-    best, splits, stack = None, 0, [(R, local)]
-    while stack:
-        q, model = stack.pop()
-        if q.depth >= (R.depth + J if best is None else best.depth):
-            continue
-        splits += 1
-        check_size(splits, R, J)
-        answers = model.split(q, budget)
-        for c, _st, view in answers:
-            if view is None and (best is None or c < best):
-                best = c
-        stack.extend((c, view) for c, _st, view in reversed(answers) if view is not None)
-    return best
+    splits = 0
+    for bottom in range(R.depth + 1, R.depth + J + 1):
+        best, stack = None, [(R, local)]
+        while stack:
+            q, model = stack.pop()
+            shift = bottom - q.depth
+            if best is not None and tuple(k << shift for k in q.coords) >= best.coords:
+                continue
+            splits += 1
+            check_size(splits, R, J)
+            answers = model.split(q, budget)
+            if shift > 1:
+                stack.extend((c, view) for c, _st, view in reversed(answers))
+                continue
+            free = [c for c, _st, view in answers if view is None]
+            if free and (best is None or free[0] < best):
+                best = free[0]
+        if best is not None:
+            return best
+    return None
 
 
 def free_cube_table(E: SetModel, DE: CubeFamily, search_depth: int,

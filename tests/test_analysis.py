@@ -53,14 +53,35 @@ def _grid_points(J):
 
 
 def test_free_cube_search_past_the_member_cap_raises(monkeypatch):
-    # no free cube within 6 levels: the search splits all 63 cubes above them
+    # no free cube within 6 levels: the pass to depth offset L splits all
+    # 2^L - 1 cubes above it, 120 in the six passes
     E = _grid_points(6)
-    monkeypatch.setattr(families, "MAX_MEMBERS", 63)
+    monkeypatch.setattr(families, "MAX_MEMBERS", 120)
     assert largest_free_cube(E, ROOT1, 6) is None
-    monkeypatch.setattr(families, "MAX_MEMBERS", 62)
-    with pytest.raises(FamilyTooLarge, match=r"more than 62 cubes below "
+    monkeypatch.setattr(families, "MAX_MEMBERS", 119)
+    with pytest.raises(FamilyTooLarge, match=r"more than 119 cubes below "
                                              r"Q\(j=0, k=\(0,\)\) to depth offset 6"):
         largest_free_cube(E, ROOT1, 6)
+
+
+def test_free_cube_search_splits_no_deeper_than_the_shallowest_free_cube(monkeypatch):
+    # [0, 1/2) meets the set at every depth down to 12; [3/4, 1) is free at
+    # depth offset 2, so the passes to offsets 1 and 2 split 1 + 3 cubes
+    E = PointsModel.make([(F(k, 1 << 12),) for k in range(1 << 11)] + [(F(5, 8),)])
+    monkeypatch.setattr(families, "MAX_MEMBERS", 4)
+    assert largest_free_cube(E, ROOT1, 12) == DyadicCube(2, (3,))
+
+
+def test_free_cube_search_takes_the_first_free_cube_in_canonical_order():
+    # in d = 2 the depth-2 cube (1, 0) lies below the first child and (0, 2)
+    # below the second, yet (0, 2) comes first in canonical order
+    free = {(1, 0), (0, 2)}
+    E = PointsModel.make([(F(2 * i + 1, 8), F(2 * j + 1, 8))
+                          for i in range(4) for j in range(4) if (i, j) not in free])
+    root = DyadicCube.root(2)
+    assert largest_free_cube(E, root, 3) == DyadicCube(2, (0, 2))
+    assert largest_free_cube(E, root, 3) == witness_reference.level_order_free_cube(
+        E, root, 3, sets.DEFAULT_BUDGET)
 
 
 def test_free_cube_search_holds_one_path_of_views():

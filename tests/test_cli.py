@@ -487,7 +487,7 @@ FREE_CUBE_SEARCHES = {"analyze": ["--depth", "6"], "witness": ["--depth", "5"],
 def test_a_free_cube_search_past_the_member_cap_exits_3(tmp_path, capsys, monkeypatch,
                                                         command):
     # every enumeration fits under the cap; the search below [0, 1/64) has no
-    # free cube within 6 levels, so it would split 63 cubes
+    # free cube within 6 levels, so its six passes would split 120 cubes
     monkeypatch.setattr(families, "MAX_MEMBERS", 20)
     out = tmp_path / "r.json"
     code = main([command, "--set", write_set(tmp_path, kind="crowded-corner"),
