@@ -86,7 +86,7 @@ def test_free_cube_search_takes_the_first_free_cube_in_canonical_order():
 
 def test_free_cube_search_holds_one_path_of_views():
     # the level-order search holds a whole level's views; the library's
-    # depth-first one holds the children of the cubes on one path
+    # depth-first passes hold the children of the cubes on one path
     E = _grid_points(10)
     peaks = {}
     for search in [largest_free_cube, witness_reference.level_order_free_cube] * 2:
