@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the golden reports used by the regression tests.
 
-Writes the gamma reports on the origin point set (seeds 11-13), the
+Writes the gamma reports on the origin point set (seeds 11-13), listed
+with their argument lists and exit codes in `gamma_runs.json`, the
 Cantor-set runs of `analyze`, `plotdata` and `gamma`, whose argument lists,
 exit codes and output files are listed in `cantor_runs.json`, and the
 `invert` run on a seeded 2-d parent-closed family, listed with its input
@@ -12,6 +13,7 @@ byte-for-byte.
 Usage: python scripts/regen_goldens.py
 """
 
+import argparse
 import json
 import os
 import sys
@@ -50,20 +52,23 @@ INVERT_ARGV = ["invert", "--family", FAMILY_FILE, "--depth", "12",
 
 def regen_gamma(tmp: Path):
     (tmp / "origin.json").write_text(json.dumps({"kind": "points", "points": [["0/1"]]}))
+    manifest = {}
     cwd = os.getcwd()
     os.chdir(tmp)
     try:
         for seed in (11, 12, 13):
             out = f"gamma_seed{seed}.json"
-            code = main(["gamma", "--set", "origin.json", "--gamma", "3/2",
-                         "--depth", "5", "--seed", str(seed), "--out", out])
-            if code != 0:
-                raise SystemExit(f"gamma run for seed {seed} exited with {code}")
+            argv = ["gamma", "--set", "origin.json", "--gamma", "3/2",
+                    "--depth", "5", "--seed", str(seed), "--out", out]
+            manifest[out] = {"argv": argv, "exit": main(argv), "files": [out]}
             target = GOLDEN_DIR / out
             target.write_bytes((tmp / out).read_bytes())
             print(f"wrote {target}")
     finally:
         os.chdir(cwd)
+    target = GOLDEN_DIR / "gamma_runs.json"
+    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {target}")
 
 
 def regen_cantor(tmp: Path):
@@ -123,4 +128,6 @@ def regen():
 
 
 if __name__ == "__main__":
+    # no options: --help prints the usage, any other argument exits 2
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     regen()

@@ -718,18 +718,18 @@ def test_determinism_across_repeated_runs(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-@pytest.mark.parametrize("name", ["gamma_seed11.json", "gamma_seed12.json",
-                                  "gamma_seed13.json"])
+GAMMA_RUNS = json.loads((GOLDEN / "gamma_runs.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_RUNS))
 def test_golden_gamma_runs(tmp_path, name, monkeypatch):
-    # the argv of scripts/regen_goldens.py; relative paths keep the reports
-    # free of run-specific paths
+    # relative paths keep the reports free of run-specific paths
     monkeypatch.chdir(tmp_path)
     write_set(tmp_path, name="origin.json")
-    seed = name.removesuffix(".json").removeprefix("gamma_seed")
-    code = main(["gamma", "--set", "origin.json", "--gamma", "3/2",
-                 "--depth", "5", "--seed", seed, "--out", name])
-    assert code == 0
-    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    run = GAMMA_RUNS[name]
+    assert main(run["argv"]) == run["exit"]
+    for f in run["files"]:
+        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
 
 
 CANTOR_RUNS = json.loads((GOLDEN / "cantor_runs.json").read_text())

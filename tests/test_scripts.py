@@ -29,3 +29,15 @@ def test_regen_goldens_reproduces_the_goldens(tmp_path):
         sorted(p.name for p in golden.iterdir())
     for p in golden.iterdir():
         assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--out", "x"], 2), (["x"], 2)])
+def test_regen_goldens_writes_nothing_given_an_argument(argv, code):
+    golden = SCRIPTS.parent / "tests" / "golden"
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in golden.iterdir()}
+    run = subprocess.run([sys.executable, str(SCRIPTS / "regen_goldens.py"), *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert run.stdout.startswith("usage:") if code == 0 else run.stderr.startswith("usage:")
+    assert "wrote" not in run.stdout
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in golden.iterdir()} == before
