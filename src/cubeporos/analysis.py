@@ -97,17 +97,25 @@ def largest_free_cube(E: SetModel, R: DyadicCube, J: int,
     return None
 
 
+def first_free(table: dict, q: DyadicCube,
+               skip: DyadicCube | None = None) -> DyadicCube | None:
+    """The first, in canonical order, of the free cubes offered by q's children
+    other than `skip`, or None: a child that is no key of the free-cube
+    `table` (no member) offers itself, a member child its entry."""
+    return min((m for m in (table.get(c, c) for c in children(q) if c != skip)
+                if m is not None), default=None)
+
+
 def free_cube_table(E: SetModel, DE: CubeFamily, search_depth: int,
                     budget: int = DEFAULT_BUDGET) -> dict:
     """largest_free_cube(E, q, search_depth, budget) for every member q of a
     meeting family enumerated with the same budget, in one bottom-up pass.
 
     A member at the family's bottom depth is searched directly.  Any other
-    member takes the first, in canonical order, of its free children (its
-    non-member children) and its member children's entries, or None when
-    that lies deeper than its own window.  Exact: the order is depth first,
-    and a search that finds nothing in a child's window finds nothing in its
-    parent's window either.
+    member takes `first_free` of its children, or None when that lies deeper
+    than its own window.  Exact: the order is depth first, and a search that
+    finds nothing in a child's window finds nothing in its parent's window
+    either.
     """
     bottom = DE.root.depth + DE.J
     table = {}
@@ -115,8 +123,7 @@ def free_cube_table(E: SetModel, DE: CubeFamily, search_depth: int,
         if q.depth == bottom:
             table[q] = largest_free_cube(E, q, search_depth, budget)
             continue
-        picks = [table[c] if c in DE else c for c in children(q)]
-        m = min((p for p in picks if p is not None), default=None)
+        m = first_free(table, q)
         table[q] = m if m is not None and m.depth <= q.depth + search_depth else None
     return table
 
@@ -188,7 +195,7 @@ def _free_counts(DE: CubeFamily, J: int) -> dict:
     """
     R, n = DE.root, DE.level_counts()
     if not n:
-        raise RootIsFree(f"{R} does not meet the set; no decomposition")
+        raise RootIsFree(R)
     free = {level: (n.get(level - 1, 0) << R.dim) - n.get(level, 0)
             for level in range(R.depth + 1, R.depth + J + 1)}
     return {level: c for level, c in free.items() if c}
@@ -351,7 +358,7 @@ def _mu_checks(E, R, alpha, budget) -> Fraction:
     if E.is_empty:
         raise EmptySetError("weighted measure against an empty set")
     if E.restricted(R).intersect_status(R, budget) is Status.FREE:
-        raise RootIsFree(f"{R} does not meet the set")
+        raise RootIsFree(R)
     return alpha
 
 

@@ -24,6 +24,10 @@ class EmptyFamilyError(CubeporosError):
 class RootIsFree(CubeporosError):
     """The requested root cube does not meet the set."""
 
+    def __init__(self, cube):
+        super().__init__(f"{cube} does not meet the set")
+        self.cube = cube
+
 
 class AlphaOutOfRange(CubeporosError):
     pass

@@ -126,7 +126,7 @@ def enumerate_FE(E: SetModel, R: DyadicCube, J: int,
     read from the meeting family; each free cube gets its distance interval."""
     family = enumerate_DE(E, R, J, budget)
     if not family.members:
-        raise RootIsFree(f"{R} does not meet the set; no decomposition")
+        raise RootIsFree(R)
     free, residual = free_split(family)
     return FreeDecomposition(R, tuple((q, E.dist_interval(q, budget)) for q in free),
                              tuple(residual), J)

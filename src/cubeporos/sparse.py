@@ -1,11 +1,11 @@
 """Carleson packing measurement and construction of disjoint free-cube witnesses.
 
-The witness builder runs a level-by-level induction: every E-meeting cube
+The witness builder runs one preorder induction: every E-meeting cube
 receives its own free cube, and a cube that already holds a cube assigned to
 an ancestor places its own pick inside a different child, so own and
-inherited cubes never share a child.  The construction is then extended
-upward from the requested root to the lattice root, assigning each ancestor
-a free cube inside a sibling subtree.
+inherited cubes never share a child.  The same pass then climbs from the
+requested root to the lattice root, assigning each ancestor a free cube
+inside a child off the path to the root.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import free_cube_table
+from .analysis import first_free, free_cube_table
 from .enclosure import frac_str
 from .errors import EmptyFamilyError, PorosityFailure, RootIsFree, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
-from .lattice import DyadicCube, children, contains, parent
+from .lattice import DyadicCube, children, contains
 from .sets import DEFAULT_BUDGET, SetModel, Status
 
 
@@ -111,61 +111,35 @@ def build_witness(E: SetModel, R: DyadicCube, J: int, search_depth: int = 6,
     """
     DE = enumerate_DE(E, DyadicCube.root(R.dim), R.depth + J + 1, budget)
     if R not in DE:
-        raise RootIsFree(f"{R} does not meet the set")
+        raise RootIsFree(R)
     table = free_cube_table(E, DE, search_depth, budget)
+    # (cube, child its pick avoids, ancestor whose cube it carries): R's
+    # subtree in preorder, then each ancestor, nearest first, avoiding its
+    # child toward R, then the subtrees of its other meeting children
+    stack = [(R.ancestor_at(j), R.ancestor_at(j + 1), None) for j in range(R.depth)]
+    stack.append((R, None, None))
     assignments = {}
-
-    def assign(top, inherited, origin):
-        """Assign top and its meeting descendants their own free cubes, in
-        preorder, each honoring the cube it inherits."""
-        stack = [(top, inherited, origin)]
-        while stack:
-            q, inherited, origin = stack.pop()
-            c = q
-            if inherited is not None:
-                s_star = _carrier_child(q, inherited)
-                others = [c for c in children(q) if c != s_star]
-                # a whole free child avoiding the inherited cube, else the
-                # canonical-order-first meeting one
-                c = next((c for c in others if c not in DE), others[0])
-            m = table.get(c, c)  # a non-member is its own largest free cube
-            if m is None:
-                raise PorosityFailure(c)
-            assignments[q] = WitnessAssignment(q, m, origin)
-            if q.depth >= R.depth + J:
+    while stack:
+        q, skip, origin = stack.pop()
+        m = table[q] if skip is None else first_free(table, q, skip)
+        if m is None:
+            # a carrier's failure names its first other child
+            raise PorosityFailure(q if origin is None else
+                                  next(c for c in children(q) if c != skip))
+        assignments[q] = WitnessAssignment(q, m, origin)
+        if q.depth >= R.depth + J:
+            continue
+        carried = assignments[origin].free_cube if origin else None
+        for c in reversed(children(q)):  # popped in canonical order
+            if c not in DE or c in assignments:
                 continue
-            for c in reversed(children(q)):  # popped in canonical order
-                if c not in DE:
-                    continue
-                inh, orig = None, None
-                if inherited is not None and contains(c, inherited):
-                    inh, orig = inherited, origin
-                if contains(c, m):
-                    # own cube and inherited cube never share a child by construction
-                    inh, orig = m, q
-                stack.append((c, inh, orig))
-
-    assign(R, None, None)
-
-    # extend the construction upward: each ancestor takes the best free cube
-    # found inside a sibling subtree, then the siblings are filled in.
-    cur = R
-    while cur.depth > 0:
-        p = parent(cur)
-        siblings = [c for c in children(p) if c != cur]
-        picks = [m for m in (table.get(c, c) for c in siblings) if m is not None]
-        if not picks:
-            raise PorosityFailure(p)
-        m_p = min(picks)
-        assignments[p] = WitnessAssignment(p, m_p, None)
-        for c in siblings:
-            if c in DE:
-                if contains(c, m_p):
-                    assign(c, m_p, p)
-                else:
-                    assign(c, None, None)
-        cur = p
-
+            # own cube and carried cube never share a child by construction
+            if contains(c, m):
+                stack.append((c, _carrier_child(c, m), q))
+            elif carried and contains(c, carried):
+                stack.append((c, _carrier_child(c, carried), origin))
+            else:
+                stack.append((c, None, None))
     ordered = tuple(assignments[q] for q in sorted(assignments))
     return SparseWitness(ordered, Fraction(max(a.ratio for a in ordered)))
 

@@ -25,7 +25,7 @@ def free_decomposition(E, R, J, budget):
     """
     local = E.restricted(R)
     if local.intersect_status(R, budget) is Status.FREE:
-        raise RootIsFree(f"{R} does not meet the set")
+        raise RootIsFree(R)
     free, residual, meeting = [], [], []
     stack = [(R, local)]
     while stack:

@@ -33,6 +33,13 @@ def write_set(tmp_path, name="set.json", kind="origin"):
                      "hull": {"lo": ["0/1"], "hi": ["1/1"]}},
         # k/4096 for k < 64: every cube inside [0, 1/64) to depth 12 meets it
         "crowded-corner": {"kind": "points", "points": [[f"{k}/4096"] for k in range(64)]},
+        # a solid 4x4 block over [0,1/4) x [1/4,1/2) and five more points:
+        # [0,1/2)^2 carries the root's free cube, and only its second other
+        # child has a free cube within --search-depth 2
+        "carrier-2d": {"kind": "points", "points":
+                       [[f"{i}/16", f"{4 + k}/16"] for i in range(4) for k in range(4)]
+                       + [["4/16", "0/1"], ["4/16", "4/16"], ["0/1", "8/16"],
+                          ["8/16", "0/1"], ["8/16", "8/16"]]},
         "empty": {"kind": "empty", "dim": 1},
         "zero-denominator": {"kind": "points", "points": [["1/0"]]},
         "json-number": {"kind": "points", "points": [[0]]},
@@ -99,6 +106,17 @@ def test_witness_saturated_set_exits_3(tmp_path, capsys):
     assert payload["error"] == "porosity-failure"
     assert "cube" in payload
     assert "no free cube within --search-depth 2" in capsys.readouterr().err
+
+
+def test_witness_carrier_picks_from_all_its_other_children(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code = main(["witness", "--set", write_set(tmp_path, kind="carrier-2d"), "--depth", "1",
+                 "--search-depth", "2", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert payload["verified"] is True
+    assert len(payload["assignments"]) == 5
+    assert payload["lambda_hat"] == "16/1"
 
 
 def test_invert_chain(tmp_path):
@@ -300,6 +318,14 @@ def test_module_run_on_a_set_missing_the_unit_cube_exits_2(tmp_path):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "witness", "plotdata"])
+def test_a_set_missing_the_root_is_worded_once(tmp_path, capsys, command):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(SWEEP_SETS["point-1"]))
+    assert main([command, "--set", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: Q(j=0, k=(0,)) does not meet the set\n"
 
 
 # the flags each command reads

@@ -1,10 +1,11 @@
 """Project policy: cubeporos has no runtime dependencies, its modules import
 only from earlier layers, its certified modules use no floating point, only
-the lattice knows how a cube is keyed, reports and the witness failure have
-one writer each, every descent takes its children's views from `split`,
-the benchmark tracer finds every name it wraps and a traced run reports
-every metric the benchmark declares, and every definition in the package
-is reached from the package, a script, the README or the tracer.
+the lattice knows how a cube is keyed, reports, the witness failure and the
+root-is-free failure have one writer each, every descent takes its
+children's views from `split`, the benchmark tracer finds every name it
+wraps and a traced run reports every metric the benchmark declares, and
+every definition in the package is reached from the package, a script, the
+README or the tracer.
 
 The package must run on a bare Python: `pyproject.toml` declares no
 dependencies, and every module imports only the standard library or the
@@ -128,6 +129,18 @@ def test_witness_failure_has_one_writer():
     # sparse.WitnessVerdict.failure() words it for every caller
     text = "".join(p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py"))
     assert text.count("witness not verified") == 1
+
+
+def test_root_is_free_has_one_writer():
+    # errors.RootIsFree words it from the cube; every raise passes the cube
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RootIsFree" \
+                    and (len(node.args) != 1 or node.keywords
+                         or isinstance(node.args[0], (ast.Constant, ast.JoinedStr))):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_benchmark_tracer_installs():

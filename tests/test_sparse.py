@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeporos import sets
@@ -77,6 +77,28 @@ def test_witness_porosity_failure():
 def test_witness_root_free():
     with pytest.raises(RootIsFree):
         build_witness(ORIGIN, DyadicCube(1, (1,)), 2)
+
+
+# a solid 4x4 block of points over [0,1/4) x [1/4,1/2) and five more points:
+# [0,1/2)^2 carries the root's free cube [0,1/4)^2, its first other child is
+# solid to depth 4, and its second holds the free cube Q(j=3, k=(2, 1))
+CARRIER_SET = PointsModel.make(
+    [(F(i, 16), F(4 + k, 16)) for i in range(4) for k in range(4)]
+    + [(F(4, 16), F(0)), (F(4, 16), F(4, 16)), (F(0), F(8, 16)),
+       (F(8, 16), F(0)), (F(8, 16), F(8, 16))])
+
+
+def test_a_carrier_picks_from_all_its_other_children():
+    root = DyadicCube.root(2)
+    w = build_witness(CARRIER_SET, root, 1, search_depth=2)
+    got = {a.cube: (a.free_cube, a.inherited_from) for a in w.assignments}
+    assert got[root] == (DyadicCube(2, (0, 0)), None)
+    assert got[DyadicCube(1, (0, 0))] == (DyadicCube(3, (2, 1)), root)
+    assert len(w) == 5 and w.lambda_hat == 16
+    assert verify_witness(w, CARRIER_SET)
+    assert audit_single_inheritance(w)
+    assert _outcome(build_witness, CARRIER_SET, root, 1, 2, 36) == \
+        _outcome(witness_reference.build_witness, CARRIER_SET, root, 1, 2, 36)
 
 
 def test_witness_upward_extension():
@@ -159,10 +181,28 @@ def test_carleson_bounded_by_witness_constant():
 
 
 @st.composite
+def holed_grids(draw):
+    """The full depth-3 or depth-4 grid of points in [0,1)^2 less those in 1-4
+    drawn dyadic holes below depth 1, so that most children of a meeting cube
+    meet the set."""
+    g = draw(st.integers(3, 4))
+    holes = []
+    for _ in range(draw(st.integers(1, 4))):
+        depth = draw(st.integers(2, g))
+        holes.append(DyadicCube(depth, tuple(draw(st.integers(0, (1 << depth) - 1))
+                                             for _ in range(2))))
+    return PointsModel.make([(F(i, 1 << g), F(k, 1 << g))
+                             for i in range(1 << g) for k in range(1 << g)
+                             if not any(contains(h, DyadicCube(g, (i, k))) for h in holes)])
+
+
+@st.composite
 def free_cube_cases(draw):
     d = draw(st.integers(1, 2))
-    kind = draw(st.sampled_from(("points", "ifs", "union")))
-    if kind == "points":
+    kind = draw(st.sampled_from(("points", "ifs", "union", "grid")))
+    if kind == "grid":
+        d, E = 2, draw(holed_grids())
+    elif kind == "points":
         E = draw(point_sets(dim=d))
     elif kind == "ifs":
         E = draw(small_ifs(d))
@@ -197,6 +237,7 @@ def test_free_cube_search_matches_the_level_order_search(case):
 
 
 @given(free_cube_cases())
+@example((CARRIER_SET, DyadicCube.root(2), 1, 2, 36))
 @settings(max_examples=300, deadline=None)
 def test_free_cube_table_matches_per_cube_searches(case):
     E, R, J, search_depth, budget = case

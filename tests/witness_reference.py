@@ -4,7 +4,9 @@ The library reads every free cube from one meeting family and its free-cube
 table.  This module keeps the direct construction instead: the scan runs
 `largest_free_cube` from each meeting cube, and the builder descends the
 meeting cubes itself, asks the oracle whether each child is free, and runs a
-fresh `largest_free_cube` search for every pick.  It also keeps the search's
+fresh `largest_free_cube` search for every pick.  A cube that carries an
+inherited cube takes the canonical-first free cube over its other children,
+searching each meeting one.  It also keeps the search's
 level-order form, which splits a whole level before looking for a free cube
 and so holds that level's views at once.
 """
@@ -72,20 +74,22 @@ class _Builder:
         else:
             s_star = _carrier_child(q, inherited) if inherited.depth > q.depth + 1 \
                 else inherited
-            m = None
-            meeting = []
+            # the canonical-first free cube of the other children: a free
+            # child is its own, a meeting child offers its search's answer
+            picks, meeting = [], []
             for c in children(q):
                 if c == s_star:
                     continue
                 if self._status(local.restricted(c), c) is Status.FREE:
-                    m = c
-                    break
+                    picks.append(c)
+                    continue
                 meeting.append(c)
-            if m is None:
-                c = meeting[0]
-                m = largest_free_cube(self.E, c, self.search_depth, self.budget)
-                if m is None:
-                    raise PorosityFailure(c)
+                found = largest_free_cube(self.E, c, self.search_depth, self.budget)
+                if found is not None:
+                    picks.append(found)
+            if not picks:
+                raise PorosityFailure(meeting[0])
+            m = min(picks, key=lambda m: (m.depth, m.coords))
         self.assignments[q] = WitnessAssignment(q, m, inherited_origin)
         if q.depth >= self.max_depth:
             return
@@ -104,7 +108,7 @@ class _Builder:
 def build_witness(E, R, J, search_depth, budget):
     local = E.restricted(R)
     if local.intersect_status(R, budget) is Status.FREE:
-        raise RootIsFree(f"{R} does not meet the set")
+        raise RootIsFree(R)
     builder = _Builder(E, search_depth, budget, R.depth + J)
     builder.assign(R, local, None, None)
     cur = R
