@@ -60,7 +60,10 @@ def regen_gamma(tmp: Path):
             out = f"gamma_seed{seed}.json"
             argv = ["gamma", "--set", "origin.json", "--gamma", "3/2",
                     "--depth", "5", "--seed", str(seed), "--out", out]
-            manifest[out] = {"argv": argv, "exit": main(argv), "files": [out]}
+            code = main(argv)
+            if code != 0:
+                raise SystemExit(f"gamma run for seed {seed} exited with {code}")
+            manifest[out] = {"argv": argv, "exit": code, "files": [out]}
             target = GOLDEN_DIR / out
             target.write_bytes((tmp / out).read_bytes())
             print(f"wrote {target}")

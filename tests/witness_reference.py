@@ -6,9 +6,9 @@ table.  This module keeps the direct construction instead: the scan runs
 meeting cubes itself, asks the oracle whether each child is free, and runs a
 fresh `largest_free_cube` search for every pick.  A cube that carries an
 inherited cube takes the canonical-first free cube over its other children,
-searching each meeting one.  It also keeps the search's
-level-order form, which splits a whole level before looking for a free cube
-and so holds that level's views at once.
+searching each meeting one.  It also keeps the search's level-order form,
+which splits a whole level before looking for a free cube and so holds that
+level's views at once.
 """
 
 from cubeporos.analysis import PorosityRecord, PorosityReport, largest_free_cube
