@@ -744,45 +744,19 @@ def test_determinism_across_repeated_runs(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-GAMMA_RUNS = json.loads((GOLDEN / "gamma_runs.json").read_text())
+GOLDEN_RUNS = json.loads((GOLDEN / "runs.json").read_text())
 
 
-@pytest.mark.parametrize("name", sorted(GAMMA_RUNS))
-def test_golden_gamma_runs(tmp_path, name, monkeypatch):
-    # relative paths keep the reports free of run-specific paths
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_runs(tmp_path, name, monkeypatch):
+    # relative paths keep the reports free of run-specific paths; the run's
+    # input, the file after --set or --family, is checked in beside them
     monkeypatch.chdir(tmp_path)
-    write_set(tmp_path, name="origin.json")
-    run = GAMMA_RUNS[name]
-    assert main(run["argv"]) == run["exit"]
-    for f in run["files"]:
-        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
-
-
-CANTOR_RUNS = json.loads((GOLDEN / "cantor_runs.json").read_text())
-
-
-@pytest.mark.parametrize("name", sorted(CANTOR_RUNS))
-def test_golden_cantor_runs(tmp_path, name, monkeypatch):
-    # relative paths keep the reports free of run-specific paths
-    monkeypatch.chdir(tmp_path)
-    write_set(tmp_path, name="cantor.json", kind="cantor")
-    run = CANTOR_RUNS[name]
-    assert main(run["argv"]) == run["exit"]
-    for f in run["files"]:
-        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
-
-
-INVERT_RUNS = json.loads((GOLDEN / "invert_runs.json").read_text())
-
-
-@pytest.mark.parametrize("name", sorted(INVERT_RUNS))
-def test_golden_invert_runs(tmp_path, name, monkeypatch):
-    # the input family is checked in next to its report; see regen_goldens.py
-    monkeypatch.chdir(tmp_path)
-    run = INVERT_RUNS[name]
-    for f in run["inputs"]:
-        (tmp_path / f).write_bytes((GOLDEN / f).read_bytes())
-    assert main(run["argv"]) == run["exit"]
+    run = GOLDEN_RUNS[name]
+    argv = run["argv"]
+    source = next(argv[i + 1] for i, a in enumerate(argv) if a in ("--set", "--family"))
+    (tmp_path / source).write_bytes((GOLDEN / source).read_bytes())
+    assert main(argv) == run["exit"]
     for f in run["files"]:
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
 

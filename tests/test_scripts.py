@@ -1,6 +1,7 @@
 """The experiment scripts in scripts/ run to completion on small depths."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +18,16 @@ def test_script_exits_0(name):
     assert run.returncode == 0, run.stderr
 
 
-def test_regen_goldens_reproduces_the_goldens(tmp_path):
+def load_regen_goldens():
     spec = importlib.util.spec_from_file_location("regen_goldens",
                                                   SCRIPTS / "regen_goldens.py")
     regen_goldens = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen_goldens)
+    return regen_goldens
+
+
+def test_regen_goldens_reproduces_the_goldens(tmp_path):
+    regen_goldens = load_regen_goldens()
     regen_goldens.GOLDEN_DIR = tmp_path
     regen_goldens.regen()
     golden = SCRIPTS.parent / "tests" / "golden"
@@ -40,4 +46,20 @@ def test_regen_goldens_writes_nothing_given_an_argument(argv, code):
     assert run.returncode == code, run.stderr
     assert run.stdout.startswith("usage:") if code == 0 else run.stderr.startswith("usage:")
     assert "wrote" not in run.stdout
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in golden.iterdir()} == before
+
+
+def test_regen_goldens_writes_nothing_when_a_run_exits_otherwise(tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(SCRIPTS.parent / "tests" / "golden", golden)
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in golden.iterdir()}
+    regen_goldens = load_regen_goldens()
+    regen_goldens.GOLDEN_DIR = golden
+    argv, code, files = regen_goldens.RUNS["origin_analyze"]
+    # a run that ends as its row says, then one that does not
+    regen_goldens.RUNS = {"origin_analyze": (argv, code, files),
+                          "wrong_exit": (argv, 3, files)}
+    with pytest.raises(SystemExit) as exc:
+        regen_goldens.regen()
+    assert "run wrong_exit exited with 0, not 3" in str(exc.value.code)
     assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in golden.iterdir()} == before
