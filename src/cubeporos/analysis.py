@@ -25,6 +25,7 @@ from .lattice import DyadicCube, children, contains
 from .sets import DEFAULT_BUDGET, PointsModel, SetModel, Status
 
 DEFAULT_SPLIT_BUDGET = 20
+DEFAULT_SEARCH_DEPTH = 6  # depth offsets a free-cube search reads below its cube
 MU_SPLIT_NODE_CAP = 4_000  # meeting cells a single enclosure may refine
 
 _ZERO = Fraction(0)

@@ -22,8 +22,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import (DEFAULT_SPLIT_BUDGET, codim_estimate, dynkin_sweep,
-                       mu_enclosure, porosity_scan)
+from .analysis import (DEFAULT_SEARCH_DEPTH, DEFAULT_SPLIT_BUDGET, codim_estimate,
+                       dynkin_sweep, mu_enclosure, porosity_scan)
 from .enclosure import frac_parse, frac_str
 from .errors import (CubeporosError, FamilyTooLarge, NotParentClosed,
                      PorosityFailure, UnresolvedMeasure)
@@ -64,7 +64,7 @@ class RunConfig:
     depth: int | None = 8
     budget: int = DEFAULT_BUDGET
     split_budget: int = DEFAULT_SPLIT_BUDGET
-    search_depth: int = 6
+    search_depth: int = DEFAULT_SEARCH_DEPTH
     alpha_grid: tuple = ()
     alpha: Fraction | None = None
     gamma: Fraction | None = None

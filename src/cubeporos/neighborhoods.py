@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import DEFAULT_SPLIT_BUDGET, _check_alpha, _mu_cells, mu_points_exact_1d
+from .analysis import (DEFAULT_SEARCH_DEPTH, DEFAULT_SPLIT_BUDGET, _check_alpha, _mu_cells,
+                       mu_points_exact_1d)
 from .enclosure import RatInterval, frac_str, pow_enclosure
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
@@ -116,7 +117,7 @@ def gamma_carleson(E: SetModel, family: CubeFamily, gamma,
 
 
 def gamma_witness(E: SetModel, family: CubeFamily,
-                  search_depth: int = 6,
+                  search_depth: int = DEFAULT_SEARCH_DEPTH,
                   budget: int = DEFAULT_BUDGET) -> SparseWitness:
     """Disjoint free cubes for E's gamma family (from enumerate_Dgamma), free
     for the set itself too.

@@ -71,30 +71,34 @@ class SetModel:
     def intersect_status(self, q: DyadicCube, budget: int = DEFAULT_BUDGET) -> Status:
         raise NotImplementedError
 
+    def _bounds(self, q: DyadicCube, budget: int, cut=None):
+        """Certified intervals for dist(q, E) from one search, each inside the
+        one before, the last being `dist_interval`: the one distance search
+        every model defines.  With a `cut`, a search may skip what lies at
+        least the cut away and give min(lower end, cut) as each lower end."""
+        raise NotImplementedError
+
     def dist_interval(self, q: DyadicCube, budget: int = DEFAULT_BUDGET):
         """Certified [lo, hi] with lo <= dist(q, E) <= hi.  Exact on a point
         set.  An IFS answers (0, 0) when a hull image above level `budget` lies
         in q's closure, else (min gap, min gap + largest side) over the
         level-`budget` hull images, or a wider interval at `_MAX_NODES`."""
+        self._check_dim(q)
+        if self.is_empty:
+            raise EmptySetError("distance to the empty set is undefined")
         *_, last = self._bounds(q, budget)
         return last
-
-    def _bounds(self, q: DyadicCube, budget: int, cut=None):
-        """Certified intervals for dist(q, E) from one search, each inside the
-        one before, the last being `dist_interval`.  A model defines this or
-        `dist_interval`.  With a `cut`, a search may skip what lies at least
-        the cut away and give min(lower end, cut) as each lower end."""
-        yield self.dist_interval(q, budget)
 
     def dist_below(self, q: DyadicCube, threshold, budget: int = DEFAULT_BUDGET):
         """Three-valued threshold query: is dist(q, E) < threshold?
 
-        On every model it is the reading of `dist_interval`: True when its
-        upper end is below the threshold, False when its lower end reaches
-        it, None (the budget ran out) otherwise; the empty set is never near.
-        It stops the search at the first of its nested intervals that decides,
-        which decides the same way as the last.
+        On every model it is the reading of `_bounds`: True when an upper end
+        is below the threshold, False when a lower end reaches it, None (the
+        budget ran out) otherwise; the empty set is never near.  It stops the
+        search at the first of its nested intervals that decides, which
+        decides the same way as the last.
         """
+        self._check_dim(q)
         if self.is_empty:
             return False
         for lo, hi in self._bounds(q, budget, threshold):
@@ -123,7 +127,8 @@ class SetModel:
 
     def misses_interior(self, q: DyadicCube, budget: int = DEFAULT_BUDGET) -> bool:
         """True only when E is certified not to meet the open interior of `q`."""
-        return False
+        self._check_dim(q)
+        return self.is_empty
 
     def _check_dim(self, q: DyadicCube):
         if q.dim != self.dim:
@@ -145,13 +150,8 @@ class EmptyModel(SetModel):
         return True
 
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
+        self._check_dim(q)
         return Status.FREE
-
-    def dist_interval(self, q, budget=DEFAULT_BUDGET):
-        raise EmptySetError("distance to the empty set is undefined")
-
-    def misses_interior(self, q, budget=DEFAULT_BUDGET):
-        return True
 
 
 def _zorder(coords, spread) -> int:
@@ -239,8 +239,7 @@ class PointsModel(SetModel):
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return Status.INTERSECTS if self._cube_rows(q)[1] else Status.FREE
 
-    def dist_interval(self, q, budget=DEFAULT_BUDGET):
-        self._check_dim(q)
+    def _bounds(self, q, budget, cut=None):
         if self.dim == 1:
             a = q.lower_corner[0]
             b = a + q.side
@@ -250,7 +249,7 @@ class PointsModel(SetModel):
             corner, s = q.lower_corner, q.side
             d = max(min(max(max(a - x, x - a - s) for a, x in zip(corner, p))
                         for p in self.points), _ZERO)
-        return (d, d)
+        yield (d, d)
 
     def split(self, q, budget=DEFAULT_BUDGET):
         """One cut of q's slice, shared among the children: down to the index
@@ -523,7 +522,6 @@ class IFSModel(SetModel):
         every image below it is too, and each lower end is at most the cut:
         each level then decides a threshold at the cut as it would without
         it, and the frontier stays smaller."""
-        self._check_dim(q)
         root, S, W, maps = self._kernel
         BL, j = q.coords, q.depth
         levels = self._extremes(budget)
@@ -615,8 +613,6 @@ class UnionModel(SetModel):
         """The parts' searches in step, each interval the least ends of the
         parts' latest ones."""
         runs = [p._bounds(q, budget, cut) for p in self.parts if not p.is_empty]
-        if not runs:
-            raise EmptySetError("distance to an empty union")
         latest = [next(run) for run in runs]
         while True:
             yield (min(lo for lo, _ in latest), min(hi for _, hi in latest))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import first_free, free_cube_table
+from .analysis import DEFAULT_SEARCH_DEPTH, first_free, free_cube_table
 from .enclosure import frac_str
 from .errors import EmptyFamilyError, PorosityFailure, RootIsFree, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
@@ -99,7 +99,8 @@ def _carrier_child(q: DyadicCube, inner: DyadicCube) -> DyadicCube:
     return inner.ancestor_at(q.depth + 1)
 
 
-def build_witness(E: SetModel, R: DyadicCube, J: int, search_depth: int = 6,
+def build_witness(E: SetModel, R: DyadicCube, J: int,
+                  search_depth: int = DEFAULT_SEARCH_DEPTH,
                   budget: int = DEFAULT_BUDGET) -> SparseWitness:
     """Disjoint free cubes M(Q), one per E-meeting cube Q, down to R.depth + J.
 

@@ -66,9 +66,23 @@ def test_empty_model():
         E.dist_interval(DyadicCube.root(2))
 
 
+def test_a_model_without_a_distance_search_raises():
+    # every model defines `_bounds`; the distance readers fall back on nothing
+    class Bare(sets.SetModel):
+        dim = 1
+
+        def intersect_status(self, q, budget=DEFAULT_BUDGET):
+            return Status.INTERSECTS
+
+    for query in (Bare().dist_interval, lambda q: Bare().dist_below(q, 1)):
+        with pytest.raises(NotImplementedError):
+            query(DyadicCube.root(1))
+
+
 @pytest.mark.parametrize("E", [PointsModel.make([(0,)]), CANTOR,
-                               UnionModel.make([PointsModel.make([(0,)]), CANTOR])],
-                         ids=["points", "ifs", "union"])
+                               UnionModel.make([PointsModel.make([(0,)]), CANTOR]),
+                               EmptyModel(1)],
+                         ids=["points", "ifs", "union", "empty"])
 def test_wrong_dimension_box_raises(E):
     q = DyadicCube.root(2)
     with pytest.raises(DimensionMismatch):
