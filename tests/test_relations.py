@@ -22,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeporos.analysis import mu_enclosure
+from cubeporos.errors import PorosityFailure
 from cubeporos.families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from cubeporos.lattice import Box, DyadicCube, contains
-from cubeporos.sets import IFSModel, PointsModel, UnionModel
-from cubeporos.sparse import carleson_constant
+from cubeporos.sets import IFSModel, PointsModel, UnionModel, cantor_middle_thirds
+from cubeporos.sparse import build_witness, carleson_constant
 from conftest import point_sets, small_ifs
 
 MAX_BUDGET = 8
@@ -165,6 +166,42 @@ def test_halving_keeps_the_packing_constant(case, data):
              if contains(child, q)]
     assert _packing(CubeFamily.make(child, below, J)) == \
         _packing(enumerate_DE(E, root, J, b))
+
+
+@st.composite
+def witness_cases(draw):
+    """(E, root, J, budget, search depth): a point set or a union of two at
+    a root that meets it, or an IFS at the lattice root, where the witness's
+    family and the packed one read the same descent."""
+    d = draw(st.sampled_from((1, 2)))
+    if draw(st.booleans()):
+        E, R = draw(small_ifs(d)), DyadicCube.root(d)
+    else:
+        parts = draw(st.lists(point_sets(dim=d, max_points=4), min_size=1, max_size=2))
+        E = parts[0] if len(parts) == 1 else UnionModel.make(parts)
+        R = draw(roots(E))
+    return (E, R, draw(st.integers(2, 4)), draw(st.integers(0, MAX_BUDGET)),
+            draw(st.integers(1, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_cases())
+def test_the_packing_constant_never_exceeds_the_witness_ratio(case):
+    # disjoint free cubes M(Q) inside Q with |Q| <= lambda_hat |M(Q)| pack
+    # every R' of D_E: the sum of |Q| over Q inside R' is <= lambda_hat |R'|
+    E, R, J, b, s = case
+    try:
+        witness = build_witness(E, R, J, s, b)
+    except PorosityFailure:
+        return
+    assert carleson_constant(enumerate_DE(E, R, J, b)) <= witness.lambda_hat
+
+
+def test_the_packing_constant_stays_below_the_witness_ratio_on_cantor():
+    E, R = cantor_middle_thirds(), DyadicCube.root(1)
+    for J, packing in ((4, Fraction(35, 8)), (6, Fraction(85, 16)), (8, Fraction(757, 128))):
+        assert carleson_constant(enumerate_DE(E, R, J)) == packing
+        assert build_witness(E, R, J).lambda_hat == 16
 
 
 @st.composite
