@@ -8,7 +8,8 @@ family of a union is the union of its parts' families, as is its gamma
 family wherever every answer is decided.  Both similarities keep the
 meeting family's packing constant.  A larger budget only narrows a distance
 interval and never undoes a decided `dist_below`, and the mass brackets at
-two budgets overlap.
+two budgets overlap.  The packing constant of a meeting family never
+exceeds the ratio of a witness built for it.
 
 The models are `small_ifs` and `point_sets` in d = 1-2 and their unions.
 They have at most 3 maps, so a search at budget <= 8 expands at most

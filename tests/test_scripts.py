@@ -18,16 +18,11 @@ def test_script_exits_0(name):
     assert run.returncode == 0, run.stderr
 
 
-def load_regen_goldens():
+def test_regen_goldens_reproduces_the_goldens(tmp_path):
     spec = importlib.util.spec_from_file_location("regen_goldens",
                                                   SCRIPTS / "regen_goldens.py")
     regen_goldens = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen_goldens)
-    return regen_goldens
-
-
-def test_regen_goldens_reproduces_the_goldens(tmp_path):
-    regen_goldens = load_regen_goldens()
     regen_goldens.GOLDEN_DIR = tmp_path
     regen_goldens.regen()
     golden = SCRIPTS.parent / "tests" / "golden"
@@ -53,7 +48,10 @@ def test_regen_goldens_writes_nothing_when_a_run_exits_otherwise(tmp_path):
     golden = tmp_path / "golden"
     shutil.copytree(SCRIPTS.parent / "tests" / "golden", golden)
     before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in golden.iterdir()}
-    regen_goldens = load_regen_goldens()
+    spec = importlib.util.spec_from_file_location("regen_goldens",
+                                                  SCRIPTS / "regen_goldens.py")
+    regen_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen_goldens)
     regen_goldens.GOLDEN_DIR = golden
     argv, code, files = regen_goldens.RUNS["origin_analyze"]
     # a run that ends as its row says, then one that does not
