@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .analysis import (DEFAULT_SEARCH_DEPTH, DEFAULT_SPLIT_BUDGET, codim_estimate,
                        dynkin_sweep, mu_enclosure, porosity_scan)
@@ -42,7 +42,7 @@ MAX_GRID = 1000  # --alpha-grid entries, counted before the grid is built
 # numerator and denominator of a rational flag, in absolute value: a larger
 # one can make an exact power or a float conversion run away
 MAX_RATIONAL = 1000
-_BATCH = 1024  # report pieces joined per file write
+_BATCH = 256  # report pieces gathered before a file write
 # the library errors that exit 3; every other one exits 2
 BUDGET_FAILURES = (PorosityFailure, UnresolvedMeasure, FamilyTooLarge)
 # the failures at a named cube that leave a partial report
@@ -163,14 +163,41 @@ def _load_family(config: RunConfig) -> CubeFamily:
 
 
 def _dump_json(path: str, payload):
-    """Write exactly `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`:
-    the encoder's pieces are joined into the file in batches, so neither the
-    whole text nor a whole chunk list is ever held."""
-    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    """Write exactly `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`,
+    streamed: one recursive appender gathers the pieces and writes them out
+    between items once `_BATCH` have gathered, so the whole text is never
+    held.  Strings go through json's `encode_basestring_ascii` and exact ints
+    through `int.__repr__`; every other scalar, empty container and non-str
+    key goes to `json.dumps`, which words it, or raises TypeError, as the
+    indenting encoder would.  The payload is a tree: a cycle is not detected."""
+    out = []
+
+    def put(o, pad):
+        if isinstance(o, str):
+            out.append(encode_basestring_ascii(o))
+        elif type(o) is int:
+            out.append(int.__repr__(o))
+        elif isinstance(o, (list, tuple, dict)) and o:
+            inner, keyed = pad + "  ", isinstance(o, dict)
+            out.append("{" if keyed else "[")
+            for i, x in enumerate(sorted(o.items()) if keyed else o):
+                out.append("," + inner if i else inner)
+                if keyed:
+                    # '{"<key>": 0}' less its brace and tail is the key as json words it
+                    key, x = x
+                    out.append((encode_basestring_ascii(key) if isinstance(key, str)
+                                else json.dumps({key: 0})[1:-4]) + ": ")
+                put(x, inner)
+                if len(out) >= _BATCH:
+                    fh.write("".join(out))
+                    out.clear()
+            out.append(pad + ("}" if keyed else "]"))
+        else:
+            out.append(json.dumps(o))
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        while batch := "".join(itertools.islice(pieces, _BATCH)):
-            fh.write(batch)
-        fh.write("\n")
+        put(payload, "\n")
+        fh.write("".join(out) + "\n")
 
 
 def _csv_path(out: str) -> str:

@@ -23,6 +23,15 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def dyadic_str(n: int, b: int) -> str:
+    """`frac_str(Fraction(n, 2^b))` with no Fraction and no gcd: the shared
+    factors of 2 are the trailing zeros of n, shifted out."""
+    if not n:
+        return "0/1"
+    z = min((n & -n).bit_length() - 1, b)
+    return f"{n >> z}/{1 << b - z}"
+
+
 def frac_parse(s: str) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"expected a rational as a string such as '1/3', got {s!r}")

@@ -15,8 +15,10 @@ family in canonical order.  A non-member whose coordinates are all even
 (and whose depth is positive) shares its parent's lower corner, so it is
 owned by its parent if that is in the family and otherwise by the parent's
 owner; any other non-member has no owner.  Masses are integer counts of
-depth-J cells, summed bottom-up by the packing kernel, so a root's constant
-and splits are each one `Fraction`.
+depth-J cells, summed bottom-up by the packing kernel.  A report keeps every
+root's splits and the measured constant as those counts and writes each as a
+reduced dyadic string (`dyadic_str`), building no `Fraction`; `RootSplit.s1`
+.. `s4` and `InverseReport.measured` read them as exact Fractions.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosure import frac_str
+from .enclosure import dyadic_str, frac_str
 from .errors import EmptyFamilyError, NotParentClosed
 from .families import CubeFamily, enumerate_DE
 from .lattice import DyadicCube, parent
@@ -55,31 +57,40 @@ def check_parent_closed(S: CubeFamily, top: int = 0):
 
 @dataclass(frozen=True)
 class RootSplit:
+    """A tested root's masses, each a count of depth-J cells of volume 2^-bits."""
     root: DyadicCube
-    s1: Fraction   # mass of family members inside the root
-    s2: Fraction   # mass of corner-family members outside S
-    s3: Fraction   # chain cubes whose owning member sits inside the root
-    s4: Fraction   # chain cubes owned through an ancestor of the root
+    bits: int
+    # (S1, S2, S3, S4): family members inside the root; corner-family members
+    # outside S; chain cubes whose owning member sits inside the root; chain
+    # cubes owned through an ancestor of the root
+    cells: tuple
+
+    s1, s2, s3, s4 = (property(lambda self, i=i: Fraction(self.cells[i], 1 << self.bits))
+                      for i in range(4))
 
     def to_json(self):
+        (n1, n2, n3, n4), b = self.cells, self.bits
         return {"root": self.root.to_json(),
-                "s1": frac_str(self.s1), "s2": frac_str(self.s2),
-                "s3": frac_str(self.s3), "s4": frac_str(self.s4)}
+                "s1": dyadic_str(n1, b), "s2": dyadic_str(n2, b),
+                "s3": dyadic_str(n3, b), "s4": dyadic_str(n4, b)}
 
 
 @dataclass(frozen=True)
 class InverseReport:
     xi_input: Fraction
     bound: Fraction                 # C(xi)
-    measured: Fraction              # packing constant of the corner family
+    measured_cells: int             # the packing constant of the corner family,
+    bits: int                       # in depth-J cells of volume 2^-bits
     J: int
     splits: tuple                   # RootSplit per tested root
     chain_coverage_ok: bool         # every non-member lies on a member's chain
     corner_membership_ok: bool      # S is contained in the corner family to depth J
 
+    measured = property(lambda self: Fraction(self.measured_cells, 1 << self.bits))
+
     def to_json(self):
         return {"xi": frac_str(self.xi_input), "bound": frac_str(self.bound),
-                "measured": frac_str(self.measured), "J": self.J,
+                "measured": dyadic_str(self.measured_cells, self.bits), "J": self.J,
                 "chain_coverage_ok": self.chain_coverage_ok,
                 "corner_membership_ok": self.corner_membership_ok,
                 "roots": [s.to_json() for s in self.splits]}
@@ -143,15 +154,14 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
     total, s1, s3 = subtree_sums(all_DE), subtree_sums(in_S), subtree_sums(owned)
 
     # the tested roots are the members of DE, the lattice root first
-    unit = 1 << d * J
+    bits = d * J
     splits, peak = [], 0
     for q in DE.members:
         in_all, in_s1, in_s3 = total[q], s1.get(q, 0), s3.get(q, 0)
         peak = max(peak, in_all << d * q.depth)
         in_s2 = in_all - in_s1
-        splits.append(RootSplit(q, Fraction(in_s1, unit), Fraction(in_s2, unit),
-                                Fraction(in_s3, unit), Fraction(in_s2 - in_s3, unit)))
+        splits.append(RootSplit(q, bits, (in_s1, in_s2, in_s3, in_s2 - in_s3)))
 
-    report = InverseReport(xi, carleson_bound(xi, d), Fraction(peak, unit), J,
+    report = InverseReport(xi, carleson_bound(xi, d), peak, bits, J,
                            tuple(splits), coverage_ok, corner_membership_ok)
     return E, report

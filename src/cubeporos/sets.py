@@ -16,9 +16,9 @@ interval is read from all hull images of its budget's level, with the
 subtrees of settled images read from per-level extreme tables; the search
 yields a nested certified interval per level, and a threshold query stops
 at the first that decides it.
-A point set finds a cube's points by bisection in a Z-order index (a linear
-quadtree), and its 1-d distances by bisection in its sorted coordinates; its
-split shares its cube's one slice among the children, empty on a free child.
+A point set holds integer numerators over one denominator L, finds a cube's
+points by bisection in a Z-order index (a linear quadtree) and scans d >= 2
+distances in integers; its split shares its cube's slice among the children.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .enclosure import frac_parse, int_parse
 from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import Box, DyadicCube, children, contains
+from .lattice import Box, DyadicCube, children, contains, zorder
 
 DEFAULT_BUDGET = 36
 # The largest budget the command line takes.  An IFS keeps distance tables for
@@ -154,76 +154,62 @@ class EmptyModel(SetModel):
         return Status.FREE
 
 
-def _zorder(coords, spread) -> int:
-    """Interleave the coordinates' bits, the first one's highest at each level;
-    `spread` maps each byte to its bits moved d places apart."""
-    step, z = 8 * len(coords), 0
-    for k in coords:
-        s = shift = 0
-        while k:
-            s |= spread[k & 255] << shift
-            k >>= 8
-            shift += step
-        z = z << 1 | s
-    return z
-
-
-def _address(p, depth) -> list:
-    """The coordinates of the depth-`depth` cube holding point p."""
-    return [(x.numerator << depth) // x.denominator for x in p]
-
-
 @dataclass(frozen=True)
 class PointsModel(SetModel):
-    """Finite rational point set; every oracle answer is exact."""
+    """Finite rational point set; every oracle answer is exact.  Points are
+    numerator tuples over L, the lcm of their reduced denominators, so equal
+    sets compare equal; a split's view keeps its parent's L."""
 
-    points: tuple  # distinct sorted d-tuples of Fraction (key order in a split's view)
+    nums: tuple  # distinct sorted d-tuples of numerators (key order in a split's view)
+    L: int
 
     kind = "points"
 
     @classmethod
     def make(cls, pts) -> "PointsModel":
-        norm = sorted({tuple(Fraction(x) for x in p) for p in pts})
-        if not norm:
+        norm = {tuple(map(Fraction, p)) for p in pts}
+        L = lcm(*(x.denominator for p in norm for x in p))
+        nums = sorted(tuple(x.numerator * L // x.denominator for x in p) for p in norm)
+        if not nums:
             raise EmptySetError("points model needs at least one point")
-        dims = {len(p) for p in norm}
-        if len(dims) != 1:
+        if len({len(p) for p in nums}) != 1:
             raise DimensionMismatch("points of mixed dimension")
-        if not norm[0]:
+        if not nums[0]:
             raise ValueError("a point needs at least one coordinate")
-        return cls(tuple(norm))
+        return cls(tuple(nums), L)
 
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
+    dim = property(lambda self: len(self.nums[0]))
+    # the points as d-tuples of Fraction, built on first use
+    points = cached_property(lambda self: tuple(tuple(Fraction(n, self.L) for n in p)
+                                                for p in self.nums))
 
     @cached_property
     def _index(self):
         """(K, spread, keys, rows): the points in [0,1)^d sorted by Z-order key,
-        the interleaved bits of their depth-K addresses, with K the bit length
-        of the largest denominator."""
-        d = self.dim
+        the interleaved bits of their depth-K addresses (n << K) // L, with K
+        the bit length of the largest reduced denominator."""
+        d, L = self.dim, self.L
         spread = tuple(sum((b >> i & 1) << i * d for i in range(8)) for b in range(256))
-        K = max(x.denominator for p in self.points for x in p).bit_length()
-        rows = sorted((_zorder(_address(p, K), spread), p)
-                      for p in self.points if all(0 <= x < 1 for x in p))
+        K = max(L // gcd(n, L) for p in self.nums for n in p).bit_length()
+        rows = sorted((zorder([(n << K) // L for n in p], spread), p)
+                      for p in self.nums if all(0 <= n < L for n in p))
         return K, spread, tuple(key for key, _ in rows), tuple(p for _, p in rows)
 
     def _cube_rows(self, q: DyadicCube):
-        """The index keys and points inside q.  A depth-j cube, j <= K, owns the
+        """The index keys and rows inside q.  A depth-j cube, j <= K, owns the
         keys [z << d(K-j), (z+1) << d(K-j)), z its interleaved coordinates; a
-        deeper one keeps the points of its depth-K ancestor at its address."""
+        deeper one keeps the rows of its depth-K ancestor at its address."""
         self._check_dim(q)
         K, spread, keys, rows = self._index
         j = min(q.depth, K)
         s = q.depth - j
-        z = _zorder([k >> s for k in q.coords], spread)
+        z = zorder([k >> s for k in q.coords], spread)
         lo = bisect_left(keys, z << self.dim * (K - j))
         hi = bisect_left(keys, (z + 1) << self.dim * (K - j), lo)
         if not s:
             return keys[lo:hi], rows[lo:hi]
-        coords = list(q.coords)
-        kept = tuple(p for p in rows[lo:hi] if _address(p, q.depth) == coords)
+        kept = tuple(p for p in rows[lo:hi]
+                     if [(n << q.depth) // self.L for n in p] == list(q.coords))
         return (z,) * len(kept), kept
 
     @cached_property
@@ -245,33 +231,36 @@ class PointsModel(SetModel):
             b = a + q.side
             d = min(max(a - x, x - b, _ZERO) for x in self.around(a, b))
         else:
-            # a point's gap to the closed cube is its largest axis gap
-            corner, s = q.lower_corner, q.side
-            d = max(min(max(max(a - x, x - a - s) for a, x in zip(corner, p))
-                        for p in self.points), _ZERO)
+            # a point's gap to the closed cube is its largest axis gap; the
+            # cube is [a, a + L] per axis in integers over L * 2^j
+            L, j = self.L, q.depth
+            corner = [k * L for k in q.coords]
+            gap = min(max(max(a - (n << j), (n << j) - a - L) for a, n in zip(corner, p))
+                      for p in self.nums)
+            d = Fraction(max(gap, 0), L << j)
         yield (d, d)
 
     def split(self, q, budget=DEFAULT_BUDGET):
         """One cut of q's slice, shared among the children: down to the index
         depth K they own consecutive key ranges in canonical (Z-) order, and
-        below it each point goes to the child its exact address bits name."""
+        below it each row goes to the child its exact address bits name."""
         K, spread = self._index[:2]
         keys, rows = self._cube_rows(q)
-        d, j = self.dim, q.depth
+        d, j, L = self.dim, q.depth, self.L
         if j < K:
-            z, shift = _zorder(q.coords, spread) << d, d * (K - j - 1)
+            z, shift = zorder(q.coords, spread) << d, d * (K - j - 1)
             cuts = [0, *(bisect_left(keys, (z + i) << shift) for i in range(1, 1 << d)),
                     len(keys)]
             parts = [(keys[a:b], rows[a:b]) for a, b in zip(cuts, cuts[1:])]
         else:
             groups = [[] for _ in range(1 << d)]
             for p in rows:  # the child's index interleaves the next address bits
-                groups[_zorder([k & 1 for k in _address(p, j + 1)], spread)].append(p)
+                groups[zorder([(n << j + 1) // L & 1 for n in p], spread)].append(p)
             # at depth >= K every key in the slice is q's depth-K ancestor's
             parts = [(keys[:1] * len(g), tuple(g)) for g in groups]
         out = []
         for c, (part_keys, kept) in zip(children(q), parts):
-            view = PointsModel(kept) if kept else None
+            view = PointsModel(kept, L) if kept else None
             if kept:
                 view.__dict__["_index"] = (K, spread, part_keys, kept)
             out.append((c, Status.INTERSECTS if kept else Status.FREE, view))
@@ -279,7 +268,7 @@ class PointsModel(SetModel):
 
     def misses_interior(self, q, budget=DEFAULT_BUDGET):
         # q's open interior is its half-open box less its lower faces
-        return not any(all(x > c for x, c in zip(p, q.lower_corner))
+        return not any(all(n << q.depth > k * self.L for n, k in zip(p, q.coords))
                        for p in self._cube_rows(q)[1])
 
 
@@ -640,11 +629,15 @@ class UnionModel(SetModel):
 
 
 def corner_set(cubes) -> PointsModel:
-    """Point model of the lower ('left-down') corners of a cube family."""
+    """Point model of the lower ('left-down') corners of a cube family, built
+    from the cubes' coordinates: k/2^j is k*L >> j over L, the largest of the
+    reduced denominators 2^j / gcd(k, 2^j)."""
     cubes = list(cubes)
     if not cubes:
         raise EmptyFamilyError("corner set of an empty family")
-    return PointsModel.make(q.lower_corner for q in cubes)
+    L = max((1 << q.depth) // gcd(k, 1 << q.depth) for q in cubes for k in q.coords)
+    return PointsModel(tuple(sorted({tuple(k * L >> q.depth for k in q.coords)
+                                     for q in cubes})), L)
 
 
 def cantor_middle_thirds() -> IFSModel:

@@ -7,7 +7,10 @@ takes their largest, `invert` finds every
 non-member's chain owner by walking up from it, and `gamma_carleson` reads
 its covering masses from the same `Fraction` sums over the covering cubes
 that `covering_cubes` finds by clipping the `Fraction` dilation box.  The property tests
-require the library to give reports equal to these field for field.
+require the library to give reports equal to these field for field; as the
+library's inverse report holds its masses as counts of depth-J cells,
+`invert` converts each of its `Fraction` masses and asserts that it is a
+whole count.
 """
 
 import itertools
@@ -94,14 +97,24 @@ def invert(S, J=None):
         else:
             owned.append((owner, q.volume))
     s1, s2, s3 = subtree_sums(members), subtree_sums(others), subtree_sums(owned)
+    bits = d * J
     splits = []
     for r, _ratio in per_root:
         key = (r.depth, r.coords)
         in_s2, in_s3 = s2.get(key, _ZERO), s3.get(key, _ZERO)
-        splits.append(RootSplit(r, s1.get(key, _ZERO), in_s2, in_s3, in_s2 - in_s3))
+        masses = (s1.get(key, _ZERO), in_s2, in_s3, in_s2 - in_s3)
+        splits.append(RootSplit(r, bits, tuple(_cells(x, bits) for x in masses)))
     measured = max(x for _, x in per_root)
-    return E, InverseReport(xi, carleson_bound(xi, d), measured, J,
+    return E, InverseReport(xi, carleson_bound(xi, d), _cells(measured, bits), bits, J,
                             tuple(splits), coverage_ok, corner_membership_ok)
+
+
+def _cells(x, bits):
+    """The mass x as its count of depth-J cells of volume 2^-bits, which must
+    be a whole count."""
+    n = x * (1 << bits)
+    assert n.denominator == 1, (x, bits)
+    return n.numerator
 
 
 def covering_cubes(R, n):

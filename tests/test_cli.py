@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from cubeporos import cli, families, neighborhoods
 from cubeporos.cli import _dump_json, main
 from cubeporos.lattice import DyadicCube
 from cubeporos.sparse import WitnessVerdict
+from conftest import dyadic_cubes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -761,17 +764,38 @@ def test_golden_runs(tmp_path, name, monkeypatch):
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
 
 
+class Tag(str):
+    """A str subclass: json writes its text."""
+
+
+class Word(str, Enum):
+    PLAIN = "s1"
+    ESCAPED = "\u00e9\n\""
+
+
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 2 ** 70
+
+
+class Row(tuple):
+    """A tuple subclass: json writes it as a list, as it does a DyadicCube."""
+
+
 # JSON trees up to depth 6: strings and keys with non-ASCII, escape and
 # control characters, int keys beside str keys (which json cannot sort, so
-# both writers raise TypeError), big ints, every kind of float, and empty
-# containers
+# both writers raise TypeError), big ints, every kind of float, empty
+# containers, and the str, int and tuple subclasses json accepts
 JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+STR_LIKE = st.one_of(JSON_TEXT, JSON_TEXT.map(Tag), st.sampled_from(Word))
+INT_LIKE = st.one_of(st.integers(-2**70, 2**70), st.sampled_from(Level))
 JSON_SCALARS = st.one_of(
-    JSON_TEXT, st.none(), st.booleans(), st.integers(-2**200, 2**200),
-    st.floats(), st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]))
+    STR_LIKE, st.none(), st.booleans(), st.integers(-2**200, 2**200), INT_LIKE,
+    st.floats(), st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]),
+    dyadic_cubes(max_depth=4))
 # str keys, int keys, and keys of every kind json takes, mixed
-JSON_KEYS = [JSON_TEXT, st.integers(-2**70, 2**70),
-             st.one_of(JSON_TEXT, st.integers(), st.floats(), st.booleans(), st.none())]
+JSON_KEYS = [STR_LIKE, INT_LIKE,
+             st.one_of(STR_LIKE, INT_LIKE, st.floats(), st.booleans(), st.none())]
 
 
 def json_trees(depth=6):
@@ -780,6 +804,7 @@ def json_trees(depth=6):
     inner = json_trees(depth - 1)
     return st.one_of(JSON_SCALARS, st.lists(inner, max_size=3),
                      st.lists(inner, max_size=2).map(tuple),
+                     st.lists(inner, max_size=2).map(Row),
                      *(st.dictionaries(keys, inner, max_size=3) for keys in JSON_KEYS))
 
 
@@ -812,3 +837,25 @@ def test_report_writer_streams_in_batches(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BATCH", batch)
         _dump_json(str(tmp_path / "r.json"), payload)
         assert (tmp_path / "r.json").read_text() == want
+
+
+def test_report_writer_holds_no_whole_text(tmp_path):
+    # an invert report of 16,000 roots is over 3 MB of text; the writer may
+    # hold at most 1 MB beside its payload, so it cannot gather the whole text
+    tracemalloc.start()
+    try:
+        payload = {"xi": "5/3", "bound": "59/9", "measured": "511/256", "J": 24,
+                   "chain_coverage_ok": True, "corner_membership_ok": True,
+                   "config": {"command": "invert", "depth": 24, "out": "inverse.json"},
+                   "roots": [{"root": {"depth": 8 + i % 17, "coords": [i, 3 * i]},
+                              "s1": f"{2 * i + 1}/281474976710656", "s2": f"{i}/1024",
+                              "s3": f"{7 * i + 1}/17179869184", "s4": "0/1"}
+                             for i in range(16_000)]}
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _dump_json(str(tmp_path / "r.json"), payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "r.json").stat().st_size > 3 << 20
+    assert peak - base <= 1 << 20

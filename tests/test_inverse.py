@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeporos.analysis import de_sum
+from cubeporos.enclosure import dyadic_str, frac_str
 from cubeporos.errors import NotParentClosed
 from cubeporos.families import CubeFamily, enumerate_DE
 from cubeporos.generators import random_parent_closed_family, rng_from_seed
@@ -148,3 +149,29 @@ def test_inverse_report_json():
     obj = rep.to_json()
     assert obj["xi"] == "31/16"
     assert len(obj["roots"]) == len(rep.splits)
+
+
+@st.composite
+def dyadic_masses(draw):
+    """(n, b) with b in [0, 200] and n in [0, 2^(b+3)]: any such n, 0, an odd
+    n, or 2^b."""
+    b = draw(st.integers(0, 200))
+    n = draw(st.one_of(st.integers(0, 1 << b + 3), st.just(0), st.just(1 << b),
+                       st.integers(0, (1 << b + 2) - 1).map(lambda m: 2 * m + 1)))
+    return n, b
+
+
+@given(dyadic_masses())
+@example((0, 0))
+@example((1, 0))
+@example((8, 0))
+@example((0, 200))
+@example((3, 200))
+@example((1 << 200, 200))
+@example((1 << 203, 200))
+@settings(max_examples=300, deadline=None)
+def test_dyadic_str_is_the_reduced_fraction(mass):
+    # the report's masses are counts of depth-J cells, each written without a
+    # Fraction by shifting out the factors of 2
+    n, b = mass
+    assert dyadic_str(n, b) == frac_str(F(n, 1 << b))

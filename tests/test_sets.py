@@ -59,6 +59,19 @@ def test_corner_set_examples():
         corner_set([])
 
 
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(dyadic_cubes(dim=d, max_depth=6), min_size=1, max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_corner_set_equals_the_model_of_its_corners(cubes):
+    # corner_set builds its rows over L = 2^B straight from the cubes; made
+    # from the same points as Fractions, the model has the same canonical L
+    E = corner_set(cubes)
+    assert E == PointsModel.make(q.lower_corner for q in cubes)
+    assert hash(E) == hash(PointsModel.make(q.lower_corner for q in cubes))
+    assert set(E.points) == {q.lower_corner for q in cubes}
+    assert E.L == max(x.denominator for q in cubes for x in q.lower_corner)
+
+
 def test_empty_model():
     E = EmptyModel(2)
     assert E.intersect_status(DyadicCube.root(2)) is Status.FREE
@@ -330,9 +343,10 @@ def test_dist_below_stops_at_the_first_deciding_level(E):
     assert relate.call_count < 100
 
 
-# point coordinates: dyadic and non-dyadic (thirds, sixths), on the boundary
-# of [0,1)^d (0 and 1) and outside it
-POINT_DENOMS = (1, 2, 3, 4, 6, 8, 16, 32)
+# point coordinates: dyadic and non-dyadic (thirds, fifths, sixths, sevenths),
+# on the boundary of [0,1)^d (0 and 1) and outside it; a non-dyadic point's
+# integer address (n << j) // L is exact at every depth, K and below
+POINT_DENOMS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 32)
 
 
 @st.composite
@@ -409,7 +423,8 @@ def test_points_index_matches_scan(query):
 def test_points_split_cuts_the_parents_slice(E, data):
     # a chain of meeting cubes from the root to 3 levels below the index
     # depth K <= 6: each split, of the unrestricted model and of the chain's
-    # view, gives every child the sorted keys and the points of its cut
+    # view, gives every child the sorted keys and the rows of its cut, over
+    # the model's own denominator L, and the points those rows stand for
     K = E._index[0]
     q, view = DyadicCube.root(E.dim), E
     for _ in range(K + 3):
@@ -419,7 +434,8 @@ def test_points_split_cuts_the_parents_slice(E, data):
                 assert (sub is None) is (status is Status.FREE) is (not rows)
                 if sub is not None:
                     assert sub._index == E._index[:2] + (keys, rows)
-                    assert sub.points == rows and list(keys) == sorted(keys)
+                    assert sub.nums == rows and sub.L == E.L and list(keys) == sorted(keys)
+                    assert sub.points == tuple(tuple(F(n, E.L) for n in p) for p in rows)
         meeting = [(c, sub) for c, _st, sub in view.split(q) if sub is not None]
         if not meeting:
             break
