@@ -55,5 +55,9 @@ class UnresolvedMeasure(CubeporosError):
     """A weighted mass needed by the caller has no finite certified upper bound."""
 
 
+class DenominatorTooLarge(CubeporosError):
+    """A point set's common denominator is longer than `sets.MAX_POINT_BITS` bits."""
+
+
 class FamilyTooLarge(CubeporosError):
     """A family enumeration or a free-cube search passed `families.MAX_MEMBERS` cubes."""

@@ -65,8 +65,21 @@ class RootSplit:
     # cubes owned through an ancestor of the root
     cells: tuple
 
-    s1, s2, s3, s4 = (property(lambda self, i=i: Fraction(self.cells[i], 1 << self.bits))
-                      for i in range(4))
+    @property
+    def s1(self) -> Fraction:
+        return Fraction(self.cells[0], 1 << self.bits)
+
+    @property
+    def s2(self) -> Fraction:
+        return Fraction(self.cells[1], 1 << self.bits)
+
+    @property
+    def s3(self) -> Fraction:
+        return Fraction(self.cells[2], 1 << self.bits)
+
+    @property
+    def s4(self) -> Fraction:
+        return Fraction(self.cells[3], 1 << self.bits)
 
     def to_json(self):
         (n1, n2, n3, n4), b = self.cells, self.bits
@@ -86,7 +99,9 @@ class InverseReport:
     chain_coverage_ok: bool         # every non-member lies on a member's chain
     corner_membership_ok: bool      # S is contained in the corner family to depth J
 
-    measured = property(lambda self: Fraction(self.measured_cells, 1 << self.bits))
+    @property
+    def measured(self) -> Fraction:
+        return Fraction(self.measured_cells, 1 << self.bits)
 
     def to_json(self):
         return {"xi": frac_str(self.xi_input), "bound": frac_str(self.bound),

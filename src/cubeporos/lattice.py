@@ -199,17 +199,3 @@ def dilate(q: DyadicCube, n: int) -> Box:
     lo = q.lower_corner
     center = tuple(x + q.side / 2 for x in lo)
     return Box(tuple(c - half for c in center), tuple(c + half for c in center))
-
-
-def zorder(coords, spread) -> int:
-    """Interleave the coordinates' bits, the first one's highest at each level;
-    `spread` maps each byte to its bits moved d places apart."""
-    step, z = 8 * len(coords), 0
-    for k in coords:
-        s = shift = 0
-        while k:
-            s |= spread[k & 255] << shift
-            k >>= 8
-            shift += step
-        z = z << 1 | s
-    return z

@@ -31,8 +31,9 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .enclosure import frac_parse, int_parse
-from .errors import DimensionMismatch, EmptyFamilyError, EmptySetError
-from .lattice import Box, DyadicCube, children, contains, zorder
+from .errors import (DenominatorTooLarge, DimensionMismatch, EmptyFamilyError,
+                     EmptySetError)
+from .lattice import Box, DyadicCube, children, contains
 
 DEFAULT_BUDGET = 36
 # The largest budget the command line takes.  An IFS keeps distance tables for
@@ -44,6 +45,10 @@ MAX_BUDGET = 1_000
 # cube's volume has the denominator 2^(dJ), the power the packing kernel
 # builds to count a family's depth-J cells.
 MAX_DEPTH_BITS = 1_000
+# The largest bit length of a point set's common denominator L: every
+# coordinate is held as a numerator over L, so a set's integers take about
+# N*d*log2(L) bits, and a larger L is refused before they are built.
+MAX_POINT_BITS = 1_000
 _MAX_NODES = 200_000  # hard cap on hull expansions per oracle call
 _ZERO = Fraction(0)
 
@@ -154,6 +159,28 @@ class EmptyModel(SetModel):
         return Status.FREE
 
 
+def _zorder(coords, spread) -> int:
+    """Interleave the coordinates' bits, the first one's highest at each level;
+    `spread` maps each byte to its bits moved d places apart."""
+    step, z = 8 * len(coords), 0
+    for k in coords:
+        s = shift = 0
+        while k:
+            s |= spread[k & 255] << shift
+            k >>= 8
+            shift += step
+        z = z << 1 | s
+    return z
+
+
+def _check_bits(L: int) -> int:
+    """L, refused when longer than MAX_POINT_BITS bits."""
+    if L.bit_length() > MAX_POINT_BITS:
+        raise DenominatorTooLarge(f"the points' common denominator has more than "
+                         f"{MAX_POINT_BITS} bits")
+    return L
+
+
 @dataclass(frozen=True)
 class PointsModel(SetModel):
     """Finite rational point set; every oracle answer is exact.  Points are
@@ -168,7 +195,9 @@ class PointsModel(SetModel):
     @classmethod
     def make(cls, pts) -> "PointsModel":
         norm = {tuple(map(Fraction, p)) for p in pts}
-        L = lcm(*(x.denominator for p in norm for x in p))
+        L = 1
+        for q in {x.denominator for p in norm for x in p}:
+            L = _check_bits(lcm(L, q))
         nums = sorted(tuple(x.numerator * L // x.denominator for x in p) for p in norm)
         if not nums:
             raise EmptySetError("points model needs at least one point")
@@ -178,10 +207,14 @@ class PointsModel(SetModel):
             raise ValueError("a point needs at least one coordinate")
         return cls(tuple(nums), L)
 
-    dim = property(lambda self: len(self.nums[0]))
-    # the points as d-tuples of Fraction, built on first use
-    points = cached_property(lambda self: tuple(tuple(Fraction(n, self.L) for n in p)
-                                                for p in self.nums))
+    @property
+    def dim(self) -> int:
+        return len(self.nums[0])
+
+    @cached_property
+    def points(self) -> tuple:
+        """The points as d-tuples of Fraction, built on first use."""
+        return tuple(tuple(Fraction(n, self.L) for n in p) for p in self.nums)
 
     @cached_property
     def _index(self):
@@ -191,7 +224,7 @@ class PointsModel(SetModel):
         d, L = self.dim, self.L
         spread = tuple(sum((b >> i & 1) << i * d for i in range(8)) for b in range(256))
         K = max(L // gcd(n, L) for p in self.nums for n in p).bit_length()
-        rows = sorted((zorder([(n << K) // L for n in p], spread), p)
+        rows = sorted((_zorder([(n << K) // L for n in p], spread), p)
                       for p in self.nums if all(0 <= n < L for n in p))
         return K, spread, tuple(key for key, _ in rows), tuple(p for _, p in rows)
 
@@ -203,7 +236,7 @@ class PointsModel(SetModel):
         K, spread, keys, rows = self._index
         j = min(q.depth, K)
         s = q.depth - j
-        z = zorder([k >> s for k in q.coords], spread)
+        z = _zorder([k >> s for k in q.coords], spread)
         lo = bisect_left(keys, z << self.dim * (K - j))
         hi = bisect_left(keys, (z + 1) << self.dim * (K - j), lo)
         if not s:
@@ -248,14 +281,14 @@ class PointsModel(SetModel):
         keys, rows = self._cube_rows(q)
         d, j, L = self.dim, q.depth, self.L
         if j < K:
-            z, shift = zorder(q.coords, spread) << d, d * (K - j - 1)
+            z, shift = _zorder(q.coords, spread) << d, d * (K - j - 1)
             cuts = [0, *(bisect_left(keys, (z + i) << shift) for i in range(1, 1 << d)),
                     len(keys)]
             parts = [(keys[a:b], rows[a:b]) for a, b in zip(cuts, cuts[1:])]
         else:
             groups = [[] for _ in range(1 << d)]
             for p in rows:  # the child's index interleaves the next address bits
-                groups[zorder([(n << j + 1) // L & 1 for n in p], spread)].append(p)
+                groups[_zorder([(n << j + 1) // L & 1 for n in p], spread)].append(p)
             # at depth >= K every key in the slice is q's depth-K ancestor's
             parts = [(keys[:1] * len(g), tuple(g)) for g in groups]
         out = []
@@ -635,7 +668,10 @@ def corner_set(cubes) -> PointsModel:
     cubes = list(cubes)
     if not cubes:
         raise EmptyFamilyError("corner set of an empty family")
-    L = max((1 << q.depth) // gcd(k, 1 << q.depth) for q in cubes for k in q.coords)
+    if len({q.dim for q in cubes}) != 1:
+        raise DimensionMismatch("points of mixed dimension")
+    L = _check_bits(max((1 << q.depth) // gcd(k, 1 << q.depth)
+                        for q in cubes for k in q.coords))
     return PointsModel(tuple(sorted({tuple(k * L >> q.depth for k in q.coords)
                                      for q in cubes})), L)
 

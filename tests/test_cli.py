@@ -183,6 +183,46 @@ def test_mixed_dimension_family_exits_2_on_reading(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["family.json"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "witness"])
+def test_mixed_dimension_corners_exit_2_on_reading(tmp_path, capsys, command):
+    path = tmp_path / "corners.json"
+    path.write_text(json.dumps({"kind": "corners",
+                                "family": [{"depth": 0, "coords": [0]},
+                                           {"depth": 1, "coords": [1, 1]}]}))
+    out = tmp_path / "r.json"
+    assert main([command, "--set", str(path), "--depth", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: bad set description at {path}: "
+                                       f"points of mixed dimension\n")
+    assert sorted(os.listdir(tmp_path)) == ["corners.json"]
+
+
+# a point set whose common denominator passes MAX_POINT_BITS bits: from a
+# points file, from a corners file, and from the corners of a family to invert
+LONG_DENOMINATORS = {
+    "points": ("--set", ["analyze", "--depth", "2"],
+               {"kind": "points", "points": [["1/3", f"1/{1 << 1000}"]]}),
+    "corners": ("--set", ["witness", "--depth", "2"],
+                {"kind": "corners", "family": [{"depth": 1000, "coords": [1]}]}),
+    "family": ("--family", ["invert", "--depth", "2"],
+               {"root": {"depth": 0, "coords": [0]}, "J": 2,
+                "members": [{"depth": j, "coords": [0]} for j in range(1000)]
+                + [{"depth": 1000, "coords": [1]}]}),
+}
+
+
+@pytest.mark.parametrize("name", LONG_DENOMINATORS)
+def test_a_too_long_common_denominator_exits_2(tmp_path, capsys, name):
+    flag, argv, obj = LONG_DENOMINATORS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert main([*argv, flag, str(path), "--out", str(out)]) == 2
+    reason = "the points' common denominator has more than 1000 bits\n"
+    prefix = "error: " if flag == "--family" else f"error: bad set description at {path}: "
+    assert capsys.readouterr().err == prefix + reason
+    assert sorted(os.listdir(tmp_path)) == ["input.json"]
+
+
 # the lattice root and a sibling of the declared root lie outside it
 OUTSIDE_ROOT_FAMILY = {"root": {"depth": 1, "coords": [0]}, "J": 4,
                        "members": [{"depth": 0, "coords": [0]},

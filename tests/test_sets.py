@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeporos import sets
-from cubeporos.errors import DimensionMismatch, EmptyFamilyError, EmptySetError
+from cubeporos.errors import (DenominatorTooLarge, DimensionMismatch, EmptyFamilyError,
+                              EmptySetError)
 from cubeporos.analysis import mu_points_exact_1d
 from cubeporos.enclosure import frac_str
 from cubeporos.lattice import Box, DyadicCube, children
@@ -70,6 +71,26 @@ def test_corner_set_equals_the_model_of_its_corners(cubes):
     assert hash(E) == hash(PointsModel.make(q.lower_corner for q in cubes))
     assert set(E.points) == {q.lower_corner for q in cubes}
     assert E.L == max(x.denominator for q in cubes for x in q.lower_corner)
+
+
+def test_corner_set_refuses_mixed_dimensions():
+    with pytest.raises(DimensionMismatch, match="points of mixed dimension"):
+        corner_set([DyadicCube(0, (0,)), DyadicCube(1, (1, 1))])
+
+
+def test_point_denominators_are_capped_at_max_point_bits():
+    # a denominator of MAX_POINT_BITS bits is taken, one bit more is refused,
+    # whether it comes from one coordinate, from the lcm of several or from a
+    # corner's cube depth
+    top = sets.MAX_POINT_BITS
+    assert PointsModel.make([(Fraction(1, 1 << top - 1),)]).L.bit_length() == top
+    assert corner_set([DyadicCube(top - 1, (1,))]).L.bit_length() == top
+    with pytest.raises(DenominatorTooLarge):
+        PointsModel.make([(Fraction(1, 1 << top),)])
+    with pytest.raises(DenominatorTooLarge):
+        PointsModel.make([(Fraction(1, 3 ** 400), Fraction(1, 5 ** 300))])
+    with pytest.raises(DenominatorTooLarge):
+        corner_set([DyadicCube(0, (0,)), DyadicCube(top, (1,))])
 
 
 def test_empty_model():
