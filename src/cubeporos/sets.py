@@ -177,7 +177,7 @@ def _check_bits(L: int) -> int:
     """L, refused when longer than MAX_POINT_BITS bits."""
     if L.bit_length() > MAX_POINT_BITS:
         raise DenominatorTooLarge(f"the points' common denominator has more than "
-                         f"{MAX_POINT_BITS} bits")
+                                  f"{MAX_POINT_BITS} bits")
     return L
 
 
@@ -196,8 +196,8 @@ class PointsModel(SetModel):
     def make(cls, pts) -> "PointsModel":
         norm = {tuple(map(Fraction, p)) for p in pts}
         L = 1
-        for q in {x.denominator for p in norm for x in p}:
-            L = _check_bits(lcm(L, q))
+        for den in {x.denominator for p in norm for x in p}:
+            L = _check_bits(lcm(L, den))
         nums = sorted(tuple(x.numerator * L // x.denominator for x in p) for p in norm)
         if not nums:
             raise EmptySetError("points model needs at least one point")
