@@ -392,11 +392,11 @@ def mu_points_exact_1d(E: PointsModel, q: DyadicCube, alpha) -> RatInterval | No
     alpha = Fraction(alpha)
     a = q.lower_corner[0]
     b = a + q.side
-    pts = E.around(a, b)
     if alpha == 0:
         return RatInterval.point(b - a)
     if alpha >= 1:
         return None
+    pts = [Fraction(n, E.L) for (n,) in E.around(q)]
     cuts = {a, b}
     for p in pts:
         if a < p < b:

@@ -16,9 +16,10 @@ interval is read from all hull images of its budget's level, with the
 subtrees of settled images read from per-level extreme tables; the search
 yields a nested certified interval per level, and a threshold query stops
 at the first that decides it.
-A point set holds integer numerators over one denominator L, finds a cube's
-points by bisection in a Z-order index (a linear quadtree) and scans d >= 2
-distances in integers; its split shares its cube's slice among the children.
+A point set holds integer rows over one denominator L, builds a `Fraction`
+only from its input and for a returned distance, finds a cube's rows by
+bisection in a Z-order index (a linear quadtree) and in d = 1 a distance from
+two bisected rows; its split shares its cube's slice among the children.
 """
 
 from __future__ import annotations
@@ -198,7 +199,13 @@ class PointsModel(SetModel):
         L = 1
         for den in {x.denominator for p in norm for x in p}:
             L = _check_bits(lcm(L, den))
-        nums = sorted(tuple(x.numerator * L // x.denominator for x in p) for p in norm)
+        return cls._of_rows((tuple(x.numerator * L // x.denominator for x in p)
+                             for p in norm), L)
+
+    @classmethod
+    def _of_rows(cls, rows, L: int) -> "PointsModel":
+        """The model of integer rows over L, checked, sorted and deduplicated."""
+        nums = sorted(set(rows))
         if not nums:
             raise EmptySetError("points model needs at least one point")
         if len({len(p) for p in nums}) != 1:
@@ -210,11 +217,6 @@ class PointsModel(SetModel):
     @property
     def dim(self) -> int:
         return len(self.nums[0])
-
-    @cached_property
-    def points(self) -> tuple:
-        """The points as d-tuples of Fraction, built on first use."""
-        return tuple(tuple(Fraction(n, self.L) for n in p) for p in self.nums)
 
     @cached_property
     def _index(self):
@@ -245,32 +247,28 @@ class PointsModel(SetModel):
                      if [(n << q.depth) // self.L for n in p] == list(q.coords))
         return (z,) * len(kept), kept
 
-    @cached_property
-    def _line(self) -> tuple:
-        return tuple(sorted(p[0] for p in self.points))
-
-    def around(self, a, b) -> tuple:
-        """The sorted coordinates of a 1-d set in [a, b] and the nearest one
-        beyond each end: all that decides distances from [a, b]."""
-        xs = self._line
-        return xs[max(bisect_left(xs, a) - 1, 0):bisect_right(xs, b) + 1]
+    def around(self, q: DyadicCube) -> tuple:
+        """The sorted rows of a 1-d set in q's closure, the numerators
+        ceil(k*L / 2^j) to floor((k+1)*L / 2^j), and the nearest row beyond
+        each end: all that decides distances from q."""
+        (k,), j, rows = q.coords, q.depth, self.nums
+        lo = bisect_left(rows, (-(-k * self.L >> j),))
+        hi = bisect_right(rows, ((k + 1) * self.L >> j,), lo)
+        return rows[max(lo - 1, 0):hi + 1]
 
     def intersect_status(self, q, budget=DEFAULT_BUDGET):
         return Status.INTERSECTS if self._cube_rows(q)[1] else Status.FREE
 
     def _bounds(self, q, budget, cut=None):
-        if self.dim == 1:
-            a = q.lower_corner[0]
-            b = a + q.side
-            d = min(max(a - x, x - b, _ZERO) for x in self.around(a, b))
-        else:
-            # a point's gap to the closed cube is its largest axis gap; the
-            # cube is [a, a + L] per axis in integers over L * 2^j
-            L, j = self.L, q.depth
-            corner = [k * L for k in q.coords]
-            gap = min(max(max(a - (n << j), (n << j) - a - L) for a, n in zip(corner, p))
-                      for p in self.nums)
-            d = Fraction(max(gap, 0), L << j)
+        # a row's gap to the closed cube, [a, a + L] per axis over L * 2^j, is
+        # its largest axis gap; in d = 1 the first two rows around q hold one
+        # inside it if there is one, else the nearest on each side
+        L, j = self.L, q.depth
+        corner = [k * L for k in q.coords]
+        rows = self.around(q)[:2] if self.dim == 1 else self.nums
+        gap = min(max(max(a - (n << j), (n << j) - a - L) for a, n in zip(corner, p))
+                  for p in rows)
+        d = Fraction(max(gap, 0), L << j)
         yield (d, d)
 
     def split(self, q, budget=DEFAULT_BUDGET):
@@ -668,12 +666,10 @@ def corner_set(cubes) -> PointsModel:
     cubes = list(cubes)
     if not cubes:
         raise EmptyFamilyError("corner set of an empty family")
-    if len({q.dim for q in cubes}) != 1:
-        raise DimensionMismatch("points of mixed dimension")
     L = _check_bits(max((1 << q.depth) // gcd(k, 1 << q.depth)
                         for q in cubes for k in q.coords))
-    return PointsModel(tuple(sorted({tuple(k * L >> q.depth for k in q.coords)
-                                     for q in cubes})), L)
+    return PointsModel._of_rows((tuple(k * L >> q.depth for k in q.coords)
+                                 for q in cubes), L)
 
 
 def cantor_middle_thirds() -> IFSModel:

@@ -4,8 +4,8 @@ These are the oracles `PointsModel` answered with before its Z-order index,
 its one-dimensional bisection and its direct per-axis gaps, and `mu_points_exact_1d` as it was before
 it read only the points near its cube.  They take a point tuple and a `Box`
 (the property tests pass a query cube's `box`) and decide every point with
-the box predicates.  The property tests require the model to return exactly
-the same values.
+the box predicates; `points` gives a model's points in that form.  The
+property tests require the model to return exactly the same values.
 """
 
 from fractions import Fraction
@@ -13,6 +13,12 @@ from fractions import Fraction
 from cubeporos.enclosure import RatInterval, pow_enclosure
 from cubeporos.lattice import Box, linf_dist
 from cubeporos.sets import Status
+
+
+def points(E) -> tuple:
+    """A point model's points as d-tuples of Fraction, in its row order, or ()
+    for no model (the view of a free child)."""
+    return () if E is None else tuple(tuple(Fraction(n, E.L) for n in p) for p in E.nums)
 
 
 def intersect_status(points, box: Box) -> Status:

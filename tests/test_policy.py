@@ -1,7 +1,8 @@
 """Project policy: cubeporos has no runtime dependencies, its modules import
 only from earlier layers, its certified modules use no floating point, only
-the lattice knows how a cube is keyed, reports, the witness failure and the
-root-is-free failure have one writer each, every descent takes its
+the lattice knows how a cube is keyed, a point set builds a Fraction only
+from its input and for a returned distance, reports, the witness failure
+and the root-is-free failure have one writer each, every descent takes its
 children's views from `split`, the benchmark tracer finds every name it
 wraps and a traced run reports every metric the benchmark declares, and
 every definition in the package is reached from the package, a script, the
@@ -90,6 +91,23 @@ def test_only_the_lattice_knows_the_cube_key():
             elif "cube_order_key" in (getattr(node, "id", None), getattr(node, "attr", None),
                                       getattr(node, "name", None)):
                 found.append(f"{where}: cube_order_key")
+    assert found == []
+
+
+def test_point_sets_build_fractions_only_at_their_edges():
+    # a point set is integer rows over one denominator: inside PointsModel a
+    # Fraction is built only from the input (`make`) and for a returned
+    # distance (`_bounds`)
+    tree = ast.parse((PACKAGE / "sets.py").read_text(encoding="utf-8"))
+    [model] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "PointsModel"]
+    found = []
+    for item in model.body:
+        name = getattr(item, "name", "the class body")
+        if name in ("make", "_bounds"):
+            continue
+        found += [f"sets.py:{node.lineno}: Fraction in {name}" for node in ast.walk(item)
+                  if "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None))]
     assert found == []
 
 

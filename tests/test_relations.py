@@ -28,6 +28,7 @@ from cubeporos.families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from cubeporos.lattice import Box, DyadicCube, contains
 from cubeporos.sets import IFSModel, PointsModel, UnionModel, cantor_middle_thirds
 from cubeporos.sparse import build_witness, carleson_constant
+import points_reference
 from conftest import point_sets, small_ifs
 
 MAX_BUDGET = 8
@@ -51,7 +52,7 @@ def _mapped(E, point, ifs_map):
     if isinstance(E, UnionModel):
         return UnionModel.make([_mapped(p, point, ifs_map) for p in E.parts])
     if isinstance(E, PointsModel):
-        return PointsModel.make([point(p) for p in E.points])
+        return PointsModel.make([point(p) for p in points_reference.points(E)])
     return IFSModel.make([ifs_map(r, t) for r, t in E.maps],
                          Box(point(E.hull.lo), point(E.hull.hi)))
 
@@ -79,7 +80,7 @@ def _points_of(E):
     if isinstance(E, UnionModel):
         return [p for part in E.parts for p in _points_of(part)]
     if isinstance(E, PointsModel):
-        return list(E.points)
+        return list(points_reference.points(E))
     return [tuple(x / (1 - r) for x in t) for r, t in E.maps]
 
 

@@ -50,12 +50,12 @@ def test_dist_interval_examples(cantor):
 
 def test_corner_set_examples():
     root = DyadicCube.root(1)
-    assert corner_set([root]).points == ((F(0),),)
+    assert points_reference.points(corner_set([root])) == ((F(0),),)
     cs = corner_set([root, DyadicCube(2, (1,)), DyadicCube(1, (1,))])
-    assert cs.points == ((F(0),), (F(1, 4),), (F(1, 2),))
+    assert points_reference.points(cs) == ((F(0),), (F(1, 4),), (F(1, 2),))
     cs2 = corner_set(children(DyadicCube.root(2)))
-    assert set(cs2.points) == {(F(0), F(0)), (F(0), F(1, 2)),
-                               (F(1, 2), F(0)), (F(1, 2), F(1, 2))}
+    assert set(points_reference.points(cs2)) == {(F(0), F(0)), (F(0), F(1, 2)),
+                                                (F(1, 2), F(0)), (F(1, 2), F(1, 2))}
     with pytest.raises(EmptyFamilyError):
         corner_set([])
 
@@ -69,7 +69,7 @@ def test_corner_set_equals_the_model_of_its_corners(cubes):
     E = corner_set(cubes)
     assert E == PointsModel.make(q.lower_corner for q in cubes)
     assert hash(E) == hash(PointsModel.make(q.lower_corner for q in cubes))
-    assert set(E.points) == {q.lower_corner for q in cubes}
+    assert set(points_reference.points(E)) == {q.lower_corner for q in cubes}
     assert E.L == max(x.denominator for q in cubes for x in q.lower_corner)
 
 
@@ -173,7 +173,7 @@ def test_budget_monotonicity(q):
 @settings(max_examples=60, deadline=None)
 def test_corner_membership(E):
     cubes = []
-    for p in E.points:
+    for p in points_reference.points(E):
         depth = 3
         coords = tuple(int(x * (1 << depth)) for x in p)
         cubes.append(DyadicCube(depth, coords))
@@ -186,7 +186,7 @@ def model_json(model):
     """The set description of `model`, in the format `model_from_json` reads."""
     fracs = lambda xs: [frac_str(x) for x in xs]
     if isinstance(model, PointsModel):
-        return {"kind": "points", "points": [fracs(p) for p in model.points]}
+        return {"kind": "points", "points": [fracs(p) for p in points_reference.points(model)]}
     if isinstance(model, IFSModel):
         return {"kind": "ifs",
                 "maps": [{"ratio": frac_str(r), "shift": fracs(ts)} for r, ts in model.maps],
@@ -215,7 +215,7 @@ def test_corners_json_kind():
     obj = {"kind": "corners",
            "family": [{"depth": 1, "coords": [1]}, {"depth": 0, "coords": [0]}]}
     model = model_from_json(obj)
-    assert model.points == ((F(0),), (F(1, 2),))
+    assert points_reference.points(model) == ((F(0),), (F(1, 2),))
 
 
 DENOMS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
@@ -412,11 +412,41 @@ def _view_of(E, q):
     return view
 
 
+def _line(*xs):
+    return PointsModel.make([(F(x),) for x in xs])
+
+
+# d = 1 boundaries of q = [1/4, 1/2): points on its lower and upper faces,
+# 1/16 beyond each face, below 0 and at or above 1, and thirds and fifths
+# queried below the index depth K (3, and 4 for twelfths: 1/3 lies just
+# under the face 4.875/12 of [13/32, 14/32), with 0 below it and 5/12 inside)
+@example((_line(F(1, 4)), DyadicCube(2, (1,)), F(1, 4), DyadicCube(1, (0,)),
+          DyadicCube(2, (1,))))
+@example((_line(F(1, 2)), DyadicCube(2, (1,)), F(1, 8), DyadicCube(2, (1,)),
+          DyadicCube(3, (3,))))
+@example((_line(F(3, 16), F(9, 16)), DyadicCube(2, (1,)), F(1, 16), DyadicCube(2, (1,)),
+          DyadicCube(3, (2,))))
+@example((_line(F(1, 8), F(3, 16)), DyadicCube(2, (1,)), F(1, 8), DyadicCube(1, (0,)),
+          DyadicCube(2, (1,))))
+@example((_line(F(9, 16), F(5, 8)), DyadicCube(2, (1,)), F(1, 8), DyadicCube(1, (1,)),
+          DyadicCube(2, (1,))))
+@example((_line(F(-1, 2), 1, F(5, 4)), DyadicCube(0, (0,)), F(1, 2), DyadicCube(0, (0,)),
+          DyadicCube(3, (7,))))
+@example((_line(F(-1, 2), F(3, 2)), DyadicCube(3, (7,)), F(1, 2), DyadicCube(2, (3,)),
+          DyadicCube(3, (7,))))
+@example((_line(F(1, 3), F(2, 5)), DyadicCube(7, (43,)), F(1, 384), DyadicCube(5, (10,)),
+          DyadicCube(7, (42,))))
+@example((_line(F(1, 3), F(2, 5)), DyadicCube(6, (21,)), F(1, 64), DyadicCube(4, (5,)),
+          DyadicCube(6, (25,))))
+@example((_line(F(1, 5), F(3, 5)), DyadicCube(5, (19,)), F(1, 5), DyadicCube(6, (12,)),
+          DyadicCube(8, (51,))))
+@example((_line(0, F(1, 3), F(5, 12)), DyadicCube(5, (13,)), F(1, 32), DyadicCube(4, (6,)),
+          DyadicCube(5, (13,))))
 @given(points_queries())
 @settings(max_examples=400, deadline=None)
 def test_points_index_matches_scan(query):
     E, q, threshold, parent, child = query
-    pts, ref = E.points, q.box
+    pts, ref = points_reference.points(E), q.box
     assert E.intersect_status(q) is points_reference.intersect_status(pts, ref)
     got = E.dist_interval(q)
     assert got == points_reference.dist_interval(pts, ref)
@@ -424,18 +454,18 @@ def test_points_index_matches_scan(query):
     assert E.dist_below(q, threshold) is points_reference.dist_below(pts, ref, threshold)
     assert E.misses_interior(q) is points_reference.misses_interior(pts, ref)
     if q.depth:
-        assert set(getattr(_view_of(E, q), "points", ())) == \
+        assert set(points_reference.points(_view_of(E, q))) == \
             set(points_reference.restricted(pts, ref))
     # a chain: the parent cube's view, then query or split the child
     local = _view_of(E, parent)
     kept = points_reference.restricted(pts, parent.box) if parent.depth else pts
-    assert set(getattr(local, "points", ())) == set(kept)
+    assert set(points_reference.points(local)) == set(kept)
     if local is not None:
         assert local.intersect_status(child) is \
             points_reference.intersect_status(kept, child.box)
         for c, status, view in local.split(child):
             assert status is points_reference.intersect_status(kept, c.box)
-            assert set(getattr(view, "points", ())) == \
+            assert set(points_reference.points(view)) == \
                 set(points_reference.restricted(kept, c.box))
 
 
@@ -456,19 +486,31 @@ def test_points_split_cuts_the_parents_slice(E, data):
                 if sub is not None:
                     assert sub._index == E._index[:2] + (keys, rows)
                     assert sub.nums == rows and sub.L == E.L and list(keys) == sorted(keys)
-                    assert sub.points == tuple(tuple(F(n, E.L) for n in p) for p in rows)
+                    assert points_reference.points(sub) == \
+                        tuple(tuple(F(n, E.L) for n in p) for p in rows)
         meeting = [(c, sub) for c, _st, sub in view.split(q) if sub is not None]
         if not meeting:
             break
         q, view = data.draw(st.sampled_from(meeting))
 
 
+@example(_line(F(1, 4)), DyadicCube(2, (1,)), F(1, 2))
+@example(_line(F(1, 2)), DyadicCube(2, (1,)), F(1, 2))
+@example(_line(F(3, 16), F(9, 16)), DyadicCube(2, (1,)), F(1, 2))
+@example(_line(F(1, 8), F(3, 16)), DyadicCube(2, (1,)), F(3, 5))
+@example(_line(F(9, 16), F(5, 8)), DyadicCube(2, (1,)), F(1, 5))
+@example(_line(F(-1, 2), 1, F(5, 4)), DyadicCube(1, (1,)), F(3, 5))
+@example(_line(F(-1, 4), F(3, 2)), DyadicCube(0, (0,)), F(1, 5))
+@example(_line(F(1, 3), F(2, 5)), DyadicCube(7, (43,)), F(1, 2))
+@example(_line(F(1, 3), F(2, 5)), DyadicCube(6, (21,)), F(1, 2))
+@example(_line(F(1, 5), F(3, 5)), DyadicCube(5, (19,)), F(3, 5))
+@example(_line(0, F(1, 3), F(5, 12)), DyadicCube(5, (13,)), F(1, 2))
 @given(boundary_points(1), dyadic_cubes(dim=1, max_depth=7),
        st.sampled_from((0, F(1, 5), F(1, 2), F(3, 5), 1, F(3, 2))))
 @settings(max_examples=150, deadline=None)
 def test_mu_points_exact_1d_matches_full_scan(E, q, alpha):
     assert mu_points_exact_1d(E, q, alpha) == \
-        points_reference.mu_points_exact_1d(E.points, q.box, alpha)
+        points_reference.mu_points_exact_1d(points_reference.points(E), q.box, alpha)
 
 
 @st.composite
@@ -516,7 +558,9 @@ def _loop_split(E, ref, q, budget):
 def _root_reference(E):
     if isinstance(E, UnionModel):
         return [_root_reference(p) for p in E.parts]
-    return E.points if isinstance(E, PointsModel) else E.restricted(DyadicCube.root(E.dim))
+    if isinstance(E, PointsModel):
+        return points_reference.points(E)
+    return E.restricted(DyadicCube.root(E.dim))
 
 
 @given(split_models(), st.data())
@@ -536,7 +580,7 @@ def test_split_matches_the_restrict_then_ask_loop(model, data):
                 assert status is st_ref
                 assert (sub is None) is (status is Status.FREE)
                 if isinstance(E, PointsModel):
-                    assert set(getattr(sub, "points", ())) == set(sub_ref)
+                    assert set(points_reference.points(sub)) == set(sub_ref)
             meeting = [i for i, (_c, _st, sub) in enumerate(got) if sub is not None]
             if not meeting:
                 break
