@@ -166,18 +166,15 @@ def _dump_json(path: str, payload):
     """Write exactly `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`,
     streamed: one recursive appender gathers the pieces and writes them out
     between items once `_BATCH` have gathered, so the whole text is never
-    held.  Strings go through json's `encode_basestring_ascii` and exact ints
-    through `int.__repr__`; every other scalar, empty container and non-str
-    key goes to `json.dumps`, which words it, or raises TypeError, as the
-    indenting encoder would.  The payload is a tree: a cycle is not detected."""
+    held.  A container's string items go through json's
+    `encode_basestring_ascii` and its exact-int items through `int.__repr__`
+    in its own loop; every other item, empty container and non-str key goes
+    to `json.dumps`, which words it, or raises TypeError, as the indenting
+    encoder would.  The payload is a tree: a cycle is not detected."""
     out = []
 
     def put(o, pad):
-        if isinstance(o, str):
-            out.append(encode_basestring_ascii(o))
-        elif type(o) is int:
-            out.append(int.__repr__(o))
-        elif isinstance(o, (list, tuple, dict)) and o:
+        if isinstance(o, (list, tuple, dict)) and o:
             inner, keyed = pad + "  ", isinstance(o, dict)
             out.append("{" if keyed else "[")
             for i, x in enumerate(sorted(o.items()) if keyed else o):
@@ -187,7 +184,12 @@ def _dump_json(path: str, payload):
                     key, x = x
                     out.append((encode_basestring_ascii(key) if isinstance(key, str)
                                 else json.dumps({key: 0})[1:-4]) + ": ")
-                put(x, inner)
+                if isinstance(x, str):
+                    out.append(encode_basestring_ascii(x))
+                elif type(x) is int:
+                    out.append(int.__repr__(x))
+                else:
+                    put(x, inner)
                 if len(out) >= _BATCH:
                     fh.write("".join(out))
                     out.clear()

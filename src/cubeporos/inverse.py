@@ -55,7 +55,7 @@ def check_parent_closed(S: CubeFamily, top: int = 0):
     return True, None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootSplit:
     """A tested root's masses, each a count of depth-J cells of volume 2^-bits."""
     root: DyadicCube
@@ -127,6 +127,10 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
     """Corner set of S plus the certified packing report of its meeting family.
 
     J defaults to `default_depth(S)`.  Returns (PointsModel, InverseReport).
+    Most of the meeting family is one-point chains, which its descent walks
+    one short split per cube.  One pass reads each member once for its
+    weight and chain owner; its work lists are freed once the three subtree
+    sums are taken, before the per-root splits are built.
     """
     if not S.members:
         raise EmptyFamilyError("cannot invert an empty family")
@@ -152,14 +156,15 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
     owners = {}  # non-member -> its owner, or None
     coverage_ok = True
     for q in DE.members:
-        w = 1 << d * (J - q.depth)
+        depth, coords = q
+        w = 1 << d * (J - depth)
         all_DE.append((q, w))
         if q in in_family:
             in_S.append((q, w))
             continue
         owner = None
-        if q.depth and not any(k & 1 for k in q.coords):
-            up = (q.depth - 1, tuple([k >> 1 for k in q.coords]))
+        if depth and not any([k & 1 for k in coords]):
+            up = (depth - 1, tuple([k >> 1 for k in coords]))
             owner = up if up in in_family else owners[up]
         owners[q] = owner
         if owner is None:
@@ -167,6 +172,7 @@ def invert(S: CubeFamily, J: int | None = None) -> tuple:
         else:
             owned.append((owner, w))
     total, s1, s3 = subtree_sums(all_DE), subtree_sums(in_S), subtree_sums(owned)
+    del in_S, all_DE, owned, owners
 
     # the tested roots are the members of DE, the lattice root first
     bits = d * J

@@ -19,7 +19,8 @@ at the first that decides it.
 A point set holds integer rows over one denominator L, builds a `Fraction`
 only from its input and for a returned distance, finds a cube's rows by
 bisection in a Z-order index (a linear quadtree) and in d = 1 a distance from
-two bisected rows; its split shares its cube's slice among the children.
+two bisected rows; its split shares its cube's slice among the children,
+and a one-row view's split names the one child its row's address bits pick.
 """
 
 from __future__ import annotations
@@ -274,7 +275,21 @@ class PointsModel(SetModel):
     def split(self, q, budget=DEFAULT_BUDGET):
         """One cut of q's slice, shared among the children: down to the index
         depth K they own consecutive key ranges in canonical (Z-) order, and
-        below it each row goes to the child its exact address bits name."""
+        below it each row goes to the child its exact address bits name.  A
+        one-row view cuts nothing: if the row lies in q, its next address bits
+        (the first coordinate's highest) name the one meeting child, whose
+        view is this model; every other child is free."""
+        if len(self.nums) == 1:
+            (p,), (j, coords), L = self.nums, q, self.L
+            out = [(c, Status.FREE, None) for c in children(q)]
+            if [(n << j) // L for n in p] != [*coords]:
+                self._check_dim(q)  # the row misses q, or q has another dimension
+                return out
+            i = 0
+            for n in p:
+                i = i << 1 | (n << j + 1) // L & 1
+            out[i] = (out[i][0], Status.INTERSECTS, self)
+            return out
         K, spread = self._index[:2]
         keys, rows = self._cube_rows(q)
         d, j, L = self.dim, q.depth, self.L

@@ -3,11 +3,12 @@ integer cell counts and one-pass chain split.
 
 `subtree_sums` adds each cube's exact volume into its ancestors,
 `per_root_ratios` divides by each root's volume and `carleson_constant`
-takes their largest, `invert` finds every
-non-member's chain owner by walking up from it, and `gamma_carleson` reads
-its covering masses from the same `Fraction` sums over the covering cubes
-that `covering_cubes` finds by clipping the `Fraction` dilation box.  The property tests
-require the library to give reports equal to these field for field; as the
+takes their largest, `invert` finds every non-member's chain owner by
+walking up from it, and `gamma_carleson` reads its covering masses from the
+same `Fraction` sums over the covering cubes that `covering_cubes` finds by
+clipping the `Fraction` dilation box.  Both take a point set's meeting
+family from its points' own cubes (`points_reference.meeting_cubes`), not
+from the descent under test.  The property tests require the library to give reports equal to these field for field; as the
 library's inverse report holds its masses as counts of depth-J cells,
 `invert` converts each of its `Fraction` masses and asserts that it is a
 whole count.
@@ -16,12 +17,13 @@ whole count.
 import itertools
 from fractions import Fraction
 
-from cubeporos.families import enumerate_DE
+from cubeporos.families import CubeFamily
 from cubeporos.inverse import (InverseReport, RootSplit, carleson_bound,
                                check_parent_closed, default_depth)
 from cubeporos.lattice import DyadicCube, dilate
 from cubeporos.neighborhoods import GammaReport, minimal_exceeding_integer
-from cubeporos.sets import DEFAULT_BUDGET, corner_set
+from cubeporos.sets import corner_set
+from points_reference import meeting_cubes, points
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,7 +82,7 @@ def invert(S, J=None):
     xi = carleson_constant(S)
     E = corner_set(S.members)
     d = S.root.dim
-    DE = enumerate_DE(E, DyadicCube.root(d), J)
+    DE = CubeFamily.make(DyadicCube.root(d), meeting_cubes(points(E), J), J)
     corner_membership_ok = all(q in DE for q in S.members)
     per_root = per_root_ratios(DE)
 
@@ -138,14 +140,14 @@ def covering_cubes(R, n):
     return [DyadicCube(m, k) for k in itertools.product(*ranges)], clipped
 
 
-def gamma_carleson(E, family, gamma, budget=DEFAULT_BUDGET) -> GammaReport:
+def gamma_carleson(E, family, gamma) -> GammaReport:
+    """The gamma report of a point set E, whose answers need no budget."""
     gamma = Fraction(gamma)
     R, J = family.root, family.J
     measured = carleson_constant(family)
     n = minimal_exceeding_integer(gamma)
     d = R.dim
-    DE = enumerate_DE(E, DyadicCube.root(d), R.depth + J, budget)
-    mass = subtree_sums((q, q.volume) for q in DE.members)
+    mass = subtree_sums((q, q.volume) for q in meeting_cubes(points(E), R.depth + J))
     covering_counts = []
     base_constant = _ONE
     clipped_any = False

@@ -6,12 +6,14 @@ it read only the points near its cube.  They take a point tuple and a `Box`
 (the property tests pass a query cube's `box`) and decide every point with
 the box predicates; `points` gives a model's points in that form.  The
 property tests require the model to return exactly the same values.
+`meeting_cubes` is D_E of a point set from its definition, with no descent:
+each point of [0,1)^d lies in exactly one half-open cube per depth.
 """
 
 from fractions import Fraction
 
 from cubeporos.enclosure import RatInterval, pow_enclosure
-from cubeporos.lattice import Box, linf_dist
+from cubeporos.lattice import Box, DyadicCube, linf_dist
 from cubeporos.sets import Status
 
 
@@ -19,6 +21,13 @@ def points(E) -> tuple:
     """A point model's points as d-tuples of Fraction, in its row order, or ()
     for no model (the view of a free child)."""
     return () if E is None else tuple(tuple(Fraction(n, E.L) for n in p) for p in E.nums)
+
+
+def meeting_cubes(points, J) -> set:
+    """The cubes of depth 0..J that meet the points: for each point p in
+    [0,1)^d and each depth j, the cube (j, floor(p * 2^j))."""
+    return {DyadicCube(j, tuple(int(x * (1 << j) // 1) for x in p))
+            for p in points if all(0 <= x < 1 for x in p) for j in range(J + 1)}
 
 
 def intersect_status(points, box: Box) -> Status:

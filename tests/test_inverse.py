@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cubeporos.analysis import de_sum
 from cubeporos.enclosure import dyadic_str, frac_str
 from cubeporos.errors import NotParentClosed
-from cubeporos.families import CubeFamily, enumerate_DE
+from cubeporos.families import CubeFamily
 from cubeporos.generators import random_parent_closed_family, rng_from_seed
 from cubeporos.inverse import chain, check_parent_closed, invert
 from cubeporos.lattice import DyadicCube, children, contains
@@ -116,8 +116,10 @@ def test_invert_random_families(seed):
         assert s.s4 <= factor * s.root.volume
         assert s.s3 <= factor * rep.xi_input * s.root.volume
 
-    # every split recomputed from its definition, one root at a time
-    DE = enumerate_DE(E, DyadicCube.root(d), J).members
+    # every split recomputed from its definition, one root at a time, over
+    # the meeting family read from the corner points themselves
+    DE = sorted(points_reference.meeting_cubes(points_reference.points(E), J))
+    assert [s.root for s in rep.splits] == DE
     owner_depth = {}
     for q in DE:
         if q not in S:

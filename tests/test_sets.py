@@ -10,6 +10,7 @@ from cubeporos.errors import (DenominatorTooLarge, DimensionMismatch, EmptyFamil
                               EmptySetError)
 from cubeporos.analysis import mu_points_exact_1d
 from cubeporos.enclosure import frac_str
+from cubeporos.families import enumerate_DE
 from cubeporos.lattice import Box, DyadicCube, children
 from cubeporos.sets import (DEFAULT_BUDGET, EmptyModel, IFSModel, PointsModel, Status,
                             UnionModel, cantor_middle_thirds, corner_set, model_from_json)
@@ -494,6 +495,20 @@ def test_points_split_cuts_the_parents_slice(E, data):
         q, view = data.draw(st.sampled_from(meeting))
 
 
+@example(PointsModel.make([(F(1, 3),)]), 9)
+@example(PointsModel.make([(F(1, 4),)]), 7)
+@example(PointsModel.make([(F(1, 2), F(1))]), 4)
+@example(PointsModel.make([(F(-1, 2), F(1, 3)), (F(2, 3), F(1, 5))]), 8)
+@example(PointsModel.make([(F(1, 2), F(3, 4), F(1, 7)), (1, 0, 0), (0, 0, 0)]), 6)
+@given(st.integers(1, 3).flatmap(boundary_points), st.integers(0, 10))
+@settings(max_examples=200, deadline=None)
+def test_enumerate_DE_of_points_matches_the_meeting_cubes(E, J):
+    # J up to 4 past the index depth K <= 6, one-point sets among the draws,
+    # points outside [0,1)^d and on the upper faces 1, and non-dyadic L
+    DE = enumerate_DE(E, DyadicCube.root(E.dim), J)
+    assert set(DE.members) == points_reference.meeting_cubes(points_reference.points(E), J)
+
+
 @example(_line(F(1, 4)), DyadicCube(2, (1,)), F(1, 2))
 @example(_line(F(1, 2)), DyadicCube(2, (1,)), F(1, 2))
 @example(_line(F(3, 16), F(9, 16)), DyadicCube(2, (1,)), F(1, 2))
@@ -586,6 +601,37 @@ def test_split_matches_the_restrict_then_ask_loop(model, data):
                 break
             i = data.draw(st.sampled_from(meeting))
             (q, _st, view), ref = got[i], want[i][1]
+
+
+@pytest.mark.parametrize("point, q", [
+    ((F(1, 4),), DyadicCube(1, (0,))),                      # in q, above K = 2
+    ((F(1, 4),), DyadicCube(5, (8,))),                      # in q, below K
+    ((F(3, 8), F(5, 8)), DyadicCube(1, (0, 1))),            # above K = 3, d = 2
+    ((F(3, 8), F(5, 8)), DyadicCube(6, (24, 40))),          # below K, d = 2
+    ((F(1, 2), F(1, 4), F(3, 4)), DyadicCube(1, (1, 0, 1))),  # on children's faces
+    ((F(1, 2),), DyadicCube(1, (0,))),                      # on q's upper face
+    ((F(1, 2), F(1, 4), F(3, 4)), DyadicCube(2, (1, 0, 2))),  # on q's upper face, d = 3
+    ((F(1),), DyadicCube.root(1)),                          # outside [0,1)
+    ((F(-1, 3), F(1, 2)), DyadicCube.root(2)),              # outside [0,1)^2
+    ((F(1, 3),), DyadicCube(4, (5,))),                      # thirds, below K = 2
+    ((F(2, 3), F(1, 3)), DyadicCube(3, (5, 2))),            # thirds, d = 2
+    ((F(1, 4),), DyadicCube(2, (3,))),                      # q misses the point
+])
+def test_a_one_point_split_gives_only_the_meeting_child_a_view(point, q):
+    # the split of a one-point set agrees with the restrict-then-ask loop; the
+    # child whose half-open box holds the point, if q holds it, is the only
+    # one with a view, and that view holds the point
+    E = PointsModel.make([point])
+    got = E.split(q)
+    want = _loop_split(E, points_reference.points(E), q, DEFAULT_BUDGET)
+    assert [c for c, _st, _v in got] == children(q)
+    for (c, status, sub), (st_ref, _ref) in zip(got, want):
+        assert status is st_ref
+        if c.box.contains_point(point):
+            assert status is Status.INTERSECTS and sub == E
+        else:
+            assert status is Status.FREE and sub is None
+    assert sum(sub is not None for _c, _st, sub in got) == q.box.contains_point(point)
 
 
 def _root_search(E, q, budget, interior):
