@@ -8,10 +8,10 @@ walking up from it, and `gamma_carleson` reads its covering masses from the
 same `Fraction` sums over the covering cubes that `covering_cubes` finds by
 clipping the `Fraction` dilation box.  Both take a point set's meeting
 family from its points' own cubes (`points_reference.meeting_cubes`), not
-from the descent under test.  The property tests require the library to give reports equal to these field for field; as the
-library's inverse report holds its masses as counts of depth-J cells,
-`invert` converts each of its `Fraction` masses and asserts that it is a
-whole count.
+from the descent under test.  The property tests require the library to
+give reports equal to these field for field; as the library's inverse
+report holds its masses as counts of depth-J cells, `invert` converts each
+of its `Fraction` masses and asserts that it is a whole count.
 """
 
 import itertools

@@ -11,6 +11,7 @@ each point of [0,1)^d lies in exactly one half-open cube per depth.
 """
 
 from fractions import Fraction
+from math import floor
 
 from cubeporos.enclosure import RatInterval, pow_enclosure
 from cubeporos.lattice import Box, DyadicCube, linf_dist
@@ -26,7 +27,7 @@ def points(E) -> tuple:
 def meeting_cubes(points, J) -> set:
     """The cubes of depth 0..J that meet the points: for each point p in
     [0,1)^d and each depth j, the cube (j, floor(p * 2^j))."""
-    return {DyadicCube(j, tuple(int(x * (1 << j) // 1) for x in p))
+    return {DyadicCube(j, tuple(floor(x * (1 << j)) for x in p))
             for p in points if all(0 <= x < 1 for x in p) for j in range(J + 1)}
 
 
