@@ -162,28 +162,48 @@ def _load_family(config: RunConfig) -> CubeFamily:
         raise ValidationError(f"bad family file at {config.family_path}: {exc}")
 
 
+def _to_json(o):
+    """json's `default` hook for a report: the object's own `to_json()`, else
+    the TypeError json raises for an object it cannot write."""
+    to_json = getattr(o, "to_json", None)
+    if to_json is None:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    return to_json()
+
+
 def _dump_json(path: str, payload):
-    """Write exactly `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`,
-    streamed: one recursive appender gathers the pieces and writes them out
-    between items once `_BATCH` have gathered, so the whole text is never
-    held.  A container's string items go through json's
+    """Write exactly `json.dumps(payload, sort_keys=True, indent=2,
+    default=_to_json) + "\\n"`, streamed: one recursive appender gathers the
+    pieces and writes them out between items once `_BATCH` have gathered, so
+    the whole text is never held.  It asks an object that json cannot write
+    for its `to_json()` only when it reaches that object, so each item of a
+    report (an `invert` root, a witness assignment) exists as a dict only
+    while it is written.  A container's string items go through json's
     `encode_basestring_ascii` and its exact-int items through `int.__repr__`
-    in its own loop; every other item, empty container and non-str key goes
-    to `json.dumps`, which words it, or raises TypeError, as the indenting
-    encoder would.  The payload is a tree: a cycle is not detected."""
-    out = []
+    in its own loop, and an exact-str key is encoded once per write.  Every
+    other scalar, empty container and key goes to `json.dumps`, which words
+    it, or raises TypeError, as the indenting encoder would (`True`, `1` and
+    `1.0` are one dict key but three texts); the first object of a type that
+    json refuses marks the type for `to_json()`.  The payload is a tree: a
+    cycle is not detected."""
+    out, names, foreign = [], {}, set()
 
     def put(o, pad):
         if isinstance(o, (list, tuple, dict)) and o:
             inner, keyed = pad + "  ", isinstance(o, dict)
             out.append("{" if keyed else "[")
-            for i, x in enumerate(sorted(o.items()) if keyed else o):
+            for i, x in enumerate(sorted(o) if keyed else o):
                 out.append("," + inner if i else inner)
                 if keyed:
-                    # '{"<key>": 0}' less its brace and tail is the key as json words it
-                    key, x = x
-                    out.append((encode_basestring_ascii(key) if isinstance(key, str)
-                                else json.dumps({key: 0})[1:-4]) + ": ")
+                    key, x = x, o[x]
+                    if type(key) is str:
+                        name = names.get(key)
+                        if name is None:
+                            name = names[key] = encode_basestring_ascii(key) + ": "
+                    else:
+                        # '{"<key>": 0}' less its brace and tail is the key as json words it
+                        name = json.dumps({key: 0})[1:-4] + ": "
+                    out.append(name)
                 if isinstance(x, str):
                     out.append(encode_basestring_ascii(x))
                 elif type(x) is int:
@@ -194,8 +214,14 @@ def _dump_json(path: str, payload):
                     fh.write("".join(out))
                     out.clear()
             out.append(pad + ("}" if keyed else "]"))
+        elif type(o) in foreign:
+            put(_to_json(o), pad)
         else:
-            out.append(json.dumps(o))
+            try:
+                out.append(json.dumps(o))
+            except TypeError:  # json writes no object of this type itself
+                foreign.add(type(o))
+                put(_to_json(o), pad)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         put(payload, "\n")
@@ -267,13 +293,8 @@ def cmd_analyze(config: RunConfig) -> int:
     for exc in failures:
         print(_failure_line(exc, search_depth), file=sys.stderr)
 
-    report = {
-        "config": config.to_json(),
-        "porosity": scan.to_json(),
-        "codim": codim.to_json(),
-        "mu": mu.to_json(),
-    }
-    _dump_json(config.out, report)
+    _dump_json(config.out, {"config": config, "porosity": scan, "codim": codim,
+                            "mu": mu})
     _write_csv(_csv_path(config.out), SWEEP_HEADER, _sweep_rows(codim.reports))
     return EXIT_BUDGET if failures else EXIT_OK
 
@@ -284,10 +305,8 @@ def cmd_witness(config: RunConfig) -> int:
     root = DyadicCube.root(E.dim)
     witness = build_witness(E, root, config.depth, config.search_depth, config.budget)
     verdict = verify_witness(witness, E, config.budget)
-    payload = witness.to_json()
-    payload["verified"] = bool(verdict)
-    payload["config"] = config.to_json()
-    _dump_json(config.out, payload)
+    _dump_json(config.out, {**witness.to_json(), "verified": bool(verdict),
+                            "config": config})
     if not verdict:
         print(_failure_line(verdict.failure(), config.search_depth), file=sys.stderr)
     return EXIT_OK if verdict else EXIT_BUDGET
@@ -301,9 +320,7 @@ def cmd_invert(config: RunConfig) -> int:
         _check_depth(J, family.root.dim)
     # the corner set is not reported; dropping it first lowers the peak
     report = invert(family, J)[1]
-    payload = report.to_json()
-    payload["config"] = config.to_json()
-    _dump_json(config.out, payload)
+    _dump_json(config.out, {**report.to_json(), "config": config})
     return EXIT_OK
 
 
@@ -321,16 +338,14 @@ def cmd_gamma(config: RunConfig) -> int:
     alpha = config.alpha if config.alpha is not None else Fraction(1, 2)
     if not 0 < alpha < d:
         raise ValidationError(f"alpha {alpha} outside (0, {d})")
-    payload = {"config": config.to_json()}
+    payload = {"config": config}
     code = EXIT_OK
     family = enumerate_Dgamma(E, root, config.gamma, config.depth, config.budget)
-    payload["gamma_report"] = gamma_carleson(E, family, config.gamma,
-                                             config.budget).to_json()
+    payload["gamma_report"] = gamma_carleson(E, family, config.gamma, config.budget)
     # a budget failure of the witness or the embedding leaves the rest of
     # the report standing
     try:
-        witness = gamma_witness(E, family, config.search_depth, config.budget)
-        payload["witness"] = witness.to_json()
+        payload["witness"] = gamma_witness(E, family, config.search_depth, config.budget)
     except BUDGET_FAILURES as exc:
         payload["witness"] = {"error": str(exc)}
         print(_failure_line(exc, config.search_depth), file=sys.stderr)
@@ -342,9 +357,9 @@ def cmd_gamma(config: RunConfig) -> int:
                                 config.depth, coeffs)
     try:
         emb = embedding_check(E, query, family, config.budget, config.split_budget)
-        payload["embedding"] = {"query": query.to_json(), "report": emb.to_json()}
+        payload["embedding"] = {"query": query, "report": emb}
     except UnresolvedMeasure as exc:
-        payload["embedding"] = {"query": query.to_json(), "error": str(exc)}
+        payload["embedding"] = {"query": query, "error": str(exc)}
         print(_failure_line(exc, config.search_depth), file=sys.stderr)
         code = EXIT_BUDGET
     _dump_json(config.out, payload)
@@ -461,7 +476,7 @@ def main(argv=None) -> int:
         print(_failure_line(exc, config.search_depth), file=sys.stderr)
         error = PARTIAL_REPORTS.get(type(exc))
         if error is not None:
-            _dump_json(config.out, {"config": config.to_json(), "error": error,
+            _dump_json(config.out, {"config": config, "error": error,
                                     "cube": exc.cube.to_json()})
         return EXIT_BUDGET if isinstance(exc, BUDGET_FAILURES) else EXIT_VALIDATION
 

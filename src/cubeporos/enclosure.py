@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 REL_BITS = 60
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def frac_str(x: Fraction) -> str:
@@ -62,6 +62,8 @@ def iroot(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
+    if k == 2:
+        return isqrt(n)
     # Newton iteration from an over-estimate; terminates monotonically.  From
     # 2^e, up to twice the root, it closes in about 0.7*k linear steps, so a
     # high order first finds the root's top t bits one at a time, which puts
@@ -130,20 +132,20 @@ class RatInterval:
         return [frac_str(self.lo), frac_str(self.hi)]
 
 
-def _rational_root_enclosure(y: Fraction, q: int) -> RatInterval:
-    """Enclosure of y**(1/q) for y > 0 with relative width <= 2^-REL_BITS."""
-    num, den = y.numerator, y.denominator
+def _rational_root_enclosure(num: int, den: int, q: int) -> RatInterval:
+    """Enclosure of (num/den)**(1/q) for num, den > 0 with relative width
+    <= 2^-REL_BITS."""
     # Scale so the integer root retains > REL_BITS significant bits.
-    mag = num.bit_length() - den.bit_length()  # log2(y) within +-1
+    mag = num.bit_length() - den.bit_length()  # log2(num/den) within +-1
     k = REL_BITS + 4 + max(0, (q - mag + 1) // q + 1)
     while True:
         t = (num << (q * k)) // den
         lo_i = iroot(t, q)
-        hi_i = iroot(t + 1, q) + 1
-        scale = _ONE / (1 << k)
-        lo, hi = lo_i * scale, hi_i * scale
-        if lo > 0 and (hi - lo) * (1 << REL_BITS) <= lo:
-            return RatInterval(lo, hi)
+        # floor((t+1)^(1/q)) + 1: the root of t + 1 passes lo_i only when
+        # t + 1 is the next q-th power
+        hi_i = lo_i + 2 if (lo_i + 1) ** q == t + 1 else lo_i + 1
+        if lo_i > 0 and (hi_i - lo_i) << REL_BITS <= lo_i:
+            return RatInterval(Fraction(lo_i, 1 << k), Fraction(hi_i, 1 << k))
         k += 32
 
 
@@ -162,14 +164,18 @@ def pow_enclosure(base, exp) -> RatInterval:
             raise ValueError("0 cannot be raised to a non-positive power")
         return RatInterval.point(0)
     p, q = exp.numerator, exp.denominator
-    y = base ** p  # exact Fraction, p may be negative
     if q == 1:
-        return RatInterval.point(y)
-    root = iroot(y.numerator, q)
-    root_d = iroot(y.denominator, q)
-    if root ** q == y.numerator and root_d ** q == y.denominator:
-        return RatInterval.point(Fraction(root, root_d))
-    return _rational_root_enclosure(y, q)
+        return RatInterval.point(base ** p)  # exact Fraction, p may be negative
+    # base^p as num/den in lowest terms: powers of coprime integers stay coprime
+    num, den = base.numerator ** abs(p), base.denominator ** abs(p)
+    if p < 0:
+        num, den = den, num
+    root = iroot(num, q)
+    if root ** q == num:
+        root_d = iroot(den, q)
+        if root_d ** q == den:
+            return RatInterval.point(Fraction(root, root_d))
+    return _rational_root_enclosure(num, den, q)
 
 
 def pow2_enclosure(exp) -> RatInterval:

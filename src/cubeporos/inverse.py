@@ -108,7 +108,8 @@ class InverseReport:
                 "measured": dyadic_str(self.measured_cells, self.bits), "J": self.J,
                 "chain_coverage_ok": self.chain_coverage_ok,
                 "corner_membership_ok": self.corner_membership_ok,
-                "roots": [s.to_json() for s in self.splits]}
+                # RootSplits, each rendered by the report writer as it is reached
+                "roots": self.splits}
 
 
 def carleson_bound(xi: Fraction, d: int) -> Fraction:

@@ -72,6 +72,11 @@ class WitnessAssignment:
         """|Q| / |M(Q)| of the nested free cube, 2^(d (depth M - depth Q))."""
         return 1 << self.cube.dim * (self.free_cube.depth - self.cube.depth)
 
+    def to_json(self):
+        return {"q": self.cube.to_json(), "m": self.free_cube.to_json(),
+                "inherited_from": (self.inherited_from.to_json()
+                                   if self.inherited_from else None)}
+
 
 @dataclass(frozen=True)
 class SparseWitness:
@@ -87,11 +92,8 @@ class SparseWitness:
         return SparseWitness(kept, Fraction(max((a.ratio for a in kept), default=1)))
 
     def to_json(self):
-        return {"assignments": [
-            {"q": a.cube.to_json(), "m": a.free_cube.to_json(),
-             "inherited_from": a.inherited_from.to_json() if a.inherited_from else None}
-            for a in self.assignments],
-            "lambda_hat": frac_str(self.lambda_hat)}
+        # WitnessAssignments, each rendered by the report writer as it is reached
+        return {"assignments": self.assignments, "lambda_hat": frac_str(self.lambda_hat)}
 
 
 def _carrier_child(q: DyadicCube, inner: DyadicCube) -> DyadicCube:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -6,15 +7,18 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeporos import cli, families, neighborhoods
-from cubeporos.cli import _dump_json, main
+from cubeporos.cli import RunConfig, _dump_json, main
+from cubeporos.families import CubeFamily
+from cubeporos.inverse import invert
 from cubeporos.lattice import DyadicCube
 from cubeporos.sparse import WitnessVerdict
 from conftest import dyadic_cubes
@@ -822,10 +826,21 @@ class Row(tuple):
     """A tuple subclass: json writes it as a list, as it does a DyadicCube."""
 
 
+@dataclass(frozen=True)
+class Leaf:
+    """An object json cannot write: both writers put its `to_json()` in its
+    place, as they do a report object's."""
+    value: object
+
+    def to_json(self):
+        return self.value
+
+
 # JSON trees up to depth 6: strings and keys with non-ASCII, escape and
 # control characters, int keys beside str keys (which json cannot sort, so
 # both writers raise TypeError), big ints, every kind of float, empty
-# containers, and the str, int and tuple subclasses json accepts
+# containers, the str, int and tuple subclasses json accepts, and objects
+# that json writes through their `to_json()`
 JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
 STR_LIKE = st.one_of(JSON_TEXT, JSON_TEXT.map(Tag), st.sampled_from(Word))
 INT_LIKE = st.one_of(st.integers(-2**70, 2**70), st.sampled_from(Level))
@@ -844,18 +859,28 @@ def json_trees(depth=6):
     inner = json_trees(depth - 1)
     return st.one_of(JSON_SCALARS, st.lists(inner, max_size=3),
                      st.lists(inner, max_size=2).map(tuple),
-                     st.lists(inner, max_size=2).map(Row),
+                     st.lists(inner, max_size=2).map(Row), inner.map(Leaf),
                      *(st.dictionaries(keys, inner, max_size=3) for keys in JSON_KEYS))
+
+
+def _to_json(o):
+    """The report writer's `default`: an object's `to_json()`, else json's
+    own TypeError."""
+    return o.to_json() if hasattr(o, "to_json") else json.JSONEncoder().default(o)
 
 
 def _json_text(payload):
     try:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, default=_to_json) + "\n"
     except TypeError:
         return TypeError
 
 
 @given(json_trees())
+# equal as dict keys, but json words them true, 1 and 1.0
+@example([{True: 0}, {1: 0}, {1.0: 0}])
+@example([Leaf({"b": Leaf([Leaf(1)]), "a": Leaf({})}), Leaf(DyadicCube(1, (1,)))])
+@example({"x": [Leaf(2), object()]})
 @settings(max_examples=300, deadline=None)
 def test_report_writer_matches_json_dumps(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("report") / "r.json"
@@ -879,6 +904,47 @@ def test_report_writer_streams_in_batches(tmp_path, monkeypatch):
         assert (tmp_path / "r.json").read_text() == want
 
 
+@dataclass(frozen=True)
+class Probe:
+    """Notes, when the writer asks for its form, how much text is written."""
+    i: int
+    sink: io.StringIO
+    calls: list
+
+    def to_json(self):
+        self.calls.append((self.i, self.sink.getvalue()))
+        return {"i": self.i, "cube": DyadicCube(2, (self.i % 4, 1)).to_json(),
+                "next": [Probe(-1 - self.i, self.sink, self.calls)] if self.i >= 0 else []}
+
+
+class _Sink(io.StringIO):
+    def close(self):
+        """Keep the text readable after the writer's `with` block."""
+
+
+def test_report_writer_asks_each_object_for_its_form_only_when_it_is_reached(monkeypatch):
+    # a write per item: when an object's to_json runs, every item before it
+    # is in the file, and nothing of it or after it is
+    monkeypatch.setattr(cli, "_BATCH", 1)
+    sink, calls = _Sink(), []
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: sink, raising=False)
+    probes = [Probe(i, sink, calls) for i in range(6)]
+    payload = {"b": probes[3:], "a": tuple(probes[:3]), "c": {"z": Leaf("end")}}
+    _dump_json("r.json", payload)
+    text, asked = sink.getvalue(), calls[:]
+    assert text == _json_text(payload)
+    order = [0, -1, 1, -2, 2, -3, 3, -4, 4, -5, 5, -6]
+    assert [i for i, _written in asked] == order
+    for n, (i, written) in enumerate(asked):
+        # the text so far, up to the end of an item and short of this object
+        assert text.startswith(written)
+        assert len(written) < text.index(f'"i": {i},')
+        if n:
+            # the object asked before this one is in the file up to its "i"
+            before = f'"i": {order[n - 1]}'
+            assert text.index(before + ",") + len(before) <= len(written)
+
+
 def test_report_writer_holds_no_whole_text(tmp_path):
     # an invert report of 16,000 roots is over 3 MB of text; the writer may
     # hold at most 1 MB beside its payload, so it cannot gather the whole text
@@ -898,4 +964,25 @@ def test_report_writer_holds_no_whole_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "r.json").stat().st_size > 3 << 20
+    assert peak - base <= 1 << 20
+
+
+def test_an_invert_report_is_held_once_while_it_is_written(tmp_path):
+    # the full binary tree to depth 10 inverted at J = 25: 2,047 members and
+    # 1,024 chains of 15 cubes, so 17,407 roots and 3.4 MB of text.  Its
+    # roots are RootSplits that the writer renders as it reaches them, so
+    # writing the payload adds at most 1 MB beside the report, where a dict
+    # per root would add about 9 MB
+    members = [DyadicCube(j, (k,)) for j in range(11) for k in range(1 << j)]
+    report = invert(CubeFamily.make(DyadicCube.root(1), members, 10), 25)[1]
+    assert len(report.splits) >= 16_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _dump_json(str(tmp_path / "inverse.json"),
+                   {**report.to_json(), "config": RunConfig("invert")})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "inverse.json").stat().st_size > 3 << 20
     assert peak - base <= 1 << 20

@@ -3,13 +3,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeporos.enclosure import (RatInterval, frac_parse, frac_str, iroot,
                                  pow2_enclosure, pow_enclosure)
 
 import iroot_reference
+import pow_reference
 
 
 def test_iroot_exact_cubes():
@@ -84,6 +85,46 @@ def test_pow_enclosure_contains_float_value(base, exp):
     assert float(enc.lo) <= approx * (1 + 1e-9) + 1e-12
     assert float(enc.hi) >= approx * (1 - 1e-9) - 1e-12
     assert enc.hi - enc.lo <= enc.lo / (1 << 58)
+
+
+@st.composite
+def power_cases(draw):
+    """(base, exp): a base of up to 256 bits over up to 256 bits, or a
+    perfect power of such a ratio and its neighbours, where an exact root
+    or an off-by-one width shows; exponents p/q with |p| <= 9, q <= 12."""
+    q = draw(st.integers(1, 12))
+    exp = Fraction(draw(st.integers(-9, 9)), q)
+    bits = st.integers(0, 256).map(lambda b: 1 << b)
+    num = draw(st.integers(0, draw(bits)))
+    den = draw(st.integers(1, draw(bits)))
+    if draw(st.booleans()):
+        num = max(0, num ** q + draw(st.integers(-1, 1)))
+        den = den ** q + draw(st.sampled_from((0, 0, 1)))
+    return Fraction(num, den), exp
+
+
+def _power_outcome(fn, base, exp):
+    try:
+        return fn(base, exp)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(power_cases())
+# the upper root of t + 1 is the lower root plus two: t + 1 is a q-th power
+@example((Fraction(1, 10889035741470030831620336645598578820217), Fraction(1, 2)))
+@example((Fraction(1, 100433627766186892231887208137671532539031697260286100648407),
+          Fraction(1, 3)))
+@example((Fraction(0), Fraction(-1, 2)))
+@example((Fraction(-1, 3), Fraction(1, 2)))
+@example((Fraction(9, 4), Fraction(-3, 2)))
+@example((Fraction(9, 5), Fraction(1, 2)))
+@example((Fraction(8, 27), Fraction(-2, 3)))
+@settings(max_examples=300, deadline=None)
+def test_pow_enclosure_matches_the_fraction_reference(case):
+    base, exp = case
+    assert _power_outcome(pow_enclosure, base, exp) == \
+        _power_outcome(pow_reference.pow_enclosure, base, exp)
 
 
 def test_interval_arithmetic():

@@ -216,7 +216,7 @@ def free_cube_cases(draw):
 def _outcome(fn, *args):
     """JSON bytes of a report, or the type and message of the error raised."""
     try:
-        return json.dumps(fn(*args).to_json(), sort_keys=True)
+        return json.dumps(fn(*args), sort_keys=True, default=lambda o: o.to_json())
     except (PorosityFailure, RootIsFree) as exc:
         return type(exc).__name__, str(exc)
 
