@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .enclosure import RatInterval, frac_str, pow2_enclosure, pow_enclosure
+from .enclosure import RatInterval, frac_str, pow2_enclosure, pow_enclosure, powers
 from .errors import AlphaOutOfRange, EmptySetError, RootIsFree
 from .families import CubeFamily, check_size, enumerate_DE
 from .lattice import DyadicCube, children, contains
@@ -286,12 +286,6 @@ class MeasureEnclosure:
                           "node_capped": self.notes.node_capped}}
 
 
-def _boundary_layer_upper(side: Fraction, alpha: Fraction) -> Fraction:
-    # d=1 only: integral over the cell of dist(x, cell boundary)^(-alpha)
-    # = 2 (side/2)^(1-alpha) / (1-alpha); valid once E misses the open interior.
-    return 2 * pow_enclosure(side / 2, 1 - alpha).hi / (1 - alpha)
-
-
 def _mu_cells(E, R, alpha, levels, budget, notes=None):
     """The one mass traversal: (cell, free, lower, upper) for every cell of R
     where the refinement stops, depth first in canonical order.
@@ -303,9 +297,10 @@ def _mu_cells(E, R, alpha, levels, budget, notes=None):
     boundary layer bound when E misses its open interior, else None.  A
     cell's status and view come from its parent's split, made when the
     parent is refined.  `notes`, when given, counts the refined and stopped
-    cells.
+    cells.  Each distinct power is raised once per traversal (`powers`).
     """
     notes = MuNotes() if notes is None else notes
+    weight, layer = powers(-alpha), powers(1 - alpha)
     local = E.restricted(R)
     stack = [(R, local.intersect_status(R, budget), local, levels, False)]
     while stack:
@@ -332,13 +327,15 @@ def _mu_cells(E, R, alpha, levels, budget, notes=None):
             if parent_meets:
                 # a point of E lies in the parent, at most 2*side away in l-inf
                 up = min(up, 2 * cube.side)
-            lower = vol * pow_enclosure(up, -alpha).lo
+            lower = vol * weight(up).lo
         if lo_d > 0:
             notes.point_bound_cells += 1
-            upper = vol * pow_enclosure(lo_d, -alpha).hi
+            upper = vol * weight(lo_d).hi
         elif cube.dim == 1 and alpha < 1 and (free or local.misses_interior(cube, budget)):
             notes.boundary_layer_cells += 1
-            upper = _boundary_layer_upper(cube.side, alpha)
+            # d = 1: the integral of dist(x, cell boundary)^(-alpha) over the
+            # cell, 2 (side/2)^(1-alpha) / (1-alpha), once E misses its interior
+            upper = 2 * layer(cube.side / 2).hi / (1 - alpha)
         else:
             notes.unresolved_cells.append(cube)
             upper = None
@@ -390,36 +387,34 @@ def mu_points_exact_1d(E: PointsModel, q: DyadicCube, alpha) -> RatInterval | No
     for larger exponents, where the one-sided antiderivative changes shape.
     """
     alpha = Fraction(alpha)
-    a = q.lower_corner[0]
-    b = a + q.side
     if alpha == 0:
-        return RatInterval.point(b - a)
+        return RatInterval.point(q.side)
     if alpha >= 1:
         return None
-    pts = [Fraction(n, E.L) for (n,) in E.around(q)]
+    # ends, rows and their midpoints as integers over D = L * 2^(j+1)
+    (k,), j = q.coords, q.depth
+    D = E.L << j + 1
+    a, b = k * E.L << 1, (k + 1) * E.L << 1
+    rows = [n << j + 1 for (n,) in E.around(q)]
     cuts = {a, b}
-    for p in pts:
-        if a < p < b:
-            cuts.add(p)
-    for p, q in zip(pts, pts[1:]):
-        mid = (p + q) / 2
-        if a < mid < b:
-            cuts.add(mid)
+    cuts.update(p for p in rows if a < p < b)
+    cuts.update(m for m in ((p + r) >> 1 for p, r in zip(rows, rows[1:])) if a < m < b)
     cuts = sorted(cuts)
     one_m = 1 - alpha
-    total = RatInterval.point(0)
+    lo = hi = _ZERO
     for u, v in zip(cuts, cuts[1:]):
-        mid = (u + v) / 2
-        p = min(pts, key=lambda t: abs(t - mid))
-        # integral of |x-p|^(-alpha) over [u, v]; p never lies strictly inside
-        if p <= u:
-            hi_part = pow_enclosure(v - p, one_m)
-            lo_part = RatInterval.point(0) if p == u else pow_enclosure(u - p, one_m)
-        else:  # p >= v
-            hi_part = pow_enclosure(p - u, one_m)
-            lo_part = RatInterval.point(0) if p == v else pow_enclosure(p - v, one_m)
-        total = total + (hi_part - lo_part) * (1 / one_m)
-    return RatInterval(max(total.lo, _ZERO), total.hi)
+        p = min(rows, key=lambda t: abs(2 * t - u - v))
+        # integral of |x-p|^(-alpha) over [u, v] is (far^(1-alpha) -
+        # near^(1-alpha)) / (1-alpha); p never lies strictly inside
+        far, near = (v - p, u - p) if p <= u else (p - u, p - v)
+        part = pow_enclosure(Fraction(far, D), one_m)
+        lo += part.lo
+        hi += part.hi
+        if near:
+            part = pow_enclosure(Fraction(near, D), one_m)
+            lo -= part.hi
+            hi -= part.lo
+    return RatInterval(max(lo / one_m, _ZERO), hi / one_m)
 
 
 # ---------------------------------------------------------------------------

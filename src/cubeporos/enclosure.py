@@ -178,6 +178,29 @@ def pow_enclosure(base, exp) -> RatInterval:
     return _rational_root_enclosure(num, den, q)
 
 
+POWERS_KEPT = 128
+
+
+def powers(exp):
+    """`pow_enclosure(·, exp)` for one traversal, remembering the last
+    POWERS_KEPT distinct bases.  Bounded, so a walk over distinct bases (IFS
+    distances) holds at most POWERS_KEPT intervals; keyed by the base's
+    integer pair, which hashes far faster than a Fraction."""
+    exp = Fraction(exp)
+    kept = {}
+
+    def power(base):
+        key = base.numerator, base.denominator
+        iv = kept.pop(key, None)  # reinserted last: least recent goes first
+        if iv is None:
+            iv = pow_enclosure(base, exp)
+            if len(kept) == POWERS_KEPT:
+                del kept[next(iter(kept))]
+        kept[key] = iv
+        return iv
+    return power
+
+
 def pow2_enclosure(exp) -> RatInterval:
     """Enclosure of 2**exp; the workhorse for dyadic volume powers."""
     return pow_enclosure(Fraction(2), exp)

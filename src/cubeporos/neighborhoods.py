@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .analysis import (DEFAULT_SEARCH_DEPTH, DEFAULT_SPLIT_BUDGET, _check_alpha, _mu_cells,
                        mu_points_exact_1d)
-from .enclosure import RatInterval, frac_str, pow_enclosure
+from .enclosure import RatInterval, frac_str, pow_enclosure, powers
 from .errors import EmptyFamilyError, EmptySetError, NotParentClosed, UnresolvedMeasure
 from .families import CubeFamily, enumerate_DE
 from .inverse import check_parent_closed
@@ -205,7 +205,9 @@ def _cell_mass(E, cube, alpha, budget, split_budget) -> RatInterval:
 
 
 def _interval_pow(iv: RatInterval, e: Fraction) -> RatInterval:
-    # t^e is monotone increasing on t >= 0 for e > 0
+    # t^e is monotone increasing on t >= 0 for e > 0; a point is raised once
+    if iv.lo == iv.hi:
+        return pow_enclosure(iv.lo, e)
     lo = _ZERO if iv.lo == 0 else pow_enclosure(iv.lo, e).lo
     hi = _ZERO if iv.hi == 0 else pow_enclosure(iv.hi, e).hi
     return RatInterval(lo, hi)
@@ -255,10 +257,11 @@ def embedding_check(E: SetModel, query: EmbeddingQuery, family: CubeFamily,
 
     lhs_p = RatInterval.point(0)
     rhs_p = RatInterval.point(0)
+    stack_pow = powers(query.p)  # few distinct stack values, many cells
     for cube, total, peak in cells:
         mass = _cell_mass(E, cube, query.alpha, budget, split_budget)
-        lhs_p = lhs_p + _interval_pow(RatInterval.point(total), query.p) * mass
-        rhs_p = rhs_p + _interval_pow(RatInterval.point(peak), query.p) * mass
+        lhs_p = lhs_p + stack_pow(total) * mass
+        rhs_p = rhs_p + stack_pow(peak) * mass
     inv_p = 1 / query.p
     lhs = _interval_pow(lhs_p, inv_p)
     rhs = _interval_pow(rhs_p, inv_p)

@@ -1,10 +1,12 @@
 """Shared fixtures, hypothesis strategies and brute-force oracles."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+from cubeporos import analysis, enclosure, neighborhoods
 from cubeporos.lattice import Box, DyadicCube
 from cubeporos.sets import IFSModel, PointsModel, cantor_middle_thirds
 
@@ -81,6 +83,21 @@ def cantor():
 @pytest.fixture(scope="session")
 def origin_1d():
     return PointsModel.make([(0,)])
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """A Counter of (base, exponent) over every `pow_enclosure` call, made
+    through any module's binding of it."""
+    calls = Counter()
+    pow_enclosure = enclosure.pow_enclosure
+
+    def counted(base, exp):
+        calls[Fraction(base), Fraction(exp)] += 1
+        return pow_enclosure(base, exp)
+    for module in (enclosure, analysis, neighborhoods):
+        monkeypatch.setattr(module, "pow_enclosure", counted)
+    return calls
 
 
 # --- brute-force middle-thirds oracle -------------------------------------

@@ -11,12 +11,18 @@ same bounds and the same `MuNotes`, unresolved cells in the same order.
 """
 
 from cubeporos import analysis
-from cubeporos.analysis import MuNotes, _boundary_layer_upper
+from cubeporos.analysis import MuNotes
 from cubeporos.enclosure import pow2_enclosure, pow_enclosure
 from cubeporos.lattice import children
 from cubeporos.sets import Status
 
 _ZERO = analysis._ZERO
+
+
+def _boundary_layer_upper(side, alpha):
+    # d=1 only: integral over the cell of dist(x, cell boundary)^(-alpha)
+    # = 2 (side/2)^(1-alpha) / (1-alpha); valid once E misses the open interior.
+    return 2 * pow_enclosure(side / 2, 1 - alpha).hi / (1 - alpha)
 
 
 def _free_cell_bounds(E, cube, alpha, parent_meets, budget, notes):

@@ -13,7 +13,7 @@ from cubeporos.analysis import (codim_estimate, parent_multiplicity_margin, de_s
                                 dynkin_sum, dynkin_sweep, largest_free_cube,
                                 mu_enclosure, mu_points_exact_1d,
                                 porosity_scan, weighted_carleson_sum)
-from cubeporos.enclosure import pow2_enclosure
+from cubeporos.enclosure import pow2_enclosure, pow_enclosure
 from cubeporos.errors import AlphaOutOfRange, FamilyTooLarge, RootIsFree, UnresolvedMeasure
 from cubeporos.families import enumerate_DE
 from cubeporos.lattice import Box, DyadicCube
@@ -238,6 +238,34 @@ def test_mu_exact_1d_points():
     E2 = PointsModel.make([(0,), (1,)])
     enc2 = mu_points_exact_1d(E2, ROOT1, F(1, 2))
     assert abs(float(enc2.lo) - 2 * math.sqrt(2)) < 1e-15
+
+
+def test_mu_enclosure_raises_each_power_once(pow_calls):
+    # boundary layers share a side and point bounds a distance: every
+    # (base, exponent) is raised once per traversal
+    E = PointsModel.make([(F(k, 64),) for k in (1, 2, 9, 30, 31, 50)])
+    enc = mu_enclosure(E, ROOT1, F(3, 5), 8)
+    assert enc.notes.boundary_layer_cells > 1 and enc.notes.point_bound_cells > 1
+    assert pow_calls and set(pow_calls.values()) == {1}
+
+
+def test_the_power_cache_stays_bounded_on_distinct_bases(monkeypatch):
+    # every Cantor distance is a new base: half the node cap still gives
+    # about 1,800 of them, which a cache that kept them all would hold at
+    # once (about 0.8 MB more traced than raising each afresh)
+    monkeypatch.setattr(analysis, "MU_SPLIT_NODE_CAP", 2_000)
+
+    def held():
+        tracemalloc.start()
+        mu_enclosure(cantor_middle_thirds(), ROOT1, F(3, 5), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+    with monkeypatch.context() as uncached:
+        uncached.setattr(analysis, "powers",
+                         lambda exp: lambda base: pow_enclosure(base, exp))
+        afresh = held()
+    assert held() <= afresh + (1 << 18)
 
 
 @st.composite

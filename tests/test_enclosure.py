@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubeporos.enclosure import (RatInterval, frac_parse, frac_str, iroot,
-                                 pow2_enclosure, pow_enclosure)
+from cubeporos.enclosure import (POWERS_KEPT, RatInterval, frac_parse, frac_str, iroot,
+                                 pow2_enclosure, pow_enclosure, powers)
 
 import iroot_reference
 import pow_reference
@@ -179,3 +179,23 @@ def test_frac_round_trip():
     x = Fraction(-7, 12)
     assert frac_parse(frac_str(x)) == x
     assert frac_str(Fraction(2)) == "2/1"
+
+
+def test_powers_raises_each_recent_base_once(pow_calls):
+    power = powers(Fraction(-3, 5))
+    half = (Fraction(1, 2), Fraction(-3, 5))
+    fresh = iter(range(3, 10 ** 6))
+
+    def newer(n):
+        for _ in range(n):
+            power(Fraction(1, next(fresh)))
+    assert power(Fraction(1, 2)) == pow_enclosure(*half)
+    assert power(Fraction(2, 4)) == pow_enclosure(*half)  # one key per value
+    assert pow_calls[half] == 1
+    for _ in range(2):  # a use keeps it through 127 newer bases
+        newer(POWERS_KEPT - 1)
+        power(Fraction(1, 2))
+        assert pow_calls[half] == 1
+    newer(POWERS_KEPT)  # 128 newer bases evict it
+    assert power(Fraction(1, 2)) == pow_enclosure(*half)
+    assert pow_calls[half] == 2

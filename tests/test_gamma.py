@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeporos.analysis import mu_enclosure
-from cubeporos.enclosure import pow_enclosure
+from cubeporos.enclosure import RatInterval, pow_enclosure
 from cubeporos.errors import AlphaOutOfRange, NotParentClosed
 from cubeporos.families import CubeFamily, enumerate_DE, enumerate_Dgamma
 from cubeporos.lattice import DyadicCube, contains
-from cubeporos.neighborhoods import (EmbeddingQuery, _covering_cubes, embedding_check,
-                                     gamma_carleson, gamma_witness,
+from cubeporos.neighborhoods import (EmbeddingQuery, _covering_cubes, _interval_pow,
+                                     embedding_check, gamma_carleson, gamma_witness,
                                      minimal_exceeding_integer)
 from cubeporos.sets import PointsModel, Status, cantor_middle_thirds
 from cubeporos.sparse import build_witness, carleson_constant, verify_witness
@@ -153,6 +153,20 @@ def test_embedding_constant_coefficients_p2():
     lhs_oracle = float(mpmath.sqrt(total))
     assert abs(float(report.lhs.lo) - lhs_oracle) < 1e-10
     assert abs(float(report.rhs.lo) - float(mpmath.sqrt(2))) < 1e-10
+
+
+def test_embedding_raises_each_stack_value_once(pow_calls):
+    query = _constant_query(F(3, 2), J=12)
+    report = embedding(ORIGIN, query)
+    stack = [n for (_base, exp), n in pow_calls.items() if exp == query.p]
+    # a sum and a sup per cell, but few distinct values
+    assert set(stack) == {1} and len(stack) < 2 * report.cells
+
+
+def test_a_point_interval_is_raised_once(pow_calls):
+    x, e = F(5, 3), F(2, 3)
+    assert _interval_pow(RatInterval.point(x), e) == pow_enclosure(x, e)
+    assert pow_calls == {(x, e): 1}
 
 
 def test_embedding_single_cube_identity():

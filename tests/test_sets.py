@@ -509,6 +509,11 @@ def test_enumerate_DE_of_points_matches_the_meeting_cubes(E, J):
     assert set(DE.members) == points_reference.meeting_cubes(points_reference.points(E), J)
 
 
+# the workload's shape: rows over 2^-16 and cubes 16 to 30 levels deep, one
+# ending at the midpoint of two rows and one starting on a row
+_ROWS16 = _line(*(F(n, 1 << 16) for n in (12345, 12347, 40000)))
+
+
 @example(_line(F(1, 4)), DyadicCube(2, (1,)), F(1, 2))
 @example(_line(F(1, 2)), DyadicCube(2, (1,)), F(1, 2))
 @example(_line(F(3, 16), F(9, 16)), DyadicCube(2, (1,)), F(1, 2))
@@ -520,6 +525,17 @@ def test_enumerate_DE_of_points_matches_the_meeting_cubes(E, J):
 @example(_line(F(1, 3), F(2, 5)), DyadicCube(6, (21,)), F(1, 2))
 @example(_line(F(1, 5), F(3, 5)), DyadicCube(5, (19,)), F(3, 5))
 @example(_line(0, F(1, 3), F(5, 12)), DyadicCube(5, (13,)), F(1, 2))
+@example(_ROWS16, DyadicCube(16, (12345,)), F(3, 5))
+@example(_ROWS16, DyadicCube(20, ((12345 << 4) + 3,)), F(1, 2))
+@example(_ROWS16, DyadicCube(30, ((12346 << 14) - 1,)), F(3, 5))
+@example(_ROWS16, DyadicCube(30, (12345 << 14,)), F(1, 2))
+@example(_ROWS16, DyadicCube(24, ((12346 << 8) + 7,)), 0)
+# cube ends at the midpoint of two rows, rows outside [0, 1)
+@example(_line(F(1, 4), F(3, 4)), DyadicCube(1, (1,)), F(1, 2))
+@example(_line(F(1, 4), F(3, 4)), DyadicCube(3, (3,)), F(3, 5))
+@example(_line(F(-3, 4), F(5, 4)), DyadicCube(0, (0,)), F(1, 2))
+@example(_line(F(-1, 1 << 16), 1 + F(1, 1 << 16)), DyadicCube(16, (0,)), F(1, 2))
+@example(_line(F(-1, 1 << 16), 1 + F(1, 1 << 16)), DyadicCube(18, ((1 << 18) - 1,)), 0)
 @given(boundary_points(1), dyadic_cubes(dim=1, max_depth=7),
        st.sampled_from((0, F(1, 5), F(1, 2), F(3, 5), 1, F(3, 2))))
 @settings(max_examples=150, deadline=None)
